@@ -8,11 +8,18 @@ Subcommands
     commutant        inverse-Cartan K-combination certificate
     normalize-lambda lambda-removing substitution report
     classical        finite-difference rendering of a generator
-    badword          report the constructed bad word and its blow-up count
 
-Exit code 0 means every requested check passed.  Variable naming in all
-I/O: u<i>.<k>, p<i>.<k> for position data and L<i> for the parameters.
-The bad-word experiment is bounded by POSREP_MAX_TERMS (default 5000000).
+Exit codes: 2 when a ValueError or ArithmeticError ends the command (the
+message goes to stderr), 1 when a requested check fails, 0 otherwise.
+``verify`` exits 0 iff the relation suite passes and the q^2-chain
+certificate of every E_i and F_i is either ``pass`` or ``no_chain`` with
+all commutation exponents even.  ``commutant`` exits 0 iff its certificate
+passes; ``tables --badword`` exits 1 when the term budget aborts the
+blow-up run.
+
+Variable naming in all I/O: u<i>.<k>, p<i>.<k> for position data and L<i>
+for the parameters.  The bad-word experiment is bounded by
+POSREP_MAX_TERMS (default 5000000).
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ import sys
 from fractions import Fraction
 
 from . import moddouble, verify
-from .qtorus import QExponent, QOperator, VLaurent, rebracket, sparse, term_count
+from .qtorus import QExponent, QOperator, RebracketError, VLaurent, rebracket, sparse, term_count
 from .repbuild import (
     Representation,
     build_rep,
@@ -68,7 +75,7 @@ def operator_to_json(op: QOperator, word: ReducedWord) -> dict:
     out = {"monomials": monos}
     try:
         out["brackets"] = [bracket_to_json(t, word) for t in rebracket(op)]
-    except Exception:
+    except RebracketError:
         pass
     return out
 

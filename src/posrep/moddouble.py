@@ -30,6 +30,7 @@ from .qtorus import (
     QOperator,
     VLaurent,
     commutation_exponent,
+    q_commutator,
     rebracket,
     sparse,
     sparse_add,
@@ -37,7 +38,7 @@ from .qtorus import (
     sparse_neg,
     sparse_scale,
 )
-from .rootdata import CartanDatum, langlands_b_vectors
+from .rootdata import CartanDatum, integer_row_reduce, langlands_b_vectors
 from .repbuild import GeneratorTriple, Representation
 
 
@@ -104,21 +105,21 @@ def check_modified_relations(mrep: ModifiedRep) -> dict:
         one = QOperator.one()
         check(
             "modified_master", i, i,
-            (eb_i * fb_i - (fb_i * eb_i).scale_v(-4 * eps)) - (one - kb_i).scale(c_i),
+            q_commutator(eb_i, fb_i, -4 * eps) - (one - kb_i).scale(c_i),
         )
         for j in datum.labels:
             eb_j, fb_j, kb_j = mrep.gens[j]
             a = datum.a(i, j)
-            check("Kb_Eb", i, j, kb_i * eb_j - (eb_j * kb_i).scale_v(4 * eps * a))
-            check("Kb_Fb", i, j, kb_i * fb_j - (fb_j * kb_i).scale_v(-4 * eps * a))
+            check("Kb_Eb", i, j, q_commutator(kb_i, eb_j, 4 * eps * a))
+            check("Kb_Fb", i, j, q_commutator(kb_i, fb_j, -4 * eps * a))
             if i != j:
-                check("Eb_Fb", i, j, eb_i * fb_j - fb_j * eb_i)
+                check("Eb_Fb", i, j, q_commutator(eb_i, fb_j))
             if datum.adjacent(i, j):
                 # the E-chain closes with the inverse twist of the F-chain
-                inner_e = eb_j * eb_i - (eb_i * eb_j).scale_v(4 * eps)
-                check("modified_serre_e", i, j, inner_e * eb_i - eb_i * inner_e)
-                inner_f = fb_j * fb_i - (fb_i * fb_j).scale_v(-4 * eps)
-                check("modified_serre_f", i, j, inner_f * fb_i - fb_i * inner_f)
+                inner_e = q_commutator(eb_j, eb_i, 4 * eps)
+                check("modified_serre_e", i, j, q_commutator(inner_e, eb_i))
+                inner_f = q_commutator(fb_j, fb_i, -4 * eps)
+                check("modified_serre_f", i, j, q_commutator(inner_f, fb_i))
     return {
         "check": "modified_relations",
         "status": "pass" if not failures else "fail",
@@ -170,34 +171,13 @@ def unmodified_odd_witness(rep: Representation) -> dict | None:
     return None
 
 
-def _rank(rows: list[list[Fraction]]) -> int:
-    rows = [row[:] for row in rows]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    r = 0
-    for c in range(cols):
-        piv = next((k for k in range(r, len(rows)) if rows[k][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for k in range(len(rows)):
-            if k != r and rows[k][c] != 0:
-                f = rows[k][c]
-                rows[k] = [x - f * y for x, y in zip(rows[k], rows[r])]
-        r += 1
-        rank += 1
-    return rank
-
-
 def qtori_certificate(mrep: ModifiedRep) -> dict:
-    """Even symplectic Gram matrix + lattice rank bound for modified generators.
+    """Even symplectic Gram matrix + full lattice rank for modified generators.
 
     Even pairings mean the exponent lattice sits inside a torus algebra
-    with parameter q^2.  The rank of the spanned u/p lattice is at most
-    twice the word length (the central lambda slots are scalars, not torus
-    directions).
+    with parameter q^2.  The spanned u/p lattice must have full rank, twice
+    the word length (the central lambda slots are scalars, not torus
+    directions): a family missing a generator spans less and fails.
     """
     monos = _generator_monomials(mrep.gens)
     odd = []
@@ -209,19 +189,19 @@ def qtori_certificate(mrep: ModifiedRep) -> dict:
     n_pos = len(mrep.base.word.letters)
     rows = []
     for _, expo in monos:
-        row = [Fraction(0)] * (2 * n_pos)
+        row = [0] * (2 * n_pos)
         for t, v in expo.alpha:
-            row[t] = Fraction(v)
+            row[t] = v
         for t, v in expo.gamma:
-            row[n_pos + t] = Fraction(v)
+            row[n_pos + t] = v
         rows.append(row)
-    rank = _rank(rows)
-    ok = not odd and rank <= 2 * n_pos
+    rank = len(integer_row_reduce(rows)[1])
+    ok = not odd and rank == 2 * n_pos
     return {
         "check": "qtori",
         "status": "pass" if ok else "fail",
         "rank": rank,
-        "max_rank": 2 * n_pos,
+        "full_rank": 2 * n_pos,
         "witnesses": odd,
     }
 

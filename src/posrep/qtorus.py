@@ -445,14 +445,6 @@ class QOperator:
                 acc[e] = c if prev is None else prev + c
         return QOperator(acc)
 
-    def power(self, n: int) -> QOperator:
-        if n < 0:
-            raise ValueError("negative operator powers are not defined")
-        out = QOperator.one()
-        for _ in range(n):
-            out = out * self
-        return out
-
     def substitute_positions(self, perm: dict[int, int]) -> QOperator:
         """Relabel u/p position indices (a bijection on the touched indices)."""
         acc: dict[QExponent, VLaurent] = {}
@@ -477,12 +469,28 @@ def add(*ops: QOperator) -> QOperator:
 
 
 def q_commutator(x: QOperator, y: QOperator, v_twist: int = 0) -> QOperator:
-    """x*y - v**v_twist * y*x.  v_twist=0 is the plain commutator."""
-    return x * y - (y * x).scale_v(v_twist)
+    """x*y - v**v_twist * y*x in one pass over the monomial pairs.
 
-
-def commutator(x: QOperator, y: QOperator) -> QOperator:
-    return q_commutator(x, y, 0)
+    v_twist=0 is the plain commutator.  For monomials m1, m2 with
+    m1*m2 = q**s * m2*m1 both products land on the same exponent, so the
+    pair contributes c1*c2*(v**s - v**(v_twist - s)) there; pairs with
+    2*s == v_twist cancel exactly and are skipped.
+    """
+    acc: dict[QExponent, VLaurent] = {}
+    diffs: dict[int, VLaurent] = {}
+    for e1, c1 in x.terms.items():
+        for e2, c2 in y.terms.items():
+            s = commutation_exponent(e1, e2)
+            if 2 * s == v_twist:
+                continue
+            diff = diffs.get(s)
+            if diff is None:
+                diff = diffs[s] = VLaurent.v_power(s) - VLaurent.v_power(v_twist - s)
+            c = c1 * c2 * diff
+            e = exponent_product(e1, e2)
+            prev = acc.get(e)
+            acc[e] = c if prev is None else prev + c
+    return QOperator(acc)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from typing import NamedTuple
 from .qtorus import (
     BracketTerm,
     QOperator,
+    RebracketError,
     VLaurent,
     bracket,
     expand_bracket,
@@ -192,7 +193,7 @@ def operator_text(op: QOperator, word: ReducedWord) -> str:
         return "0"
     try:
         terms = rebracket(op)
-    except Exception:
+    except RebracketError:
         return " + ".join(monomial_text(e, c, word) for e, c in op.monomials())
     return " + ".join(bracket_text(t, word) for t in terms)
 

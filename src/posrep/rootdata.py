@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 
 class UnsupportedTypeError(ValueError):
@@ -143,6 +144,39 @@ def positive_root_count(datum: CartanDatum) -> int:
     return len(positive_roots(datum))
 
 
+def integer_row_reduce(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free Gauss-Jordan elimination over the integers.
+
+    Returns ``(reduced, pivots)``: ``reduced[r]`` is nonzero at column
+    ``pivots[r]`` and every other reduced row is zero there; rows that
+    reduce to zero are dropped, so ``len(pivots)`` is the rank over Q.
+    Each row is divided by the gcd of its entries after every step, which
+    keeps the integers small without leaving Z.
+    """
+
+    def primitive(row: list[int]) -> list[int]:
+        g = gcd(*row)
+        return row if g <= 1 else [x // g for x in row]
+
+    rows = [primitive(list(row)) for row in rows if any(row)]
+    cols = len(rows[0]) if rows else 0
+    pivots: list[int] = []
+    for c in range(cols):
+        r = len(pivots)
+        piv = next((k for k in range(r, len(rows)) if rows[k][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        prow = rows[r]
+        p = prow[c]
+        for k, row in enumerate(rows):
+            f = row[c]
+            if k != r and f:
+                rows[k] = primitive([p * x - f * y for x, y in zip(row, prow)])
+        pivots.append(c)
+    return rows[: len(pivots)], pivots
+
+
 def langlands_b_vectors(datum: CartanDatum) -> list[tuple[Fraction, ...]]:
     """Columns b^k of the inverse Cartan matrix, as exact rationals.
 
@@ -150,23 +184,14 @@ def langlands_b_vectors(datum: CartanDatum) -> list[tuple[Fraction, ...]]:
     returning.
     """
     n = datum.rank
-    a = [[Fraction(x) for x in row] for row in datum.cartan_matrix()]
-    aug = [a[i] + [Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pivval = aug[col][col]
-        aug[col] = [x / pivval for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    inv = [[aug[i][n + j] for j in range(n)] for i in range(n)]
+    a = datum.cartan_matrix()
+    aug = [list(a[i]) + [1 if i == j else 0 for j in range(n)] for i in range(n)]
+    reduced, _ = integer_row_reduce(aug)  # A is invertible: pivot i sits in column i
     out = []
     for k in range(n):
-        b = tuple(inv[i][k] for i in range(n))
+        b = tuple(Fraction(reduced[i][n + k], reduced[i][i]) for i in range(n))
         for i in range(n):
-            check = sum(Fraction(datum.cartan_matrix()[i][j]) * b[j] for j in range(n))
+            check = sum(a[i][j] * b[j] for j in range(n))
             assert check == (1 if i == k else 0)
         out.append(b)
     return out

@@ -34,11 +34,14 @@ def check_relations(rep: Representation) -> dict:
       e_i e_j = e_j e_i,  f_i f_j = f_j f_i   (i, j not adjacent)
       e_i^2 e_j - (q + q^-1) e_i e_j e_i + e_j e_i^2 = 0   (i, j adjacent)
       and the same for f.
+
+    Every relation is evaluated as a q-commutator [x, y]_t = x y - v^t y x;
+    Serre is the nested form [e_i, [e_i, e_j]_2]_-2, which expands to the
+    same element as the three-product sum above.
     """
     datum = rep.datum
     failures: list[dict] = []
     q_minus = VLaurent.q_power(1) - VLaurent.q_power(-1)
-    two_q = VLaurent.q_power(1) + VLaurent.q_power(-1)
 
     def check(name, i, j, residue):
         if not residue.is_zero():
@@ -47,29 +50,23 @@ def check_relations(rep: Representation) -> dict:
     for i in datum.labels:
         e_i, f_i, k_i = rep.gens[i]
         k_inv = QOperator.monomial(k_i.single_monomial().expo.inverse())
-        check("master", i, i, (e_i * f_i - f_i * e_i) - (k_inv - k_i).scale(q_minus))
+        check("master", i, i, q_commutator(e_i, f_i) - (k_inv - k_i).scale(q_minus))
         for j in datum.labels:
             e_j, f_j, k_j = rep.gens[j]
             a = datum.a(i, j)
-            check("K_e", i, j, k_i * e_j - (e_j * k_i).scale_v(2 * a))
-            check("K_f", i, j, k_i * f_j - (f_j * k_i).scale_v(-2 * a))
+            check("K_e", i, j, q_commutator(k_i, e_j, 2 * a))
+            check("K_f", i, j, q_commutator(k_i, f_j, -2 * a))
             if i == j:
                 continue
-            check("e_f", i, j, e_i * f_j - f_j * e_i)
+            check("e_f", i, j, q_commutator(e_i, f_j))
             if i < j:
-                check("K_K", i, j, k_i * k_j - k_j * k_i)
+                check("K_K", i, j, q_commutator(k_i, k_j))
                 if not datum.adjacent(i, j):
-                    check("e_e", i, j, e_i * e_j - e_j * e_i)
-                    check("f_f", i, j, f_i * f_j - f_j * f_i)
+                    check("e_e", i, j, q_commutator(e_i, e_j))
+                    check("f_f", i, j, q_commutator(f_i, f_j))
             if datum.adjacent(i, j):
-                check(
-                    "serre_e", i, j,
-                    e_i * e_i * e_j - (e_i * e_j * e_i).scale(two_q) + e_j * e_i * e_i,
-                )
-                check(
-                    "serre_f", i, j,
-                    f_i * f_i * f_j - (f_i * f_j * f_i).scale(two_q) + f_j * f_i * f_i,
-                )
+                check("serre_e", i, j, q_commutator(e_i, q_commutator(e_i, e_j, 2), -2))
+                check("serre_f", i, j, q_commutator(f_i, q_commutator(f_i, f_j, 2), -2))
     return {"check": "relations", "status": "pass" if not failures else "fail", "witnesses": failures}
 
 

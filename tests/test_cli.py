@@ -3,7 +3,8 @@ import json
 import pytest
 
 from posrep.cli import main, operator_from_json, operator_to_json, dump_json
-from posrep.repbuild import build_rep
+from posrep.qtorus import QOperator, exponent
+from posrep.repbuild import build_rep, operator_text
 from posrep.rootdata import build_cartan
 from posrep.words import good_word
 
@@ -36,6 +37,16 @@ def test_construct_json_round_trip(capsys):
     assert op == build_rep(datum, word).gens[1].E
     # serialization is canonical: dump(parse(dump)) == dump
     assert dump_json(operator_to_json(op, word)) == dump_json(payload["operator"])
+
+
+def test_non_bracket_operator_renders_raw_monomials():
+    word = good_word(build_cartan("A", 2))
+    # an unpaired monomial: rebracket raises RebracketError
+    op = QOperator.monomial(exponent({0: 1}, {0: -1})) + QOperator.monomial(exponent({2: 1}))
+    assert operator_text(op, word) == "E^(pi b(u2.1)) + E^(pi b(u2.2 - 2p2.2))"
+    payload = operator_to_json(op, word)
+    assert "brackets" not in payload
+    assert operator_from_json(payload, word) == op
 
 
 def test_invalid_word_rejected(capsys):

@@ -3,6 +3,8 @@ from fractions import Fraction
 import pytest
 
 from posrep.moddouble import (
+    ModifiedRep,
+    ModifiedTriple,
     build_modified,
     check_modified_relations,
     commutant_check,
@@ -17,7 +19,7 @@ from posrep.moddouble import (
     verify_weyl_pattern,
     weyl_reflect_lambda,
 )
-from posrep.qtorus import VLaurent, sparse
+from posrep.qtorus import QOperator, VLaurent, sparse
 from posrep.repbuild import build_rep
 from posrep.rootdata import build_cartan
 from posrep.words import ReducedWord, good_word
@@ -40,8 +42,6 @@ def test_modified_a1_shape():
 
 def test_modified_a1_master_by_hand():
     # n_1 = 1: Ebar Fbar - q^-2 Fbar Ebar = (1 - q^-2)(1 - Kbar)
-    from posrep.qtorus import QOperator
-
     mrep = build_modified(rep_for("A", 1, flip=True))
     eb, fb, kb = mrep.gens[1]
     lhs = eb * fb - (fb * eb).scale_v(-4)
@@ -56,6 +56,24 @@ def test_modified_a1_master_by_hand():
 def test_modified_relations(family, rank, flip):
     mrep = build_modified(rep_for(family, rank, flip))
     assert check_modified_relations(mrep)["status"] == "pass"
+
+
+@pytest.mark.parametrize(
+    "family,rank,label,relation",
+    [("A", 2, 1, "Eb_Fb"), ("D", 4, 0, "modified_master")],
+)
+def test_modified_relations_detect_shifted_coefficient(family, rank, label, relation):
+    mrep = build_modified(rep_for(family, rank))
+    eb = mrep.gens[label].E
+    broken = QOperator(
+        {expo: (coeff.shift(2) if k == 0 else coeff) for k, (expo, coeff) in enumerate(eb.monomials())}
+    )
+    gens = dict(mrep.gens)
+    gens[label] = ModifiedTriple(broken, gens[label].F, gens[label].K)
+    report = check_modified_relations(ModifiedRep(mrep.base, gens))
+    assert report["status"] == "fail"
+    assert [w["relation"] for w in report["witnesses"]] == [relation]
+    assert report["witnesses"][0]["monomials"] == 1
 
 
 @pytest.mark.parametrize(
@@ -78,17 +96,28 @@ def test_unmodified_a1_has_no_odd_witness():
     assert unmodified_odd_witness(rep_for("A", 1)) is None
 
 
-@pytest.mark.parametrize("family,rank", [("A", 1), ("A", 2), ("A", 3), ("D", 4)])
+@pytest.mark.parametrize("family,rank", [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("D", 4)])
 def test_qtori_certificate(family, rank):
-    mrep = build_modified(rep_for(family, rank))
-    report = qtori_certificate(mrep)
-    assert report["status"] == "pass"
-    assert report["rank"] <= report["max_rank"]
+    for flip in (False, True):
+        mrep = build_modified(rep_for(family, rank, flip))
+        report = qtori_certificate(mrep)
+        assert report["status"] == "pass"
+        assert report["rank"] == report["full_rank"] == 2 * len(mrep.base.word.letters)
 
 
 def test_qtori_rank_a1():
     report = qtori_certificate(build_modified(rep_for("A", 1)))
-    assert report["rank"] == 2 and report["max_rank"] == 2
+    assert report["rank"] == 2 and report["full_rank"] == 2
+
+
+def test_qtori_fails_below_full_rank():
+    # without label 1's triple the A2 family spans a rank-5 lattice, not 6
+    mrep = build_modified(rep_for("A", 2))
+    partial = ModifiedRep(mrep.base, {2: mrep.gens[2]})
+    report = qtori_certificate(partial)
+    assert not report["witnesses"]
+    assert (report["rank"], report["full_rank"]) == (5, 6)
+    assert report["status"] == "fail"
 
 
 # ---------------------------------------------------------------------------

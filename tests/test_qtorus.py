@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from posrep.qtorus import (
     EXP_ONE,
     QExponent,
+    QMonomial,
     QOperator,
     RebracketError,
     VLaurent,
@@ -134,6 +135,22 @@ def test_canonical_order_deterministic():
     exps = [m.expo for m in op.monomials()]
     assert exps == sorted(exps, key=lambda e: (e.alpha, e.gamma), reverse=False) or True
     assert [m.expo.alpha for m in op.monomials()][0] == ((0, -1),)
+
+
+laurent = st.lists(st.tuples(st.integers(-4, 4), st.integers(-3, 3)), min_size=1, max_size=3).map(
+    lambda pairs: sum((VLaurent.v_power(e, c) for e, c in pairs), VLaurent.zero())
+)
+monomial = st.builds(
+    lambda a, g, l, k, c: QMonomial(exponent(a, g, l, k), c),
+    small_vec, small_vec, st.dictionaries(st.integers(1, 2), st.integers(-2, 2), max_size=2),
+    st.integers(-1, 1), laurent,
+)
+operator = st.lists(monomial, max_size=4).map(QOperator.from_monomials)
+
+
+@given(operator, operator, st.integers(-6, 6))
+def test_q_commutator_matches_products(x, y, t):
+    assert q_commutator(x, y, t) == x * y - (y * x).scale_v(t)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from posrep.rootdata import (
     UnsupportedTypeError,
     build_cartan,
+    integer_row_reduce,
     langlands_b_vectors,
     positive_root_count,
     positive_roots,
@@ -83,6 +84,17 @@ def test_b_vectors_defining_equation(family, rank):
     for k, b in enumerate(langlands_b_vectors(datum)):
         for i in range(rank):
             assert sum(a[i][j] * b[j] for j in range(rank)) == (1 if i == k else 0)
+
+
+def test_integer_row_reduce():
+    reduced, pivots = integer_row_reduce([[2, 4, 6], [0, 0, 0], [1, 2, 3], [0, 3, 3], [1, -1, 0]])
+    assert pivots == [0, 1]
+    for r, c in enumerate(pivots):
+        assert reduced[r][c] != 0
+        assert all(row[c] == 0 for k, row in enumerate(reduced) if k != r)
+    assert reduced == [[1, 0, 1], [0, 1, 1]]
+    assert integer_row_reduce([]) == ([], [])
+    assert integer_row_reduce([[0, 0]]) == ([], [])
 
 
 def test_longest_element_length():

@@ -25,20 +25,40 @@ def test_relations_pass(datum, letters):
     assert check_relations(rep)["status"] == "pass"
 
 
-def test_corrupted_rep_detected():
-    rep = build_rep(A2, good_word(A2))
-    e1 = rep.gens[1].E
-    broken = QOperator(
+# The full failing-suite reports on E_label with its first monomial's
+# coefficient multiplied by q, as produced by the three-product relation
+# suite that the q-commutator form replaced.
+CORRUPTED_REPORTS = {
+    (A2, 1): [
         {
-            expo: (coeff.shift(2) if k == 0 else coeff)
-            for k, (expo, coeff) in enumerate(e1.monomials())
-        }
-    )
-    gens = dict(rep.gens)
-    gens[1] = GeneratorTriple(broken, rep.gens[1].F, rep.gens[1].K)
-    report = check_relations(Representation(rep.datum, rep.word, rep.lam_mode, gens))
-    assert report["status"] == "fail"
-    assert any(w["relation"] in ("serre_e", "master", "K_e", "e_f") for w in report["witnesses"])
+            "relation": "e_f", "i": 1, "j": 2, "monomials": 1,
+            "residue": "(-q^2 + q + 1 - q^-1) E^(pi b(-2u2.2 - 2p1.1 + 2p2.1 - 2L2))",
+        },
+    ],
+    (build_cartan("D", 4), 2): [
+        {
+            "relation": "master", "i": 2, "j": 2, "monomials": 1,
+            "residue": "(-q^2 + q + 1 - q^-1) E^(pi b(u0.3 + u1.3 - 2u2.4 - 2L2"
+                       " + u0.2 + u1.2 - 2u2.3 - 2p3.2 + 2p2.2 - 2p2.1 + 2p3.1))",
+        },
+    ],
+}
+
+
+def test_corrupted_rep_detected():
+    for (datum, label), pinned in CORRUPTED_REPORTS.items():
+        rep = build_rep(datum, good_word(datum))
+        e = rep.gens[label].E
+        broken = QOperator(
+            {
+                expo: (coeff.shift(2) if k == 0 else coeff)
+                for k, (expo, coeff) in enumerate(e.monomials())
+            }
+        )
+        gens = dict(rep.gens)
+        gens[label] = GeneratorTriple(broken, rep.gens[label].F, rep.gens[label].K)
+        report = check_relations(Representation(rep.datum, rep.word, rep.lam_mode, gens))
+        assert report == {"check": "relations", "status": "fail", "witnesses": pinned}
 
 
 def test_q2_chain_small():

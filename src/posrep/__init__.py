@@ -50,7 +50,6 @@ from .repbuild import (
     operator_text,
 )
 from .transport import (
-    MoveFrame,
     braid_conjugate,
     commutation_move,
     conjugation_factor,

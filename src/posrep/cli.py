@@ -74,14 +74,13 @@ def operator_to_json(op: QOperator, word: ReducedWord) -> dict:
         )
     out = {"monomials": monos}
     try:
-        out["brackets"] = [bracket_to_json(t, word) for t in rebracket(op)]
+        out["brackets"] = [bracket_to_json(t, names) for t in rebracket(op)]
     except RebracketError:
         pass
     return out
 
 
-def bracket_to_json(term, word: ReducedWord) -> dict:
-    names = position_names(word)
+def bracket_to_json(term, names: list[str]) -> dict:
     return {
         "scalar": [[e, c] for e, c in _laurent_pairs(term.scalar)],
         "L": {
@@ -141,11 +140,13 @@ def _resolve_word(datum, spec: str) -> ReducedWord:
     return word
 
 
-def _parse_gen(spec: str) -> tuple[str, int]:
-    kind, label = spec[0].upper(), int(spec[1:])
-    if kind not in "EFK":
-        raise ValueError(f"generator must be E/F/K + label, got {spec!r}")
-    return kind, label
+def _parse_gen(datum, spec: str) -> tuple[str, int]:
+    kind, label = spec[:1].upper(), spec[1:]
+    if kind not in ("E", "F", "K") or not label.isdigit() or int(label) not in datum.labels:
+        raise ValueError(
+            f"generator must be E/F/K + a node label of {datum.family}_{datum.rank}, got {spec!r}"
+        )
+    return kind, int(label)
 
 
 # ---------------------------------------------------------------------------
@@ -154,9 +155,9 @@ def _parse_gen(spec: str) -> tuple[str, int]:
 
 def cmd_construct(args) -> int:
     datum = build_cartan(args.family, args.rank)
+    kind, label = _parse_gen(datum, args.gen)
     word = _resolve_word(datum, args.word)
     rep = build_rep(datum, word, args.lam)
-    kind, label = _parse_gen(args.gen)
     op = rep.generator(kind, label)
     if args.format == "json":
         payload = {
@@ -197,9 +198,6 @@ def _badword_report(datum) -> int:
         op = build_E(word, target)
     except TermBudgetError as exc:
         print(f"aborted: {exc}")
-        if exc.trace:
-            move, w, n = exc.trace[-1]
-            print(f"last step: {move.kind}@{move.pos} with {n} monomials")
         return 1
     print(f"E{target} term count: {term_count(op)}")
     return 0
@@ -225,8 +223,8 @@ def cmd_transport(args) -> int:
     datum = build_cartan(args.family, args.rank)
     src = _resolve_word(datum, args.src)
     dst = _resolve_word(datum, args.dst)
+    kind, label = _parse_gen(datum, args.gen)
     rep = build_rep(datum, src)
-    kind, label = _parse_gen(args.gen)
     path = braid_path(src, dst)
     trace: list = []
     op, word = transport(rep.generator(kind, label), src, path, trace=trace)
@@ -270,9 +268,9 @@ def cmd_normalize_lambda(args) -> int:
 
 def cmd_classical(args) -> int:
     datum = build_cartan(args.family, args.rank)
+    kind, label = _parse_gen(datum, args.gen)
     word = _resolve_word(datum, args.word)
     rep = build_rep(datum, word)
-    kind, label = _parse_gen(args.gen)
     print(classical_render(rep.generator(kind, label), word))
     return 0
 

@@ -150,8 +150,7 @@ def _linear_form_text(entries, fmt) -> str:
     return " ".join(parts) if parts else "0"
 
 
-def bracket_text(term: BracketTerm, word: ReducedWord) -> str:
-    names = position_names(word)
+def bracket_text(term: BracketTerm, names: list[str]) -> str:
     entries = [((0, t), c) for t, c in term.l_alpha]
     entries += [((1, s), c) for s, c in term.l_ell]
     if term.l_const:
@@ -167,8 +166,7 @@ def bracket_text(term: BracketTerm, word: ReducedWord) -> str:
     return f"{head}[{body}] e({shift})"
 
 
-def monomial_text(expo, coeff: VLaurent, word: ReducedWord) -> str:
-    names = position_names(word)
+def monomial_text(expo, coeff: VLaurent, names: list[str]) -> str:
     entries = [((0, t), c) for t, c in expo.alpha]
     entries += [((1, t), 2 * c) for t, c in expo.gamma]
     entries += [((2, s), c) for s, c in expo.ell]
@@ -191,11 +189,12 @@ def operator_text(op: QOperator, word: ReducedWord) -> str:
     """Weight-shift-term rendering, falling back to raw monomials."""
     if op.is_zero():
         return "0"
+    names = position_names(word)
     try:
         terms = rebracket(op)
     except RebracketError:
-        return " + ".join(monomial_text(e, c, word) for e, c in op.monomials())
-    return " + ".join(bracket_text(t, word) for t in terms)
+        return " + ".join(monomial_text(e, c, names) for e, c in op.monomials())
+    return " + ".join(bracket_text(t, names) for t in terms)
 
 
 def classical_render(op: QOperator, word: ReducedWord) -> str:

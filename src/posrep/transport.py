@@ -1,4 +1,4 @@
-"""Braid-move transformation of operators.
+"""Braid-move and commutation-move transformation of operators.
 
 A braid move at positions (t, t+1, t+2) acts on operators in three exact
 steps, all inside the monomial algebra:
@@ -19,24 +19,24 @@ binomial denominator and the assembled numerator is divided out exactly,
 ray by ray, at the end of each conjugation step.  A nonzero remainder
 means the input was not transportable and raises NonPolynomialError.
 
-Commutation moves just swap the two position labels in all exponents.
+A commutation move only exchanges the labels of two positions.  While a
+path is folded, exponents are therefore indexed by fixed *slots*, and a
+list ``slot[position]`` records which slot each position currently has:
+a commutation move swaps two entries of that list and touches no
+exponent, and a braid move at t runs on the slots of positions t, t+1,
+t+2, wherever they lie.  Positions are restored in one relabel pass after
+the last move.
 """
 
 from __future__ import annotations
 
 import os
 from bisect import bisect_left
-from typing import Iterable, NamedTuple
+from operator import itemgetter
+from typing import Iterable
 
-from .qtorus import (
-    QExponent,
-    QOperator,
-    VLaurent,
-    commutation_exponent,
-    exponent_product,
-    sparse,
-)
-from .words import BraidMove, MoveError, ReducedWord, apply_move
+from .qtorus import QExponent, QOperator, VLaurent
+from .words import BraidMove, ReducedWord, apply_move
 
 
 class OddPairingError(ArithmeticError):
@@ -48,11 +48,19 @@ class NonPolynomialError(ArithmeticError):
 
 
 class TermBudgetError(RuntimeError):
-    """A transport exceeded the configured monomial budget."""
+    """A transport exceeded the configured monomial budget.
 
-    def __init__(self, message: str, trace: list | None = None):
-        super().__init__(message)
-        self.trace = trace or []
+    ``peak`` is the monomial count that broke the budget and ``step`` the
+    index of the move in the path that produced it.
+    """
+
+    def __init__(self, peak: int, step: int, move: BraidMove, budget: int):
+        super().__init__(
+            f"operator grew to {peak} monomials at step {step} "
+            f"({move.kind}@{move.pos}; budget {budget})"
+        )
+        self.peak = peak
+        self.step = step
 
 
 DEFAULT_MAX_TERMS = 5_000_000
@@ -60,28 +68,6 @@ DEFAULT_MAX_TERMS = 5_000_000
 
 def term_budget() -> int:
     return int(os.environ.get("POSREP_MAX_TERMS", DEFAULT_MAX_TERMS))
-
-
-class MoveFrame(NamedTuple):
-    """The three positions (u, v, w) of a braid move, left to right."""
-
-    u: int
-    v: int
-    w: int
-
-    def z_exponent(self) -> QExponent:
-        return QExponent(
-            sparse({self.u: -1, self.v: 1, self.w: -1}),
-            sparse({self.u: -1, self.w: 1}),
-            (), 0,
-        )
-
-    def y_exponent(self) -> QExponent:
-        return QExponent(
-            sparse({self.u: 1, self.v: -1, self.w: 1}),
-            sparse({self.u: -1, self.w: 1}),
-            (), 0,
-        )
 
 
 def conjugation_factor(s: int, direction: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -103,121 +89,6 @@ def conjugation_factor(s: int, direction: str) -> tuple[tuple[int, ...], tuple[i
     if direction == "inner":
         return (falling, ()) if s > 0 else ((), rising)
     return ((), falling) if s > 0 else (rising, ())
-
-
-def _mul_binomial(terms: dict, x: QExponent, c: int) -> dict:
-    """Left-multiply a term dict by (1 + q^c X)."""
-    out = dict(terms)
-    for e, coef in terms.items():
-        e2 = exponent_product(x, e)
-        c2 = coef.shift(2 * c + commutation_exponent(x, e))
-        prev = out.get(e2)
-        out[e2] = c2 if prev is None else prev + c2
-    return {e: coef for e, coef in out.items() if coef.coeffs}
-
-
-def _div_binomial(terms: dict, x: QExponent, c: int) -> dict:
-    """Solve (1 + q^c X) * R = terms for R, exactly.
-
-    Terms are grouped into rays {base + k*X}; within a ray, left
-    multiplication by X shifts k by one and scales by a fixed power of v,
-    so the division is a first-order recurrence per ray.
-    """
-    # first nonzero coordinate of X identifies the ray parameter
-    if x.alpha:
-        part, (p0, c0) = "alpha", x.alpha[0]
-    else:
-        part, (p0, c0) = "gamma", x.gamma[0]
-
-    def x_multiple(k: int) -> QExponent:
-        return QExponent(
-            tuple((i, k * v) for i, v in x.alpha),
-            tuple((i, k * v) for i, v in x.gamma),
-            (), 0,
-        )
-
-    def ray_split(e: QExponent) -> tuple[QExponent, int]:
-        vec = e.alpha if part == "alpha" else e.gamma
-        val = 0
-        for idx, v in vec:
-            if idx == p0:
-                val = v
-                break
-        k = val // c0
-        base = exponent_product(e, x_multiple(-k)) if k else e
-        return base, k
-
-    rays: dict[QExponent, dict[int, VLaurent]] = {}
-    for e, coef in terms.items():
-        base, k = ray_split(e)
-        rays.setdefault(base, {})[k] = coef
-    out: dict[QExponent, VLaurent] = {}
-    for base, slots in rays.items():
-        s0 = commutation_exponent(x, base)  # constant along the ray
-        step = 2 * c + s0
-        kmin, kmax = min(slots), max(slots)
-        prev = VLaurent.zero()
-        cur_exp = exponent_product(base, x_multiple(kmin)) if kmin else base
-        for k in range(kmin, kmax + 1):
-            if k > kmin:
-                cur_exp = exponent_product(x, cur_exp)
-            r = slots.get(k, VLaurent.zero()) - prev.shift(step)
-            if k == kmax:
-                if r.coeffs:
-                    raise NonPolynomialError(
-                        f"residue v^({r.val})... survives division by (1 + q^{c} X)"
-                    )
-                break
-            if r.coeffs:
-                out[cur_exp] = r
-            prev = r
-    return out
-
-
-def _conjugate(terms: dict, x: QExponent, direction: str) -> dict:
-    """Conjugate a term dict by g(X) in the given direction."""
-    groups: dict[int, dict[QExponent, VLaurent]] = {}
-    for e, coef in terms.items():
-        s = commutation_exponent(x, e)
-        groups.setdefault(s, {})[e] = coef
-    # global denominator: the longest binomial chain over all groups
-    denom: tuple[int, ...] = ()
-    for s in groups:
-        _, d = conjugation_factor(s, direction)
-        if len(d) > len(denom):
-            denom = d
-    acc: dict[QExponent, VLaurent] = {}
-    for s, sub in groups.items():
-        numer, d = conjugation_factor(s, direction)
-        for c in numer:
-            sub = _mul_binomial(sub, x, c)
-        for c in denom[len(d):]:  # denominator chains are nested prefixes
-            sub = _mul_binomial(sub, x, c)
-        for e, coef in sub.items():
-            prev = acc.get(e)
-            acc[e] = coef if prev is None else prev + coef
-    acc = {e: coef for e, coef in acc.items() if coef.coeffs}
-    for c in denom:
-        acc = _div_binomial(acc, x, c)
-    return acc
-
-
-def _relabel(terms: dict, frame: MoveFrame) -> dict:
-    """Apply the determinant-one frame relabeling to all exponents."""
-    u, v, w = frame
-    out: dict[QExponent, VLaurent] = {}
-    for e, coef in terms.items():
-        am = dict(e.alpha)
-        gm = dict(e.gamma)
-        au, av, aw = am.pop(u, 0), am.pop(v, 0), am.pop(w, 0)
-        gu, gv, gw = gm.pop(u, 0), gm.pop(v, 0), gm.pop(w, 0)
-        # u-parts by T^t, p-parts by T^{-1}
-        am[u], am[v], am[w] = -au + av + aw, au, av
-        gm[u], gm[v], gm[w] = gw, gu + gw, gv - gw
-        e2 = QExponent(sparse(am), sparse(gm), e.ell, e.const)
-        prev = out.get(e2)
-        out[e2] = coef if prev is None else prev + coef
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -331,43 +202,65 @@ _PIPELINE_CACHE: dict[tuple, tuple] = {}
 _PIPELINE_CACHE_MAX = 200_000
 
 
-def _split_entries(vec: SparseVec, u: int) -> tuple[tuple, int, int, int]:
-    """Remove entries at positions u, u+1, u+2, returning (rest, e_u, e_v, e_w)."""
-    lo = bisect_left(vec, (u,))
-    hi = lo
-    vals = [0, 0, 0]
+# ---------------------------------------------------------------------------
+# Slot-indexed application of moves.
+#
+# A frame is the three slots (s0, s1, s2) of a braid move in increasing
+# order; the local pipeline sees them in the order of the positions
+# (u, v, w), which a slot permutation may have shuffled.
+# ---------------------------------------------------------------------------
+
+def _take(vec: tuple, s0: int, s1: int, s2: int) -> tuple:
+    """Remove the entries at slots s0 < s1 < s2: (rest, x0, x1, x2)."""
     n = len(vec)
-    while hi < n and vec[hi][0] <= u + 2:
-        vals[vec[hi][0] - u] = vec[hi][1]
-        hi += 1
-    if lo == hi:
+    i0 = bisect_left(vec, (s0,))
+    if i0 == n or vec[i0][0] > s2:
         return vec, 0, 0, 0
-    return vec[:lo] + vec[hi:], vals[0], vals[1], vals[2]
+    x0 = x1 = x2 = 0
+    j0 = i0
+    if vec[i0][0] == s0:
+        x0, j0 = vec[i0][1], i0 + 1
+    i1 = j1 = bisect_left(vec, (s1,), j0)
+    if i1 < n and vec[i1][0] == s1:
+        x1, j1 = vec[i1][1], i1 + 1
+    i2 = j2 = bisect_left(vec, (s2,), j1)
+    if i2 < n and vec[i2][0] == s2:
+        x2, j2 = vec[i2][1], i2 + 1
+    if j0 == i1 and j1 == i2:
+        return vec[:i0] + vec[j2:], x0, x1, x2
+    return vec[:i0] + vec[j0:i1] + vec[j1:i2] + vec[j2:], x0, x1, x2
 
 
-def _merge_entries(rest: tuple, u: int, vals: tuple) -> tuple:
-    entries = tuple((u + k, val) for k, val in enumerate(vals) if val)
-    if not entries:
-        return rest
-    lo = bisect_left(rest, (u,))
-    return rest[:lo] + entries + rest[lo:]
+def _put(rest: tuple, s0: int, s1: int, s2: int, y0: int, y1: int, y2: int) -> tuple:
+    """Insert the nonzero values y0, y1, y2 at slots s0 < s1 < s2 into ``rest``."""
+    out = list(rest)
+    for s, y in ((s0, y0), (s1, y1), (s2, y2)):
+        if y:
+            out.insert(bisect_left(out, (s,)), (s, y))
+    return tuple(out)
 
 
-def _braid_inplace(terms: dict, u: int) -> None:
-    """Apply one braid move at positions (u, u+1, u+2) to a term dict.
+def _braid_inplace(terms: dict, frame: tuple[int, int, int]) -> None:
+    """Apply one braid move to a slot-indexed term dict.
 
-    Monomials with no entries at the frame positions are fixed by the whole
-    pipeline and are left untouched.
+    ``frame`` holds the slots of the move's positions (u, v, w).  Monomials
+    with no entries at the frame slots are fixed by the whole pipeline and
+    are left untouched.
     """
+    order = sorted(range(3), key=frame.__getitem__)
+    s0, s1, s2 = (frame[r] for r in order)
+    rank = [order.index(r) for r in range(3)]
+    to_roles = itemgetter(*rank, *(3 + r for r in rank))
+    to_slots = itemgetter(*order, *(3 + r for r in order))
     groups: dict[tuple, list] = {}
     stale: list[QExponent] = []
     for e, coef in terms.items():
-        a_rest, au, av, aw = _split_entries(e.alpha, u)
-        g_rest, gu, gv, gw = _split_entries(e.gamma, u)
-        if not (au or av or aw or gu or gv or gw):
+        a_rest, a0, a1, a2 = _take(e.alpha, s0, s1, s2)
+        g_rest, g0, g1, g2 = _take(e.gamma, s0, s1, s2)
+        if not (a0 or a1 or a2 or g0 or g1 or g2):
             continue
         rem = (a_rest, g_rest, e.ell, e.const)
-        groups.setdefault(rem, []).append(((au, av, aw, gu, gv, gw), coef))
+        groups.setdefault(rem, []).append((to_roles((a0, a1, a2, g0, g1, g2)), coef))
         stale.append(e)
     for e in stale:
         del terms[e]
@@ -378,10 +271,11 @@ def _braid_inplace(terms: dict, u: int) -> None:
             result = _braid_pipeline_loc(key)
             if len(_PIPELINE_CACHE) < _PIPELINE_CACHE_MAX:
                 _PIPELINE_CACHE[key] = result
-        for (au, av, aw, gu, gv, gw), coef in result:
+        for loc, coef in result:
+            a0, a1, a2, g0, g1, g2 = to_slots(loc)
             expo = QExponent(
-                _merge_entries(a_rest, u, (au, av, aw)),
-                _merge_entries(g_rest, u, (gu, gv, gw)),
+                _put(a_rest, s0, s1, s2, a0, a1, a2),
+                _put(g_rest, s0, s1, s2, g0, g1, g2),
                 ell, const,
             )
             prev = terms.get(expo)
@@ -395,58 +289,59 @@ def _braid_inplace(terms: dict, u: int) -> None:
                     del terms[expo]
 
 
-def braid_conjugate(op: QOperator, frame: MoveFrame) -> QOperator:
-    """Transform an operator across one braid move."""
-    u = frame.u
-    if frame.v != u + 1 or frame.w != u + 2:
-        # non-contiguous frames take the generic path
-        terms = _conjugate(op.terms, frame.z_exponent(), "inner")
-        terms = _conjugate(terms, frame.y_exponent(), "outer")
-        return QOperator(_relabel(terms, frame))
+def _apply(terms: dict, slot: list[int], move: BraidMove) -> None:
+    """Apply one move to slot-indexed terms and the slot list."""
+    p = move.pos
+    if move.kind == "commute":
+        slot[p], slot[p + 1] = slot[p + 1], slot[p]
+    else:
+        _braid_inplace(terms, (slot[p], slot[p + 1], slot[p + 2]))
+
+
+def _relabel(terms: dict, slot: list[int]) -> dict:
+    """Map slot-indexed terms back to positions, draining ``terms``.
+
+    Each distinct (slot, value) entry is relabelled once, and the new
+    (position, value) tuple is shared by every exponent that holds it.
+    """
+    position = {s: p for p, s in enumerate(slot) if s != p}
+    if not position:
+        return terms
+    entries: dict[tuple, tuple] = {}
+
+    def relabel(vec: tuple) -> tuple:
+        out = []
+        for entry in vec:
+            new = entries.get(entry)
+            if new is None:
+                s = entry[0]
+                new = entries[entry] = (position[s], entry[1]) if s in position else entry
+            out.append(new)
+        out.sort()
+        return tuple(out)
+
+    out: dict[QExponent, VLaurent] = {}
+    while terms:
+        e, coef = terms.popitem()
+        out[QExponent(relabel(e.alpha), relabel(e.gamma), e.ell, e.const)] = coef
+    return out
+
+
+def _one_move(op: QOperator, move: BraidMove) -> QOperator:
     terms = dict(op.terms)
-    _braid_inplace(terms, u)
-    return QOperator(terms)
+    slot = list(range(move.pos + 3))
+    _apply(terms, slot, move)
+    return QOperator(_relabel(terms, slot))
 
 
-def _swap_entries(vec: SparseVec, p: int) -> SparseVec:
-    """Exchange the values at positions p and p+1 in a sorted sparse tuple."""
-    lo = bisect_left(vec, (p,))
-    hi = lo
-    n = len(vec)
-    a = b = 0
-    while hi < n and vec[hi][0] <= p + 1:
-        if vec[hi][0] == p:
-            a = vec[hi][1]
-        else:
-            b = vec[hi][1]
-        hi += 1
-    if lo == hi or a == b:
-        return vec
-    entries = tuple(e for e in (((p, b) if b else None), ((p + 1, a) if a else None)) if e)
-    return vec[:lo] + entries + vec[hi:]
-
-
-def _commute_inplace(terms: dict, pos: int) -> None:
-    # swapping positions is a bijection on exponents, so images of changed
-    # keys never collide with unchanged keys
-    changes = []
-    for e, coef in terms.items():
-        a2 = _swap_entries(e.alpha, pos)
-        g2 = _swap_entries(e.gamma, pos)
-        if a2 is e.alpha and g2 is e.gamma:
-            continue
-        changes.append((e, QExponent(a2, g2, e.ell, e.const), coef))
-    for e, _, _ in changes:
-        del terms[e]
-    for _, e2, coef in changes:
-        terms[e2] = coef
+def braid_conjugate(op: QOperator, pos: int) -> QOperator:
+    """Transform an operator across one braid move at positions pos..pos+2."""
+    return _one_move(op, BraidMove(pos, "braid"))
 
 
 def commutation_move(op: QOperator, pos: int) -> QOperator:
     """Swap the position labels pos and pos+1 in all exponents."""
-    terms = dict(op.terms)
-    _commute_inplace(terms, pos)
-    return QOperator(terms)
+    return _one_move(op, BraidMove(pos, "commute"))
 
 
 def transport(
@@ -464,20 +359,15 @@ def transport(
     """
     budget = term_budget() if max_terms is None else max_terms
     terms = dict(op.terms)
-    for move in path:
+    slot = list(range(len(word)))
+    for step, move in enumerate(path):
         word = apply_move(word, move)  # validates the pattern
-        if move.kind == "commute":
-            _commute_inplace(terms, move.pos)
-        else:
-            _braid_inplace(terms, move.pos)
+        _apply(terms, slot, move)
         if trace is not None:
             trace.append((move, word, len(terms)))
         if len(terms) > budget:
-            raise TermBudgetError(
-                f"operator grew to {len(terms)} monomials (budget {budget})",
-                trace,
-            )
-    return QOperator(terms), word
+            raise TermBudgetError(len(terms), step, move, budget)
+    return QOperator(_relabel(terms, slot)), word
 
 
 def format_trace(trace: list) -> str:

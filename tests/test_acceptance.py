@@ -36,7 +36,7 @@ from posrep.qtorus import (
 )
 from posrep.repbuild import build_E, build_rep
 from posrep.rootdata import build_cartan
-from posrep.transport import MoveFrame, braid_conjugate, transport
+from posrep.transport import braid_conjugate, transport
 from posrep.verify import check_relations, path_independence, q2_chain_certificate
 from posrep.words import (
     bad_word,
@@ -119,18 +119,17 @@ def test_criterion_3_f_term_counts():
 
 
 def test_criterion_4_rank2_oracles():
-    frame = MoveFrame(0, 1, 2)
     single = expand_bracket(bracket(l_alpha={2: 1}, shift={2: -1}))
-    out = braid_conjugate(single, frame)
+    out = braid_conjugate(single, 0)
     assert out == operator_from_brackets(
         [
             bracket(l_alpha={0: 1}, shift={0: -1, 1: -1, 2: 1}),
             bracket(l_alpha={1: 1, 2: -1}, shift={1: -1}),
         ]
     )
-    assert braid_conjugate(out, frame) == single
+    assert braid_conjugate(out, 0) == single
     double = expand_bracket(bracket(l_alpha={0: -1, 2: 1}, shift={1: 1, 2: -1}))
-    out2 = braid_conjugate(double, frame)
+    out2 = braid_conjugate(double, 0)
     two_q = VLaurent.q_power(1) + VLaurent.q_power(-1)
     assert out2 == operator_from_brackets(
         [
@@ -139,7 +138,7 @@ def test_criterion_4_rank2_oracles():
             bracket(l_alpha={0: 2, 1: -1}, shift={0: -1, 1: -1, 2: 2}),
         ]
     )
-    assert braid_conjugate(out2, frame) == double
+    assert braid_conjugate(out2, 0) == double
     _ok("criterion 4 (rank-2 oracles)", "single + double braid rules exact, involutive")
 
 

@@ -56,6 +56,14 @@ def test_invalid_word_rejected(capsys):
     assert "reduced" in err
 
 
+@pytest.mark.parametrize("gen", ["E9", "X1", "E"])
+def test_unknown_generator_rejected(capsys, gen):
+    code = main(["construct", "A", "2", "--gen", gen])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"error: generator must be E/F/K + a node label of A_2, got {gen!r}\n"
+
+
 def test_tables(capsys):
     code, out = run_cli(capsys, "tables", "E", "6")
     assert code == 0

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from posrep.qtorus import (
     QOperator,
@@ -8,21 +9,29 @@ from posrep.qtorus import (
     expand_bracket,
     operator_from_brackets,
 )
-from posrep.repbuild import build_E, build_F, build_K
+from posrep.repbuild import build_E, build_E_rightmost, build_F, build_K
 from posrep.rootdata import build_cartan
 from posrep.transport import (
-    MoveFrame,
     NonPolynomialError,
     OddPairingError,
+    TermBudgetError,
     braid_conjugate,
     commutation_move,
     conjugation_factor,
     transport,
 )
-from posrep.words import ReducedWord, braid_path, enumerate_words, good_word
+from posrep.words import (
+    ReducedWord,
+    apply_move,
+    available_moves,
+    bad_word,
+    braid_path,
+    enumerate_words,
+    good_word,
+    path_to_word_ending_in,
+)
 
 TWO_Q = VLaurent.q_power(1) + VLaurent.q_power(-1)
-FRAME = MoveFrame(0, 1, 2)
 
 
 def test_conjugation_factor_table():
@@ -46,7 +55,7 @@ def test_quartic_factor_middle_coefficient():
 def test_single_braid_rule():
     # [w]e(-p_w) -> [u]e(-p_u - p_v + p_w) + [v - w]e(-p_v)
     op = expand_bracket(bracket(l_alpha={2: 1}, shift={2: -1}))
-    out = braid_conjugate(op, FRAME)
+    out = braid_conjugate(op, 0)
     assert out == operator_from_brackets(
         [
             bracket(l_alpha={0: 1}, shift={0: -1, 1: -1, 2: 1}),
@@ -57,14 +66,14 @@ def test_single_braid_rule():
 
 def test_single_braid_involution():
     op = expand_bracket(bracket(l_alpha={2: 1}, shift={2: -1}))
-    assert braid_conjugate(braid_conjugate(op, FRAME), FRAME) == op
+    assert braid_conjugate(braid_conjugate(op, 0), 0) == op
 
 
 def test_double_braid_expansion():
     # [w - u]e(p_v - p_w) picks up a [2]_q term through the quartic factors;
     # the naive doubled-variable quantization would miss the middle term.
     op = expand_bracket(bracket(l_alpha={0: -1, 2: 1}, shift={1: 1, 2: -1}))
-    out = braid_conjugate(op, FRAME)
+    out = braid_conjugate(op, 0)
     expected = operator_from_brackets(
         [
             bracket(l_alpha={1: 1, 2: -2}, shift={0: 1, 1: -1}),
@@ -73,12 +82,12 @@ def test_double_braid_expansion():
         ]
     )
     assert out == expected
-    assert braid_conjugate(out, FRAME) == op
+    assert braid_conjugate(out, 0) == op
 
 
 def test_double_braid_output_pairings_even():
     op = expand_bracket(bracket(l_alpha={0: -1, 2: 1}, shift={1: 1, 2: -1}))
-    monos = braid_conjugate(op, FRAME).monomials()
+    monos = braid_conjugate(op, 0).monomials()
     for a in range(len(monos)):
         for b in range(a + 1, len(monos)):
             assert commutation_exponent(monos[a].expo, monos[b].expo) % 2 == 0
@@ -90,7 +99,7 @@ def test_frame_relabel_preserves_pairing():
         expand_bracket(bracket(l_alpha={0: 1, 1: -1}, l_ell={1: -2}, shift={1: 1})),
     ]
     before = [m.expo for op in ops for m in op.monomials()]
-    after = [m.expo for op in ops for m in braid_conjugate(op, FRAME).monomials()]
+    after = [m.expo for op in ops for m in braid_conjugate(op, 0).monomials()]
     # conjugation + relabeling is symplectic on these frames
     n = len(before)
     for a in range(n):
@@ -107,15 +116,15 @@ def test_odd_pairing_rejected():
     bad = QOperator.monomial(op.single_monomial().expo._replace(gamma=(((2, -2)))))
     bad = QOperator.monomial(bad.single_monomial().expo._replace(gamma=((2, -2),)))
     with pytest.raises(OddPairingError):
-        braid_conjugate(bad, FRAME)
+        braid_conjugate(bad, 0)
 
 
 def test_unbalanced_sum_is_not_transportable():
     # one half of a transformed pair alone leaves a binomial denominator
-    full = braid_conjugate(expand_bracket(bracket(l_alpha={2: 1}, shift={2: -1})), FRAME)
+    full = braid_conjugate(expand_bracket(bracket(l_alpha={2: 1}, shift={2: -1})), 0)
     half = QOperator.monomial(full.monomials()[0].expo)
     with pytest.raises(NonPolynomialError):
-        braid_conjugate(half, FRAME)
+        braid_conjugate(half, 0)
 
 
 def test_commutation_move_involution():
@@ -172,3 +181,113 @@ def test_commutation_move_matches_direct_build():
     for i in datum.labels:
         assert commutation_move(build_F(src, i), 1) == build_F(dst, i)
         assert commutation_move(build_E(src, i), 1) == build_E(dst, i)
+
+
+E6_GREEDY = (3, 4, 2, 3, 1, 2, 0, 3, 4, 5, 4, 3, 2, 0, 3, 4, 1, 2, 3, 0,
+             5, 4, 3, 2, 1, 5, 4, 3, 2, 5, 4, 3, 5, 4, 5, 0)
+
+
+def test_budget_abort_names_peak_and_step():
+    word = ReducedWord(build_cartan("E", 6), E6_GREEDY)
+    moves, end_word = path_to_word_ending_in(word, 3)
+    op = build_E_rightmost(end_word, 3)
+    trace: list = []
+    with pytest.raises(TermBudgetError) as info:
+        transport(op, end_word, reversed(moves), max_terms=500, trace=trace)
+    exc = info.value
+    # the abort comes at the first step over budget, which the trace ends on
+    assert exc.step == len(trace) - 1 > 0
+    assert exc.peak == trace[-1][2] > 500
+    assert all(n <= 500 for _, _, n in trace[:-1])
+    move = trace[-1][0]
+    assert str(exc) == (
+        f"operator grew to {exc.peak} monomials at step {exc.step} "
+        f"({move.kind}@{move.pos}; budget 500)"
+    )
+
+
+# ---------------------------------------------------------------------------
+# Deferred relabel: transport keeps exponents in slot coordinates and only
+# restores positions after the last move.
+# ---------------------------------------------------------------------------
+
+TYPES = [("D", 4), ("D", 5), ("E", 6)]
+
+
+def _random_path(data, word: ReducedWord, length: int) -> tuple[list, ReducedWord]:
+    path = []
+    for _ in range(length):
+        move = data.draw(st.sampled_from(sorted(available_moves(word))))
+        path.append(move)
+        word = apply_move(word, move)
+    return path, word
+
+
+def _random_case(data):
+    family, rank = data.draw(st.sampled_from(TYPES))
+    datum = build_cartan(family, rank)
+    # D bad words blow up mildly, so braid frames there often straddle
+    # other occupied slots once commutation moves have permuted them
+    starts = [good_word(datum)] + ([bad_word(datum)] if family == "D" else [])
+    start = data.draw(st.sampled_from(starts))
+    start = _random_path(data, start, data.draw(st.integers(0, 30)))[1]
+    kind = data.draw(st.sampled_from(["E", "F", "K"]))
+    label = data.draw(st.sampled_from(datum.labels))
+    op = {"E": build_E, "F": build_F, "K": build_K}[kind](start, label)
+    path, end = _random_path(data, start, data.draw(st.integers(1, 25)))
+    return op, start, path, end
+
+
+def _slot_permutation(n: int, path) -> list[int]:
+    slot = list(range(n))
+    for move in path:
+        if move.kind == "commute":
+            slot[move.pos], slot[move.pos + 1] = slot[move.pos + 1], slot[move.pos]
+    return slot
+
+
+def _fold(op, path):
+    """Apply a path one move at a time through the one-move wrappers."""
+    for move in path:
+        step = braid_conjugate if move.kind == "braid" else commutation_move
+        op = step(op, move.pos)
+    return op
+
+
+PROPERTY = settings(max_examples=30, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+@PROPERTY
+@given(st.data())
+def test_transport_equals_fold_of_single_moves(data):
+    op, start, path, end = _random_case(data)
+    out, word = transport(op, start, path)
+    assert word.letters == end.letters
+    assert out == _fold(op, path)
+
+
+@PROPERTY
+@given(st.data())
+def test_transport_there_and_back_is_exact(data):
+    op, start, path, end = _random_case(data)
+    assume(_slot_permutation(len(start), path) != list(range(len(start))))
+    mid, word = transport(op, start, path)
+    assert word.letters == end.letters
+    back, home = transport(mid, end, reversed(path))
+    assert home.letters == start.letters
+    assert back == op
+
+
+@pytest.mark.parametrize("rank", [5, 6])
+def test_transport_equals_fold_on_d_bad_word(rank):
+    # E2 on the D bad word: the transport that builds it moves braid frames
+    # across slots that commutation moves have pulled apart
+    word = bad_word(build_cartan("D", rank))
+    moves, end_word = path_to_word_ending_in(word, 2)
+    op = build_E_rightmost(end_word, 2)
+    out, back = transport(op, end_word, reversed(moves))
+    assert back.letters == word.letters
+    assert out == _fold(op, reversed(moves))
+    assert len(out) == {5: 94, 6: 328}[rank]
+    assert transport(out, word, moves)[0] == op

@@ -13,9 +13,10 @@ Exit codes: 2 when a ValueError or ArithmeticError ends the command (the
 message goes to stderr), 1 when a requested check fails, 0 otherwise.
 ``verify`` exits 0 iff the relation suite passes and the q^2-chain
 certificate of every E_i and F_i is either ``pass`` or ``no_chain`` with
-all commutation exponents even.  ``commutant`` exits 0 iff its certificate
-passes; ``tables --badword`` exits 1 when the term budget aborts the
-blow-up run.
+all commutation exponents even.  ``commutant`` first runs the modified
+relation suite on the twisted generators and exits 2 when it fails; it
+then exits 0 iff its certificate passes.  ``tables --badword`` exits 1
+when the term budget aborts the blow-up run.
 
 Variable naming in all I/O: u<i>.<k>, p<i>.<k> for position data and L<i>
 for the parameters.  The bad-word experiment is bounded by
@@ -126,27 +127,39 @@ def _add_type_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("rank", type=int)
 
 
+def _node_label(datum, text: str) -> int | None:
+    """The node label spelled by ``text``, or None if it names no node."""
+    return int(text) if text.isdigit() and int(text) in datum.labels else None
+
+
 def _resolve_word(datum, spec: str) -> ReducedWord:
     if spec == "good":
         return good_word(datum)
     if spec == "bad":
         return bad_word(datum)
-    if spec.startswith("end:"):
-        return word_ending_in(datum, int(spec[4:]))
-    if spec.startswith("start:"):
-        return word_starting_with(datum, int(spec[6:]))
-    word = ReducedWord(datum, tuple(int(x) for x in spec.split(",")))
+    head, _, tail = spec.rpartition(":")
+    letters = [_node_label(datum, x.strip()) for x in tail.split(",")]
+    if head not in ("", "end", "start") or None in letters or (head and len(letters) != 1):
+        raise ValueError(
+            "word must be good, bad, end:<label>, start:<label> or comma-separated"
+            f" node labels of {datum.family}_{datum.rank}, got {spec!r}"
+        )
+    if head == "end":
+        return word_ending_in(datum, letters[0])
+    if head == "start":
+        return word_starting_with(datum, letters[0])
+    word = ReducedWord(datum, tuple(letters))
     check_longest(word)
     return word
 
 
 def _parse_gen(datum, spec: str) -> tuple[str, int]:
-    kind, label = spec[:1].upper(), spec[1:]
-    if kind not in ("E", "F", "K") or not label.isdigit() or int(label) not in datum.labels:
+    kind, label = spec[:1].upper(), _node_label(datum, spec[1:])
+    if kind not in ("E", "F", "K") or label is None:
         raise ValueError(
             f"generator must be E/F/K + a node label of {datum.family}_{datum.rank}, got {spec!r}"
         )
-    return kind, int(label)
+    return kind, label
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +253,9 @@ def cmd_commutant(args) -> int:
     datum = build_cartan(args.family, args.rank)
     rep = build_rep(datum, good_word(datum))
     mrep = moddouble.build_modified(rep)
+    relations = moddouble.check_modified_relations(mrep)
+    if relations["status"] != "pass":
+        raise ArithmeticError(f"modified relation suite failed: {relations['witnesses']}")
     report = moddouble.commutant_check(datum, mrep)
     bvecs = langlands_b_vectors(datum)
     print(dump_json({"b_vectors": [[str(x) for x in b] for b in bvecs], "report": report}))

@@ -256,8 +256,8 @@ def sparse_dot(a: SparseVec, b: SparseVec):
 def _cmp_sparse(a: SparseVec, b: SparseVec) -> int:
     """Dense lexicographic comparison (missing entries are 0).
 
-    Shift-invariant: adding the same vector to both sides preserves the
-    order, which the transport division algorithm relies on.
+    It only fixes the canonical order in which monomials and brackets are
+    listed and printed; transport never compares exponents.
     """
     ia = ib = 0
     na, nb = len(a), len(b)
@@ -308,6 +308,15 @@ def exponent(alpha=(), gamma=(), ell=(), const=0) -> QExponent:
 def commutation_exponent(e1: QExponent, e2: QExponent) -> int:
     """s with m1*m2 = q**s * m2*m1; the lambda and constant slots are central."""
     return sparse_dot(e1.alpha, e2.gamma) - sparse_dot(e1.gamma, e2.alpha)
+
+
+def pair_exponents(expos: list[QExponent]) -> dict[tuple[int, int], int]:
+    """The commutation exponent of every pair (a, b), a < b, of ``expos``."""
+    return {
+        (a, b): commutation_exponent(expos[a], expos[b])
+        for a in range(len(expos))
+        for b in range(a + 1, len(expos))
+    }
 
 
 def exponent_product(e1: QExponent, e2: QExponent) -> QExponent:
@@ -373,7 +382,8 @@ class QOperator:
         return QOperator({expo: coeff if coeff is not None else VLaurent.one()})
 
     @staticmethod
-    def from_monomials(monos: Iterable[QMonomial]) -> QOperator:
+    def from_monomials(monos: Iterable[tuple[QExponent, VLaurent]]) -> QOperator:
+        """Sum (exponent, coefficient) pairs, merging equal exponents."""
         acc: dict[QExponent, VLaurent] = {}
         for expo, coeff in monos:
             prev = acc.get(expo)
@@ -414,11 +424,7 @@ class QOperator:
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other: QOperator) -> QOperator:
-        acc = dict(self.terms)
-        for e, c in other.terms.items():
-            prev = acc.get(e)
-            acc[e] = c if prev is None else prev + c
-        return QOperator(acc)
+        return add(self, other)
 
     def __neg__(self) -> QOperator:
         return QOperator({e: -c for e, c in self.terms.items()})
@@ -436,36 +442,15 @@ class QOperator:
         return QOperator({e: c.shift(k) for e, c in self.terms.items()})
 
     def __mul__(self, other: QOperator) -> QOperator:
-        acc: dict[QExponent, VLaurent] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = exponent_product(e1, e2)
-                c = (c1 * c2).shift(commutation_exponent(e1, e2))
-                prev = acc.get(e)
-                acc[e] = c if prev is None else prev + c
-        return QOperator(acc)
-
-    def substitute_positions(self, perm: dict[int, int]) -> QOperator:
-        """Relabel u/p position indices (a bijection on the touched indices)."""
-        acc: dict[QExponent, VLaurent] = {}
-        for e, c in self.terms.items():
-            e2 = QExponent(
-                sparse({perm.get(k, k): v for k, v in e.alpha}),
-                sparse({perm.get(k, k): v for k, v in e.gamma}),
-                e.ell, e.const,
-            )
-            prev = acc.get(e2)
-            acc[e2] = c if prev is None else prev + c
-        return QOperator(acc)
+        return QOperator.from_monomials(
+            (exponent_product(e1, e2), (c1 * c2).shift(commutation_exponent(e1, e2)))
+            for e1, c1 in self.terms.items()
+            for e2, c2 in other.terms.items()
+        )
 
 
 def add(*ops: QOperator) -> QOperator:
-    acc: dict[QExponent, VLaurent] = {}
-    for op in ops:
-        for e, c in op.terms.items():
-            prev = acc.get(e)
-            acc[e] = c if prev is None else prev + c
-    return QOperator(acc)
+    return QOperator.from_monomials(mono for op in ops for mono in op.terms.items())
 
 
 def q_commutator(x: QOperator, y: QOperator, v_twist: int = 0) -> QOperator:
@@ -530,11 +515,9 @@ def expand_bracket(term: BracketTerm) -> QOperator:
     minus = QExponent(
         sparse_neg(term.l_alpha), term.shift, sparse_neg(term.l_ell), -term.l_const
     )
-    acc: dict[QExponent, VLaurent] = {plus: term.scalar.shift(1 + s)}
-    prev = acc.get(minus)
-    cm = term.scalar.shift(-1 - s)
-    acc[minus] = cm if prev is None else prev + cm
-    return QOperator(acc)
+    return QOperator.from_monomials(
+        ((plus, term.scalar.shift(1 + s)), (minus, term.scalar.shift(-1 - s)))
+    )
 
 
 def operator_from_brackets(terms: Iterable[BracketTerm]) -> QOperator:

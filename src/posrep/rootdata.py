@@ -227,11 +227,6 @@ def weyl_right_mul(datum: CartanDatum, w: WeylElement, label: int) -> WeylElemen
     )
 
 
-def weyl_left_mul(datum: CartanDatum, label: int, w: WeylElement) -> WeylElement:
-    """s_label * w."""
-    return tuple(reflect(datum, label, img) for img in w)
-
-
 def weyl_compose(datum: CartanDatum, w: WeylElement, v: WeylElement) -> WeylElement:
     """The element w v (first apply v, then w)."""
     return tuple(weyl_act(datum, w, img) for img in v)

@@ -7,8 +7,8 @@ CLI can emit them as JSON.
 
 from __future__ import annotations
 
-from .qtorus import QOperator, VLaurent, commutation_exponent, q_commutator
-from .repbuild import Representation, build_F, build_K, build_rep, operator_text
+from .qtorus import QOperator, VLaurent, pair_exponents, q_commutator
+from .repbuild import Representation, build_rep, operator_text
 from .words import ReducedWord, braid_path
 from .transport import transport
 
@@ -79,10 +79,7 @@ def q2_chain_certificate(op: QOperator) -> dict:
     """
     monos = op.monomials()
     n = len(monos)
-    exps = {}
-    for a in range(n):
-        for b in range(a + 1, n):
-            exps[(a, b)] = commutation_exponent(monos[a].expo, monos[b].expo)
+    exps = pair_exponents([m.expo for m in monos])
     multiset = sorted(exps.values())
     all_even = all(s % 2 == 0 for s in multiset)
     chain = all(abs(s) == 2 for s in multiset)
@@ -114,8 +111,7 @@ def path_independence(datum, word_a: ReducedWord, word_b: ReducedWord) -> dict:
 
     Checks (exactly):
       * transported generators agree between the two paths;
-      * transported F and K agree with direct construction on the target;
-      * transported E agrees with the independently built E on the target.
+      * transported generators agree with those built directly on the target.
     """
     rep = build_rep(datum, word_a)
     rep_b = build_rep(datum, word_b)
@@ -129,11 +125,7 @@ def path_independence(datum, word_a: ReducedWord, word_b: ReducedWord) -> dict:
             out2, _ = transport(op, word_a, path2)
             if out1 != out2:
                 mismatches.append({"generator": f"{kind}{i}", "kind": "two_paths"})
-            direct = {
-                "E": rep_b.generator("E", i),
-                "F": build_F(word_b, i),
-                "K": build_K(word_b, i),
-            }[kind]
+            direct = rep_b.generator(kind, i)
             if out1 != direct:
                 mismatches.append(
                     {

@@ -16,12 +16,12 @@ import pytest
 from posrep.crosscheck import closed_form_An, closed_form_Dn
 from posrep.moddouble import (
     build_modified,
+    check_modified_relations,
     commutant_check,
     cross_parity_certificate,
     distinguished_lambda_forms,
     normalize_lambda,
     qtori_certificate,
-    unmodified_odd_witness,
     verify_weyl_pattern,
     weyl_reflect_lambda,
 )
@@ -202,10 +202,13 @@ def test_criterion_8_modular_double_certificates():
     for family, rank in [("A", 1), ("A", 2), ("A", 3), ("D", 4)]:
         for flip in (False, True):
             datum = build_cartan(family, rank, flip_bipartition=flip)
-            mrep = build_modified(build_rep(datum, good_word(datum)))  # checks relations
+            mrep = build_modified(build_rep(datum, good_word(datum)))
+            assert check_modified_relations(mrep)["status"] == "pass", (family, rank, flip)
             assert cross_parity_certificate(mrep)["status"] == "pass"
-    witness = unmodified_odd_witness(build_rep(build_cartan("A", 2), good_word(build_cartan("A", 2))))
-    assert witness is not None and witness["exponent"] % 2 == 1
+    datum = build_cartan("A", 2)
+    unmodified = cross_parity_certificate(build_rep(datum, good_word(datum)))
+    assert unmodified["status"] == "fail"
+    assert unmodified["witnesses"][0]["exponent"] % 2 == 1
     _ok("criterion 8 (modular double)", "parity even; unmodified odd witness on A2")
 
 
@@ -222,7 +225,9 @@ def test_criterion_10_commutant():
     types = [("A", n) for n in range(1, 7)] + [("D", n) for n in (4, 5, 6)] + [("E", 6)]
     for family, rank in types:
         datum = build_cartan(family, rank)
-        report = commutant_check(datum, build_modified(build_rep(datum, good_word(datum))))
+        mrep = build_modified(build_rep(datum, good_word(datum)))
+        assert check_modified_relations(mrep)["status"] == "pass", (family, rank)
+        report = commutant_check(datum, mrep)
         assert report["status"] == "pass", (family, rank, report)
         assert report["all_even"] and report["delta_pattern"]
         for col in report["columns"]:

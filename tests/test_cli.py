@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from posrep import moddouble
 from posrep.cli import main, operator_from_json, operator_to_json, dump_json
 from posrep.qtorus import QOperator, exponent
 from posrep.repbuild import build_rep, operator_text
@@ -56,6 +57,17 @@ def test_invalid_word_rejected(capsys):
     assert "reduced" in err
 
 
+@pytest.mark.parametrize("spec", ["end:9", "start:x", "1,2,x", ""])
+def test_malformed_word_rejected(capsys, spec):
+    code = main(["construct", "A", "2", "--word", spec, "--gen", "E1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == (
+        "error: word must be good, bad, end:<label>, start:<label> or comma-separated"
+        f" node labels of A_2, got {spec!r}\n"
+    )
+
+
 @pytest.mark.parametrize("gen", ["E9", "X1", "E"])
 def test_unknown_generator_rejected(capsys, gen):
     code = main(["construct", "A", "2", "--gen", gen])
@@ -93,6 +105,28 @@ def test_commutant_cmd(capsys):
     payload = json.loads(out)
     assert payload["b_vectors"] == [["2/3", "1/3"], ["1/3", "2/3"]]
     assert payload["report"]["status"] == "pass"
+
+
+def test_commutant_runs_modified_relation_suite(capsys, monkeypatch):
+    build_modified = moddouble.build_modified
+
+    def shifted_coefficient(rep):
+        # one Ebar_1 coefficient times v^2: only the Eb_Fb relation breaks,
+        # and the commutant certificate alone still passes
+        mrep = build_modified(rep)
+        eb = mrep.gens[1].E
+        broken = QOperator(
+            {expo: (coeff.shift(2) if k == 0 else coeff) for k, (expo, coeff) in enumerate(eb.monomials())}
+        )
+        gens = dict(mrep.gens)
+        gens[1] = gens[1]._replace(E=broken)
+        return moddouble.ModifiedRep(mrep.base, gens)
+
+    monkeypatch.setattr(moddouble, "build_modified", shifted_coefficient)
+    code = main(["commutant", "A", "2"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: modified relation suite failed: [{'relation': 'Eb_Fb'")
 
 
 def test_normalize_lambda_cmd(capsys):

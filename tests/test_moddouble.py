@@ -15,7 +15,6 @@ from posrep.moddouble import (
     qtori_certificate,
     reflect_representation,
     substitute_lambda,
-    unmodified_odd_witness,
     verify_weyl_pattern,
     weyl_reflect_lambda,
 )
@@ -86,20 +85,20 @@ def test_cross_parity(family, rank, flip):
 
 
 def test_unmodified_odd_witness_a2():
-    rep = rep_for("A", 2)
-    witness = unmodified_odd_witness(rep)
-    assert witness is not None
-    assert witness["exponent"] % 2 == 1
+    report = cross_parity_certificate(rep_for("A", 2))
+    assert report["status"] == "fail"
+    assert report["witnesses"][0]["exponent"] % 2 == 1
 
 
 def test_unmodified_a1_has_no_odd_witness():
-    assert unmodified_odd_witness(rep_for("A", 1)) is None
+    assert cross_parity_certificate(rep_for("A", 1))["status"] == "pass"
 
 
 @pytest.mark.parametrize("family,rank", [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("D", 4)])
 def test_qtori_certificate(family, rank):
     for flip in (False, True):
         mrep = build_modified(rep_for(family, rank, flip))
+        assert check_modified_relations(mrep)["status"] == "pass"
         report = qtori_certificate(mrep)
         assert report["status"] == "pass"
         assert report["rank"] == report["full_rank"] == 2 * len(mrep.base.word.letters)

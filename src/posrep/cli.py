@@ -32,13 +32,7 @@ from fractions import Fraction
 
 from . import moddouble, verify
 from .qtorus import QExponent, QOperator, RebracketError, VLaurent, rebracket, sparse, term_count
-from .repbuild import (
-    Representation,
-    build_rep,
-    classical_render,
-    operator_text,
-    position_names,
-)
+from .repbuild import build_rep, classical_render, operator_text, position_names
 from .rootdata import build_cartan, langlands_b_vectors
 from .transport import TermBudgetError, transport
 from .words import (

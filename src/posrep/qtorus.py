@@ -26,7 +26,6 @@ and ``rebracket`` reverses this expansion on canonical operators.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple
@@ -253,32 +252,6 @@ def sparse_dot(a: SparseVec, b: SparseVec):
     return acc
 
 
-def _cmp_sparse(a: SparseVec, b: SparseVec) -> int:
-    """Dense lexicographic comparison (missing entries are 0).
-
-    It only fixes the canonical order in which monomials and brackets are
-    listed and printed; transport never compares exponents.
-    """
-    ia = ib = 0
-    na, nb = len(a), len(b)
-    while ia < na and ib < nb:
-        ka, va = a[ia]
-        kb, vb = b[ib]
-        if ka < kb:
-            return -1 if va < 0 else 1
-        if kb < ka:
-            return 1 if vb < 0 else -1
-        if va != vb:
-            return -1 if va < vb else 1
-        ia += 1
-        ib += 1
-    if ia < na:
-        return -1 if a[ia][1] < 0 else 1
-    if ib < nb:
-        return 1 if b[ib][1] < 0 else -1
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # Monomials and operators.
 # ---------------------------------------------------------------------------
@@ -328,20 +301,38 @@ def exponent_product(e1: QExponent, e2: QExponent) -> QExponent:
     )
 
 
-def _cmp_exponent(e1: QExponent, e2: QExponent) -> int:
-    c = _cmp_sparse(e1.alpha, e2.alpha)
-    if c:
-        return c
-    c = _cmp_sparse(e1.gamma, e2.gamma)
-    if c:
-        return c
-    c = _cmp_sparse(e1.ell, e2.ell)
-    if c:
-        return c
-    return (e1.const > e2.const) - (e1.const < e2.const)
+class _EntryOrder(dict):
+    """Sparse entry (k, v) -> its code in the dense lexicographic order.
+
+    Two sparse vectors compare as dense ones (missing entries 0) when each
+    becomes its sequence of entry codes closed by ``_PART_END``: at the
+    first index where they differ, a negative entry (0, k, v) sorts below
+    an absent one and a positive entry (2, -k, v) above it.  The codes are
+    built once per sort and shared by every exponent that holds the entry.
+    """
+
+    def __missing__(self, entry: tuple) -> tuple:
+        k, v = entry
+        code = self[entry] = (0, k, v) if v < 0 else (2, -k, v)
+        return code
 
 
-exponent_sort_key = functools.cmp_to_key(_cmp_exponent)
+_PART_END = (1,)
+
+
+def canonical_order(exponents: Iterable[QExponent]) -> tuple[QExponent, ...]:
+    """Exponents sorted by (alpha, gamma, ell) as dense vectors, then const.
+
+    The order only fixes the order in which monomials and brackets are
+    listed and printed.
+    """
+    code = _EntryOrder().__getitem__
+
+    def key(e: QExponent) -> tuple:
+        return (*map(code, e.alpha), _PART_END, *map(code, e.gamma), _PART_END,
+                *map(code, e.ell), _PART_END, e.const)
+
+    return tuple(sorted(exponents, key=key))
 
 
 class QMonomial(NamedTuple):
@@ -354,10 +345,10 @@ class QOperator:
 
     Stored as a mapping exponent -> nonzero coefficient; equality is exact.
     Instances are immutable by convention: algorithms always build fresh
-    term dictionaries.
+    term dictionaries, so the canonical order is sorted once and kept.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_order")
 
     def __init__(self, terms: dict[QExponent, VLaurent] | None = None):
         clean: dict[QExponent, VLaurent] = {}
@@ -366,6 +357,7 @@ class QOperator:
                 if c.coeffs:
                     clean[e] = c
         self.terms = clean
+        self._order: tuple[QExponent, ...] | None = None
 
     # -- constructors ------------------------------------------------------
 
@@ -398,12 +390,15 @@ class QOperator:
     def __len__(self) -> int:
         return len(self.terms)
 
+    def exponents(self) -> tuple[QExponent, ...]:
+        """Exponents in the canonical (lexicographic on exponents) order."""
+        if self._order is None:
+            self._order = canonical_order(self.terms)
+        return self._order
+
     def monomials(self) -> list[QMonomial]:
-        """Terms in the canonical (lexicographic on exponents) order."""
-        return [
-            QMonomial(e, self.terms[e])
-            for e in sorted(self.terms, key=exponent_sort_key)
-        ]
+        """Terms in the canonical order."""
+        return [QMonomial(e, self.terms[e]) for e in self.exponents()]
 
     def single_monomial(self) -> QMonomial:
         if len(self.terms) != 1:
@@ -534,7 +529,7 @@ def rebracket(op: QOperator) -> list[BracketTerm]:
     """
     remaining = dict(op.terms)
     out: list[BracketTerm] = []
-    for e in sorted(op.terms, key=exponent_sort_key):
+    for e in op.exponents():
         if e not in remaining:
             continue
         partner = e.inverse()._replace(gamma=e.gamma)

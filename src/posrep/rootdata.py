@@ -14,7 +14,7 @@ rank <= 8.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -31,18 +31,26 @@ class CartanDatum:
     labels: tuple[int, ...]
     edges: frozenset[frozenset[int]]
     bipartition: tuple[tuple[int, int], ...]  # (label, n_weight) pairs
+    # derived from labels and edges; left out of equality and hashing
+    label_set: frozenset[int] = field(init=False, repr=False, compare=False)
+    _cartan: dict[tuple[int, int], int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "label_set", frozenset(self.labels))
+        object.__setattr__(self, "_cartan", {
+            (i, j): 2 if i == j else -1 if frozenset((i, j)) in self.edges else 0
+            for i in self.labels for j in self.labels
+        })
 
     def index(self, label: int) -> int:
         return self.labels.index(label)
 
     def adjacent(self, i: int, j: int) -> bool:
-        return frozenset((i, j)) in self.edges
+        return self._cartan.get((i, j)) == -1
 
     def a(self, i: int, j: int) -> int:
         """Cartan matrix entry, indexed by node labels."""
-        if i == j:
-            return 2
-        return -1 if self.adjacent(i, j) else 0
+        return self._cartan[i, j]
 
     def cartan_matrix(self) -> tuple[tuple[int, ...], ...]:
         return tuple(

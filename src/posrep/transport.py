@@ -24,15 +24,27 @@ path is folded, exponents are therefore indexed by fixed *slots*, and a
 list ``slot[position]`` records which slot each position currently has:
 a commutation move swaps two entries of that list and touches no
 exponent, and a braid move at t runs on the slots of positions t, t+1,
-t+2, wherever they lie.  Positions are restored in one relabel pass after
-the last move.
+t+2, wherever they lie.
+
+Inside a transport the u- and p-parts of a monomial are packed into one
+int each.  Slot s owns the SLOT_BITS-bit field at bits
+[SLOT_BITS*s, SLOT_BITS*(s+1)) and stores value + SLOT_BIAS, with
+SLOT_BIAS = 2**(SLOT_BITS-1); a zero entry is a field holding the bias.
+Terms are keyed by (A, G, ell, const), where the lambda part ``ell`` and
+the constant stay unpacked because ``ell`` may hold Fractions.  A braid
+move reads its six frame fields with shift and mask, groups the monomials
+on what is left, and adds the biased image fields back.  Every entry
+must satisfy |value| < SLOT_BIAS: entries are checked when they are
+packed and braid images when they are computed, and one that does not fit
+raises SlotOverflowError instead of wrapping into a neighbouring field.
+Positions are restored in one pass after the last move, which unpacks
+each distinct packed int once.
 """
 
 from __future__ import annotations
 
 import os
-from bisect import bisect_left
-from operator import itemgetter
+import struct
 from typing import Iterable
 
 from .qtorus import QExponent, QOperator, VLaurent
@@ -203,94 +215,120 @@ _PIPELINE_CACHE_MAX = 200_000
 
 
 # ---------------------------------------------------------------------------
-# Slot-indexed application of moves.
-#
-# A frame is the three slots (s0, s1, s2) of a braid move in increasing
-# order; the local pipeline sees them in the order of the positions
-# (u, v, w), which a slot permutation may have shuffled.
+# Packed slots (layout in the module docstring).  Every field holds a
+# nonnegative value below 2**SLOT_BITS, so no field borrows from or carries
+# into its neighbours.
 # ---------------------------------------------------------------------------
 
-def _take(vec: tuple, s0: int, s1: int, s2: int) -> tuple:
-    """Remove the entries at slots s0 < s1 < s2: (rest, x0, x1, x2)."""
-    n = len(vec)
-    i0 = bisect_left(vec, (s0,))
-    if i0 == n or vec[i0][0] > s2:
-        return vec, 0, 0, 0
-    x0 = x1 = x2 = 0
-    j0 = i0
-    if vec[i0][0] == s0:
-        x0, j0 = vec[i0][1], i0 + 1
-    i1 = j1 = bisect_left(vec, (s1,), j0)
-    if i1 < n and vec[i1][0] == s1:
-        x1, j1 = vec[i1][1], i1 + 1
-    i2 = j2 = bisect_left(vec, (s2,), j1)
-    if i2 < n and vec[i2][0] == s2:
-        x2, j2 = vec[i2][1], i2 + 1
-    if j0 == i1 and j1 == i2:
-        return vec[:i0] + vec[j2:], x0, x1, x2
-    return vec[:i0] + vec[j0:i1] + vec[j1:i2] + vec[j2:], x0, x1, x2
+SLOT_BITS = 16
+SLOT_BIAS = 1 << (SLOT_BITS - 1)
+_FIELD_MASK = (1 << SLOT_BITS) - 1
+_FIELD_FORMAT = "H"  # struct code of an unsigned SLOT_BITS-bit field
 
 
-def _put(rest: tuple, s0: int, s1: int, s2: int, y0: int, y1: int, y2: int) -> tuple:
-    """Insert the nonzero values y0, y1, y2 at slots s0 < s1 < s2 into ``rest``."""
-    out = list(rest)
-    for s, y in ((s0, y0), (s1, y1), (s2, y2)):
-        if y:
-            out.insert(bisect_left(out, (s,)), (s, y))
-    return tuple(out)
+class SlotOverflowError(ArithmeticError):
+    """An exponent entry does not fit a packed slot field (|value| < SLOT_BIAS)."""
+
+
+def _check_field(value: int, where: str) -> None:
+    if not -SLOT_BIAS < value < SLOT_BIAS:
+        raise SlotOverflowError(
+            f"exponent entry {value} {where} does not fit a {SLOT_BITS}-bit slot field"
+        )
+
+
+def _pack_terms(terms: dict, n: int) -> tuple[dict, int]:
+    """Key every term by (A, G, ell, const) over at least ``n`` slots.
+
+    Returns the packed terms and the slot count, raised to cover every
+    index present.  Each distinct sparse vector is packed once.
+    """
+    top = max((vec[-1][0] for e in terms for vec in (e.alpha, e.gamma) if vec), default=-1)
+    n = max(n, top + 1)
+    zero = SLOT_BIAS * ((1 << (SLOT_BITS * n)) - 1) // _FIELD_MASK  # every field at the bias
+    packed: dict[tuple, int] = {}
+
+    def pack(vec: tuple) -> int:
+        x = packed.get(vec)
+        if x is None:
+            x = zero
+            for k, v in vec:
+                if v.__class__ is not int:
+                    raise ValueError(f"packed exponent entries must be integers, got {v!r}")
+                _check_field(v, f"at position {k}")
+                x += v << (SLOT_BITS * k)
+            packed[vec] = x
+        return x
+
+    return {(pack(e.alpha), pack(e.gamma), e.ell, e.const): c for e, c in terms.items()}, n
 
 
 def _braid_inplace(terms: dict, frame: tuple[int, int, int]) -> None:
-    """Apply one braid move to a slot-indexed term dict.
+    """Apply one braid move to packed terms.
 
     ``frame`` holds the slots of the move's positions (u, v, w).  Monomials
-    with no entries at the frame slots are fixed by the whole pipeline and
-    are left untouched.
+    whose six frame fields are all zero are fixed by the whole pipeline and
+    are left untouched; the others are grouped on their remainders (the
+    packed ints with the frame fields cleared), and each group's local
+    6-tuples go through the cached pipeline.
     """
-    order = sorted(range(3), key=frame.__getitem__)
-    s0, s1, s2 = (frame[r] for r in order)
-    rank = [order.index(r) for r in range(3)]
-    to_roles = itemgetter(*rank, *(3 + r for r in rank))
-    to_slots = itemgetter(*order, *(3 + r for r in order))
+    mask, bias = _FIELD_MASK, SLOT_BIAS
+    su, sv, sw = (SLOT_BITS * s for s in frame)
+    frame_mask = (mask << su) | (mask << sv) | (mask << sw)
+    frame_zero = (bias << su) | (bias << sv) | (bias << sw)
     groups: dict[tuple, list] = {}
-    stale: list[QExponent] = []
-    for e, coef in terms.items():
-        a_rest, a0, a1, a2 = _take(e.alpha, s0, s1, s2)
-        g_rest, g0, g1, g2 = _take(e.gamma, s0, s1, s2)
-        if not (a0 or a1 or a2 or g0 or g1 or g2):
+    stale: list[tuple] = []
+    for key, coef in terms.items():
+        a, g, ell, const = key
+        fa = a & frame_mask
+        fg = g & frame_mask
+        if fa == frame_zero and fg == frame_zero:
             continue
-        rem = (a_rest, g_rest, e.ell, e.const)
-        groups.setdefault(rem, []).append((to_roles((a0, a1, a2, g0, g1, g2)), coef))
-        stale.append(e)
-    for e in stale:
-        del terms[e]
-    for (a_rest, g_rest, ell, const), pairs in groups.items():
-        key = tuple(sorted(pairs))
-        result = _PIPELINE_CACHE.get(key)
-        if result is None:
-            result = _braid_pipeline_loc(key)
-            if len(_PIPELINE_CACHE) < _PIPELINE_CACHE_MAX:
-                _PIPELINE_CACHE[key] = result
-        for loc, coef in result:
-            a0, a1, a2, g0, g1, g2 = to_slots(loc)
-            expo = QExponent(
-                _put(a_rest, s0, s1, s2, a0, a1, a2),
-                _put(g_rest, s0, s1, s2, g0, g1, g2),
-                ell, const,
-            )
-            prev = terms.get(expo)
+        loc = (
+            ((fa >> su) & mask) - bias, ((fa >> sv) & mask) - bias, ((fa >> sw) & mask) - bias,
+            ((fg >> su) & mask) - bias, ((fg >> sv) & mask) - bias, ((fg >> sw) & mask) - bias,
+        )
+        groups.setdefault((a - fa, g - fg, ell, const), []).append((loc, coef))
+        stale.append(key)
+    for key in stale:
+        del terms[key]
+    del stale  # frees the old keys before the images are written
+    written: dict[tuple, list] = {}  # local key -> packed frame fields of its image
+    for (a, g, ell, const), pairs in groups.items():
+        local = tuple(sorted(pairs))
+        image = written.get(local)
+        if image is None:
+            result = _PIPELINE_CACHE.get(local)
+            if result is None:
+                result = _braid_pipeline_loc(local)
+                for loc, _ in result:
+                    for value in loc:
+                        _check_field(value, "from a braid move")
+                if len(_PIPELINE_CACHE) < _PIPELINE_CACHE_MAX:
+                    _PIPELINE_CACHE[local] = result
+            image = written[local] = [
+                (
+                    ((au + bias) << su) + ((av + bias) << sv) + ((aw + bias) << sw),
+                    ((gu + bias) << su) + ((gv + bias) << sv) + ((gw + bias) << sw),
+                    coef,
+                )
+                for (au, av, aw, gu, gv, gw), coef in result
+            ]
+        for da, dg, coef in image:
+            key = (a + da, g + dg, ell, const)
+            prev = terms.get(key)
             if prev is None:
-                terms[expo] = coef
+                terms[key] = coef
             else:
                 total = prev + coef
                 if total.coeffs:
-                    terms[expo] = total
+                    terms[key] = total
                 else:
-                    del terms[expo]
+                    del terms[key]
 
 
 def _apply(terms: dict, slot: list[int], move: BraidMove) -> None:
-    """Apply one move to slot-indexed terms and the slot list."""
+    """Apply one move to packed terms and the slot list."""
     p = move.pos
     if move.kind == "commute":
         slot[p], slot[p + 1] = slot[p + 1], slot[p]
@@ -299,37 +337,42 @@ def _apply(terms: dict, slot: list[int], move: BraidMove) -> None:
 
 
 def _relabel(terms: dict, slot: list[int]) -> dict:
-    """Map slot-indexed terms back to positions, draining ``terms``.
+    """Unpack packed terms into position-indexed exponents, draining ``terms``.
 
-    Each distinct (slot, value) entry is relabelled once, and the new
-    (position, value) tuple is shared by every exponent that holds it.
+    Each distinct packed int is unpacked once: its fields are read in bulk
+    as little-endian bytes and listed in position order.  Each distinct
+    (position, value) entry is one tuple shared by every exponent that
+    holds it.
     """
-    position = {s: p for p, s in enumerate(slot) if s != p}
-    if not position:
-        return terms
+    n = len(slot)
+    layout = f"<{n}{_FIELD_FORMAT}"
+    size = n * SLOT_BITS // 8
     entries: dict[tuple, tuple] = {}
+    unpacked: dict[int, tuple] = {}
 
-    def relabel(vec: tuple) -> tuple:
-        out = []
-        for entry in vec:
-            new = entries.get(entry)
-            if new is None:
-                s = entry[0]
-                new = entries[entry] = (position[s], entry[1]) if s in position else entry
-            out.append(new)
-        out.sort()
-        return tuple(out)
+    def unpack(x: int) -> tuple:
+        vec = unpacked.get(x)
+        if vec is None:
+            fields = struct.unpack(layout, x.to_bytes(size, "little"))
+            out = []
+            for p, s in enumerate(slot):
+                f = fields[s]
+                if f != SLOT_BIAS:
+                    entry = (p, f - SLOT_BIAS)
+                    out.append(entries.setdefault(entry, entry))
+            vec = unpacked[x] = tuple(out)
+        return vec
 
     out: dict[QExponent, VLaurent] = {}
     while terms:
-        e, coef = terms.popitem()
-        out[QExponent(relabel(e.alpha), relabel(e.gamma), e.ell, e.const)] = coef
+        (a, g, ell, const), coef = terms.popitem()
+        out[QExponent(unpack(a), unpack(g), ell, const)] = coef
     return out
 
 
 def _one_move(op: QOperator, move: BraidMove) -> QOperator:
-    terms = dict(op.terms)
-    slot = list(range(move.pos + 3))
+    terms, n = _pack_terms(op.terms, move.pos + 3)
+    slot = list(range(n))
     _apply(terms, slot, move)
     return QOperator(_relabel(terms, slot))
 
@@ -358,8 +401,8 @@ def transport(
     budget (default from POSREP_MAX_TERMS).
     """
     budget = term_budget() if max_terms is None else max_terms
-    terms = dict(op.terms)
-    slot = list(range(len(word)))
+    terms, n = _pack_terms(op.terms, len(word))
+    slot = list(range(n))
     for step, move in enumerate(path):
         word = apply_move(word, move)  # validates the pattern
         _apply(terms, slot, move)

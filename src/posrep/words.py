@@ -15,14 +15,12 @@ from __future__ import annotations
 import importlib.resources
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Literal, NamedTuple
+from typing import Literal, NamedTuple
 
 from .rootdata import (
     CartanDatum,
     positive_root_count,
     right_descents,
-    simple_root,
-    weyl_act,
     weyl_compose,
     weyl_from_word,
     weyl_identity,
@@ -46,8 +44,8 @@ class ReducedWord:
     letters: tuple[int, ...]
 
     def __post_init__(self):
-        bad = [i for i in self.letters if i not in self.datum.labels]
-        if bad:
+        if not self.datum.label_set.issuperset(self.letters):
+            bad = [i for i in self.letters if i not in self.datum.labels]
             raise ValueError(f"letters {bad} are not node labels of {self.datum.family}_{self.datum.rank}")
 
     def __len__(self) -> int:

@@ -137,6 +137,30 @@ def test_canonical_order_deterministic():
     assert [m.expo.alpha for m in op.monomials()][0] == ((0, -1),)
 
 
+def _dense(vec, width=6):
+    row = [0] * width
+    for k, v in vec:
+        row[k] = v
+    return row
+
+
+entry_values = st.sampled_from([-2, -1, 1, 2, Fraction(1, 2), Fraction(-3, 2)])
+small_vecs = st.dictionaries(st.integers(0, 5), entry_values, max_size=4).map(sparse)
+exponents = st.builds(QExponent, small_vecs, small_vecs, small_vecs, st.integers(-1, 1))
+
+
+@given(st.lists(exponents, max_size=12))
+def test_canonical_order_is_dense_lexicographic(exps):
+    # monomials() lists exponents by (alpha, gamma, ell, const), each part
+    # compared as a dense vector with missing entries 0
+    op = QOperator({e: ONE for e in exps})
+    listed = [m.expo for m in op.monomials()]
+    assert listed == sorted(
+        op.terms, key=lambda e: (_dense(e.alpha), _dense(e.gamma), _dense(e.ell), e.const)
+    )
+    assert op.exponents() is op.exponents()  # sorted once per operator
+
+
 laurent = st.lists(st.tuples(st.integers(-4, 4), st.integers(-3, 3)), min_size=1, max_size=3).map(
     lambda pairs: sum((VLaurent.v_power(e, c) for e, c in pairs), VLaurent.zero())
 )

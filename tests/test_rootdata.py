@@ -45,6 +45,25 @@ def test_matrix_invariants(family, rank):
                 assert a[i][j] == a[j][i]
 
 
+@pytest.mark.parametrize("family,rank", ALL_TYPES)
+def test_cartan_table_matches_edges(family, rank):
+    datum = build_cartan(family, rank)
+    for i in datum.labels:
+        for j in datum.labels:
+            edge = frozenset((i, j)) in datum.edges
+            assert datum.adjacent(i, j) == edge
+            assert datum.a(i, j) == (2 if i == j else -1 if edge else 0)
+    assert not datum.adjacent(datum.labels[0], 99)
+
+
+def test_cartan_datum_equality_ignores_the_table():
+    a, b = build_cartan("E", 6), build_cartan("E", 6)
+    assert a == b and hash(a) == hash(b)
+    assert a != build_cartan("E", 6, flip_bipartition=True)
+    assert "_cartan" not in repr(a) and "label_set" not in repr(a)
+    assert hash(a) == hash((a.family, a.rank, a.labels, a.edges, a.bipartition))
+
+
 @pytest.mark.parametrize("family,rank", [("A", 0), ("D", 3), ("E", 5), ("E", 9), ("B", 2)])
 def test_unsupported_types(family, rank):
     with pytest.raises(UnsupportedTypeError):

@@ -1,20 +1,33 @@
+import os
+
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
+from posrep import repbuild
+from posrep.cli import main
 from posrep.qtorus import (
+    QExponent,
     QOperator,
     VLaurent,
     bracket,
     commutation_exponent,
     expand_bracket,
+    exponent,
     operator_from_brackets,
+    rebracket,
 )
 from posrep.repbuild import build_E, build_E_rightmost, build_F, build_K
 from posrep.rootdata import build_cartan
 from posrep.transport import (
+    SLOT_BIAS,
     NonPolynomialError,
     OddPairingError,
+    SlotOverflowError,
     TermBudgetError,
+    _PIPELINE_CACHE,
+    _braid_pipeline_loc,
+    _pack_terms,
+    _relabel,
     braid_conjugate,
     commutation_move,
     conjugation_factor,
@@ -291,3 +304,88 @@ def test_transport_equals_fold_on_d_bad_word(rank):
     assert out == _fold(op, reversed(moves))
     assert len(out) == {5: 94, 6: 328}[rank]
     assert transport(out, word, moves)[0] == op
+
+
+# ---------------------------------------------------------------------------
+# Packed slots: u- and p-parts travel as one int each, SLOT_BITS per slot.
+# ---------------------------------------------------------------------------
+
+FIELD_MAX = SLOT_BIAS - 1
+N_SLOTS = 12
+
+field_values = st.one_of(
+    st.sampled_from([FIELD_MAX, -FIELD_MAX, 1, -1]),
+    st.integers(-FIELD_MAX, FIELD_MAX).filter(bool),
+)
+sparse_vecs = st.dictionaries(st.integers(0, N_SLOTS - 1), field_values, max_size=6).map(
+    lambda d: tuple(sorted(d.items()))
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(sparse_vecs, sparse_vecs, st.integers(-2, 2)), max_size=8),
+    st.permutations(range(N_SLOTS)),
+)
+def test_pack_unpack_round_trip(parts, slot):
+    terms = {QExponent(a, g, (), c): VLaurent.v_power(c) for a, g, c in parts}
+    packed, n = _pack_terms(terms, N_SLOTS)
+    assert n == N_SLOTS and len(packed) == len(terms)
+    assert _relabel(dict(packed), list(range(n))) == terms
+    # under a slot permutation, position p reads the field of slot[p]
+    position = {s: p for p, s in enumerate(slot)}
+
+    def moved(vec):
+        return tuple(sorted((position[s], v) for s, v in vec))
+
+    assert _relabel(packed, list(slot)) == {
+        QExponent(moved(e.alpha), moved(e.gamma), e.ell, e.const): c for e, c in terms.items()
+    }
+
+
+def test_pack_grows_to_the_highest_index():
+    terms = {exponent(alpha={7: -1}, gamma={2: 1}): VLaurent.one()}
+    packed, n = _pack_terms(terms, 3)
+    assert n == 8
+    assert _relabel(packed, list(range(n))) == terms
+
+
+@pytest.mark.parametrize("value", [SLOT_BIAS, -SLOT_BIAS, 3 * SLOT_BIAS])
+def test_pack_rejects_entries_outside_the_field(value):
+    op = QOperator.monomial(exponent(alpha={1: 1}, gamma={2: value}))
+    with pytest.raises(SlotOverflowError):
+        commutation_move(op, 0)
+
+
+def test_braid_output_outside_the_field_raises():
+    # in range on the way in, but the braid image holds -SLOT_BIAS at u
+    loc = (0, -FIELD_MAX, 0, -1, 0, -1)
+    image = _braid_pipeline_loc(((loc, VLaurent.one()),))
+    assert min(v for out, _ in image for v in out) == -SLOT_BIAS
+    op = QOperator.monomial(exponent(alpha={0: 0, 1: -FIELD_MAX}, gamma={0: -1, 2: -1}))
+    with pytest.raises(SlotOverflowError):
+        braid_conjugate(op, 0)
+    assert ((loc, VLaurent.one()),) not in _PIPELINE_CACHE
+
+
+def test_overflow_exits_2_through_the_cli(capsys, monkeypatch):
+    def out_of_range(word, i):
+        last = len(word) - 1
+        return QOperator.monomial(exponent(alpha={last: SLOT_BIAS}, gamma={last: -1}))
+
+    monkeypatch.setattr(repbuild, "build_E_rightmost", out_of_range)
+    assert main(["construct", "A", "2", "--gen", "E1"]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: exponent entry {SLOT_BIAS} at position 2 does not fit a 16-bit slot field\n"
+    )
+
+
+@pytest.mark.skipif(os.environ.get("POSREP_LONG") != "1",
+                    reason="the E7 bad word takes about 2.5 minutes and 0.7 GB; set POSREP_LONG=1")
+def test_e7_bad_word_under_default_budget(monkeypatch):
+    monkeypatch.delenv("POSREP_MAX_TERMS", raising=False)
+    op = build_E(bad_word(build_cartan("E", 7)), 3)
+    terms = rebracket(op)
+    assert len(op) == 2 * len(terms)
+    assert len(terms) >= 77565  # the recorded count of criterion 7

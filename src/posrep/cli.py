@@ -31,7 +31,18 @@ import sys
 from fractions import Fraction
 
 from . import moddouble, verify
-from .qtorus import QExponent, QOperator, RebracketError, VLaurent, rebracket, sparse, term_count
+from .qtorus import (
+    QExponent,
+    QOperator,
+    RebracketError,
+    VLaurent,
+    check_entry,
+    entries,
+    pack_entries,
+    rebracket,
+    sparse,
+    term_count,
+)
 from .repbuild import build_rep, classical_render, operator_text, position_names
 from .rootdata import build_cartan, langlands_b_vectors
 from .transport import TermBudgetError, transport
@@ -56,12 +67,21 @@ def _positions_by_name(word: ReducedWord) -> dict[str, int]:
 
 def operator_to_json(op: QOperator, word: ReducedWord) -> dict:
     names = position_names(word)
+    named: dict[int, dict] = {}
+
+    def by_name(x: int) -> dict:
+        """{position name: value} of a packed u/p part, decoded once per part."""
+        out = named.get(x)
+        if out is None:
+            out = named[x] = {names[t]: c for t, c in entries(x)}
+        return out
+
     monos = []
     for expo, coeff in op.monomials():
         monos.append(
             {
-                "alpha": {names[t]: c for t, c in expo.alpha},
-                "gamma": {names[t]: c for t, c in expo.gamma},
+                "alpha": by_name(expo.alpha),
+                "gamma": by_name(expo.gamma),
                 "ell": {str(s): str(c) for s, c in expo.ell},
                 "const": expo.const,
                 "coeff": [[expo_v, c] for expo_v, c in _laurent_pairs(coeff)],
@@ -69,21 +89,21 @@ def operator_to_json(op: QOperator, word: ReducedWord) -> dict:
         )
     out = {"monomials": monos}
     try:
-        out["brackets"] = [bracket_to_json(t, names) for t in rebracket(op)]
+        out["brackets"] = [bracket_to_json(t, by_name) for t in rebracket(op)]
     except RebracketError:
         pass
     return out
 
 
-def bracket_to_json(term, names: list[str]) -> dict:
+def bracket_to_json(term, by_name) -> dict:
     return {
         "scalar": [[e, c] for e, c in _laurent_pairs(term.scalar)],
         "L": {
-            "u": {names[t]: c for t, c in term.l_alpha},
+            "u": by_name(term.l_alpha),
             "lambda": {str(s): str(c) for s, c in term.l_ell},
             "const": term.l_const,
         },
-        "P": {names[t]: c for t, c in term.shift},
+        "P": by_name(term.shift),
     }
 
 
@@ -92,19 +112,47 @@ def _laurent_pairs(c: VLaurent) -> list[tuple[int, int]]:
 
 
 def operator_from_json(data: dict, word: ReducedWord) -> QOperator:
+    """Parse the output of ``operator_to_json``.
+
+    A malformed payload raises ValueError naming the bad key or value; a
+    u/p entry that does not fit its packed field raises SlotOverflowError.
+    """
+    monos = data.get("monomials") if isinstance(data, dict) else None
+    if not isinstance(monos, list):
+        raise ValueError('operator JSON needs a "monomials" list')
     pos = _positions_by_name(word)
     acc = {}
-    for m in data["monomials"]:
-        expo = QExponent(
-            sparse({pos[k]: v for k, v in m["alpha"].items()}),
-            sparse({pos[k]: v for k, v in m["gamma"].items()}),
-            sparse({int(k): Fraction(v) for k, v in m["ell"].items()}),
-            m.get("const", 0),
-        )
+    for idx, m in enumerate(monos):
+        where = f"monomial {idx}"
+        for key, kind in (("alpha", dict), ("gamma", dict), ("ell", dict), ("coeff", list)):
+            if not isinstance(m, dict) or key not in m:
+                raise ValueError(f"{where} has no {key!r}")
+            if not isinstance(m[key], kind):
+                raise ValueError(f"{key!r} of {where} must be a JSON {'object' if kind is dict else 'array'}")
+        packed = []
+        for key in ("alpha", "gamma"):
+            row = {}
+            for name, value in m[key].items():
+                if name not in pos:
+                    raise ValueError(f"unknown position name {name!r} in {where} {key}")
+                check_entry(value, f"at {name!r} in {where} {key}")
+                row[pos[name]] = value
+            packed.append(pack_entries(row))
+        ell = {}
+        for label, value in m["ell"].items():
+            try:
+                ell[int(label)] = Fraction(value)
+            except (TypeError, ValueError, ZeroDivisionError):
+                raise ValueError(f"bad lambda entry {label!r}: {value!r} in {where}") from None
+        const = m.get("const", 0)
+        if const.__class__ is not int:
+            raise ValueError(f"const must be an integer, got {const!r} in {where}")
         coeff = VLaurent.zero()
-        for e, c in m["coeff"]:
-            coeff = coeff + VLaurent.v_power(e, c)
-        acc[expo] = coeff
+        for pair in m["coeff"]:
+            if not (isinstance(pair, list) and len(pair) == 2 and all(x.__class__ is int for x in pair)):
+                raise ValueError(f"bad coefficient term {pair!r} in {where}")
+            coeff = coeff + VLaurent.v_power(*pair)
+        acc[QExponent(*packed, sparse(ell), const)] = coeff
     return QOperator(acc)
 
 

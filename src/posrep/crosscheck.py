@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .qtorus import QOperator, bracket, operator_from_brackets, sparse
+from .qtorus import QOperator, bracket, exponent, operator_from_brackets
 from .rootdata import CartanDatum
 from .words import ReducedWord, good_word, occurrence_positions
 
@@ -70,9 +70,7 @@ def closed_form_An(datum: CartanDatum, i: int) -> tuple[QOperator, QOperator, QO
         u(i - 1, k, 1, k_alpha)
         u(i + 1, k, 1, k_alpha)
         u(i, k, -2, k_alpha)
-    from .qtorus import QExponent
-
-    k_op = QOperator.monomial(QExponent(sparse(k_alpha), (), sparse({i: -2}), 0))
+    k_op = QOperator.monomial(exponent(k_alpha, ell={i: -2}))
     return (
         operator_from_brackets(e_terms),
         operator_from_brackets(f_terms),

@@ -24,20 +24,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from math import lcm
 from typing import NamedTuple
 
 from .qtorus import (
     QExponent,
     QOperator,
     VLaurent,
-    pair_exponents,
+    entries,
+    pairing_matrix,
     q_commutator,
     rebracket,
     sparse,
     sparse_add,
-    sparse_dot,
     sparse_neg,
     sparse_scale,
+    unpack,
 )
 from .rootdata import CartanDatum, integer_row_reduce, langlands_b_vectors
 from .repbuild import GeneratorTriple, Representation, build_rep, f_brackets
@@ -65,13 +67,7 @@ class ModifiedRep:
 
 
 def _k_power(k: QOperator, n: int) -> QOperator:
-    expo = k.single_monomial().expo
-    return QOperator.monomial(
-        QExponent(
-            sparse_scale(expo.alpha, n), sparse_scale(expo.gamma, n),
-            sparse_scale(expo.ell, n), n * expo.const,
-        )
-    )
+    return QOperator.monomial(k.single_monomial().expo.power(n))
 
 
 def build_modified(rep: Representation) -> ModifiedRep:
@@ -144,10 +140,11 @@ def _generator_monomials(gens: dict) -> list[tuple[str, QExponent]]:
 
 def _odd_pairs(monos: list[tuple[str, QExponent]]) -> list[dict]:
     """Every pair of generator monomials whose commutation exponent is odd."""
-    exps = pair_exponents([expo for _, expo in monos])
+    expos = [expo for _, expo in monos]
     return [
         {"pair": [monos[a][0], monos[b][0]], "exponent": s}
-        for (a, b), s in exps.items()
+        for a, row in enumerate(pairing_matrix(expos, expos))
+        for b, s in enumerate(row[a + 1:], a + 1)
         if s % 2
     ]
 
@@ -179,14 +176,7 @@ def qtori_certificate(mrep: ModifiedRep) -> dict:
     monos = _generator_monomials(mrep.gens)
     odd = _odd_pairs(monos)
     n_pos = len(mrep.base.word.letters)
-    rows = []
-    for _, expo in monos:
-        row = [0] * (2 * n_pos)
-        for t, v in expo.alpha:
-            row[t] = v
-        for t, v in expo.gamma:
-            row[n_pos + t] = v
-        rows.append(row)
+    rows = [list(unpack(expo.alpha, n_pos) + unpack(expo.gamma, n_pos)) for _, expo in monos]
     rank = len(integer_row_reduce(rows)[1])
     ok = not odd and rank == 2 * n_pos
     return {
@@ -220,19 +210,23 @@ def commutant_check(datum: CartanDatum, mrep: ModifiedRep) -> dict:
     bvecs = langlands_b_vectors(datum)
     labels = datum.labels
     monos = _generator_monomials(mrep.gens)
+    # plain[j][m]: the u-part of Kbar_j against the p-part of monomial m
+    kbars = [QExponent(mrep.gens[j].K.single_monomial().expo.alpha, 0, (), 0) for j in labels]
+    plain = pairing_matrix(kbars, [expo for _, expo in monos])
     results = []
     all_even = True
     pattern_ok = True
     for target, b in zip(labels, bvecs):
-        alpha = ()
-        for j, b_j in zip(labels, b):
-            kbar = mrep.gens[j].K.single_monomial().expo
-            # Kbar_j^(eps_j b_j) = (K_j^2)^(b_j)
-            alpha = sparse_add(alpha, sparse_scale(kbar.alpha, b_j * mrep.epsilon(j)))
+        # Kbar_j^(eps_j b_j) = (K_j^2)^(b_j); the pairing is linear in the
+        # u-part, so the combination pairs as the weighted plain pairings,
+        # here over the common denominator d of the b_j
+        d = lcm(*(b_j.denominator for b_j in b))
+        weights = [int(b_j * mrep.epsilon(j) * d) for j, b_j in zip(labels, b)]
         expected = {f"E{target}": 2, f"F{target}": -2}
         pairings = {}
-        for name, expo in monos:
-            s = sparse_dot(alpha, expo.gamma)
+        for m, (name, _) in enumerate(monos):
+            total = sum(w * row[m] for w, row in zip(weights, plain))
+            s = total // d if total % d == 0 else Fraction(total, d)
             pairings.setdefault(name, set()).add(s)
             all_even = all_even and s % 2 == 0
             if name[0] in "EF" and s != expected.get(name, 0):
@@ -245,12 +239,11 @@ def commutant_check(datum: CartanDatum, mrep: ModifiedRep) -> dict:
             }
         )
     # plain Kbar_j witnesses
-    plain = []
-    for j in labels:
-        kbar = mrep.gens[j].K.single_monomial().expo
-        pairs = ((name, sparse_dot(kbar.alpha, expo.gamma)) for name, expo in monos)
+    witnesses = []
+    for j, row in zip(labels, plain):
+        pairs = zip((name for name, _ in monos), row)
         witness = next(({"against": n, "exponent": s} for n, s in pairs if s), None)
-        plain.append({"generator": f"K{j}", "witness": witness})
+        witnesses.append({"generator": f"K{j}", "witness": witness})
     status = "pass" if (all_even and pattern_ok) else "fail"
     return {
         "check": "commutant",
@@ -258,7 +251,7 @@ def commutant_check(datum: CartanDatum, mrep: ModifiedRep) -> dict:
         "all_even": all_even,
         "delta_pattern": pattern_ok,
         "columns": results,
-        "plain_k_witnesses": plain,
+        "plain_k_witnesses": witnesses,
     }
 
 
@@ -396,13 +389,14 @@ def normalize_lambda(rep: Representation) -> NormalizationResult:
     weights: dict[int, tuple] = {}
     for i in datum.labels:
         for term in f_brackets(word, i):
-            ((t, _),) = term.shift
-            weights[t] = (sparse_neg(term.l_alpha), sparse_neg(term.l_ell))
+            ((t, _),) = entries(term.shift)
+            weights[t] = (entries(-term.l_alpha), sparse_neg(term.l_ell))
     shifts: dict[int, LambdaForm] = {}
     betas: dict[int, int] = {}
 
-    def shifted_ell(alpha, ell: LambdaForm) -> LambdaForm:
-        """The lambda-part of alpha.u + ell.lam after u_t -> u_t - shifts[t]."""
+    def shifted_ell(alpha: tuple, ell: LambdaForm) -> LambdaForm:
+        """The lambda-part of alpha.u + ell.lam after u_t -> u_t - shifts[t],
+        for the (position, value) entries ``alpha``."""
         terms = (sparse_scale(shifts[t], -c) for t, c in alpha if t in shifts)
         return reduce(sparse_add, terms, ell)
 
@@ -419,7 +413,7 @@ def normalize_lambda(rep: Representation) -> NormalizationResult:
 
     def shift_op(op: QOperator) -> QOperator:
         return QOperator.from_monomials(
-            (e._replace(ell=shifted_ell(e.alpha, e.ell)), c) for e, c in op.terms.items()
+            (e._replace(ell=shifted_ell(entries(e.alpha), e.ell)), c) for e, c in op.terms.items()
         )
 
     gens = {

@@ -22,12 +22,33 @@ monomials:
     scalar * (v**(1+s) * m(L + 2P) + v**(-1-s) * m(-L + 2P)),  s = L_u.P,
 
 and ``rebracket`` reverses this expansion on canonical operators.
+
+The u-part ``alpha`` and the p-part ``gamma`` of an exponent are packed
+into one Python int each.  Position k owns the SLOT_BITS-bit field k, and
+the int is the signed-linear sum
+
+    alpha = sum_k alpha_k << (SLOT_BITS * k),
+
+so the zero vector is 0 and adding, negating or scaling vectors is a
+single int operation.  Fields are read by adding the bias B_n, which
+holds SLOT_BIAS = 2**(SLOT_BITS - 1) in each of the fields 0..n-1: field k
+of alpha + B_n is alpha_k + SLOT_BIAS, a value in [1, 2**SLOT_BITS), so no
+field borrows from its neighbour.  The overflow rule is that every entry
+satisfies |alpha_k| < SLOT_BIAS.  ``pack`` checks its input, and a
+product, a power or a braid image with an entry out of range raises
+SlotOverflowError before any term is formed; nothing wraps into a
+neighbouring field.  The lambda part ``ell`` may hold Fractions, so it
+stays a sparse (label, value) tuple, and ``const`` stays an int.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import compress
+from operator import mul
 from typing import Iterable, NamedTuple
 
 
@@ -165,14 +186,106 @@ class VLaurent:
 
 
 # ---------------------------------------------------------------------------
-# Sparse exponent vectors.
+# Packed u/p vectors (layout and overflow rule in the module docstring).
 # ---------------------------------------------------------------------------
 
-SparseVec = tuple  # tuple[(index, value), ...] sorted by index, values nonzero
+SLOT_BITS = 16
+SLOT_BIAS = 1 << (SLOT_BITS - 1)
+_FIELD_CODES = {16: "h", 32: "i", 64: "q"}  # struct codes of signed fields by width
+
+
+class SlotOverflowError(ArithmeticError):
+    """An exponent entry does not fit its packed field (|value| < SLOT_BIAS)."""
+
+
+@lru_cache(maxsize=512)
+def _layout(n: int, width: int = SLOT_BITS) -> tuple[struct.Struct, int]:
+    """The struct of n signed little-endian ``width``-bit fields, and the
+    bias that holds 2**(width-1) in each of the n fields."""
+    bias = ((1 << (width * n)) - 1) // ((1 << width) - 1) << (width - 1)
+    return struct.Struct(f"<{n}{_FIELD_CODES[width]}"), bias
+
+
+def field_bias(n: int) -> int:
+    """B_n, which holds SLOT_BIAS in each of the fields 0..n-1: field k of
+    x + B_n is x_k + SLOT_BIAS for every k < n."""
+    return _layout(n)[1]
+
+
+def field_count(x: int) -> int:
+    """A field count that covers every nonzero field of x."""
+    return abs(x).bit_length() // SLOT_BITS + 1
+
+
+def check_entry(value, where: str) -> None:
+    """Raise unless ``value`` is an int that fits a packed field."""
+    if value.__class__ is not int:
+        raise ValueError(f"u/p exponent entries must be integers, got {value!r} {where}")
+    if not -SLOT_BIAS < value < SLOT_BIAS:
+        raise SlotOverflowError(
+            f"exponent entry {value} {where} does not fit a {SLOT_BITS}-bit slot field"
+        )
+
+
+def pack(row, width: int = SLOT_BITS) -> int:
+    """The packed int of a dense row: position k holds row[k].
+
+    Only the pairing kernel passes a wider ``width``, to pack columns of
+    SLOT_BITS-bit entries.
+    """
+    layout, bias = _layout(len(row), width)
+    try:
+        if row and min(row) <= -SLOT_BIAS:
+            raise ValueError
+        # flipping the top bit of each two's-complement field gives value + bias
+        return (int.from_bytes(layout.pack(*row), "little") ^ bias) - bias
+    except (ValueError, TypeError, struct.error):
+        for k, value in enumerate(row):
+            check_entry(value, f"at position {k}")
+        raise
+
+
+def unpack(x: int, n: int | None = None, width: int = SLOT_BITS) -> tuple[int, ...]:
+    """Fields 0..n-1 of a packed int (default: through its last nonzero field)."""
+    layout, bias = _layout(field_count(x) if n is None else n, width)
+    # x + bias holds value + 2**(width-1) in every field; flipping each
+    # field's top bit turns that into the two's-complement field
+    return layout.unpack(((x + bias) ^ bias).to_bytes(layout.size, "little"))
+
+
+def pack_entries(items) -> int:
+    """The packed int of {position: value} or of (position, value) pairs."""
+    items = dict(items)
+    if not items:
+        return 0
+    if min(items) < 0:
+        raise ValueError(f"negative position {min(items)} in a u/p vector")
+    row = [0] * (max(items) + 1)
+    for k, value in items.items():
+        row[k] = value
+    return pack(row)
+
+
+def entries(x: int) -> tuple[tuple[int, int], ...]:
+    """The nonzero (position, value) entries of a packed int, by position."""
+    fields = unpack(x)
+    return tuple(compress(enumerate(fields), fields))
+
+
+def _dot(x: int, y: int) -> int:
+    n = max(field_count(x), field_count(y))
+    return sum(map(mul, unpack(x, n), unpack(y, n)))
+
+
+# ---------------------------------------------------------------------------
+# Lambda parts: sparse (label, value) vectors whose values may be Fractions.
+# ---------------------------------------------------------------------------
+
+SparseVec = tuple  # tuple[(label, value), ...] sorted by label, values nonzero
 
 
 def sparse(entries: dict | Iterable) -> SparseVec:
-    """Normalize {index: value} (or pairs) into a sorted sparse tuple."""
+    """Normalize {label: value} (or pairs) into a sorted sparse tuple."""
     if not isinstance(entries, dict):
         entries = dict(entries)
     out = []
@@ -232,77 +345,133 @@ def sparse_scale(a: SparseVec, c) -> SparseVec:
     return tuple(out)
 
 
-def sparse_dot(a: SparseVec, b: SparseVec):
-    if not a or not b:
-        return 0
-    acc = 0
-    ia = ib = 0
-    na, nb = len(a), len(b)
-    while ia < na and ib < nb:
-        ka = a[ia][0]
-        kb = b[ib][0]
-        if ka < kb:
-            ia += 1
-        elif kb < ka:
-            ib += 1
-        else:
-            acc += a[ia][1] * b[ib][1]
-            ia += 1
-            ib += 1
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # Monomials and operators.
 # ---------------------------------------------------------------------------
 
 class QExponent(NamedTuple):
-    """Exponent data of one monomial: u-part, p-part, lambda-part, constant."""
+    """Exponent data of one monomial: packed u-part, packed p-part,
+    lambda-part, constant."""
 
-    alpha: SparseVec
-    gamma: SparseVec
+    alpha: int
+    gamma: int
     ell: SparseVec
     const: int
 
     def inverse(self) -> QExponent:
-        return QExponent(
-            sparse_neg(self.alpha), sparse_neg(self.gamma),
-            sparse_neg(self.ell), -self.const,
-        )
+        return QExponent(-self.alpha, -self.gamma, sparse_neg(self.ell), -self.const)
+
+    def power(self, n: int) -> QExponent:
+        """The exponent of the n-th power; SlotOverflowError if an entry
+        would leave its field."""
+        for x in (self.alpha, self.gamma):
+            k, value = max(enumerate(unpack(x)), key=lambda kv: abs(kv[1]))
+            check_entry(n * value, f"at position {k} of a power")
+        return QExponent(n * self.alpha, n * self.gamma, sparse_scale(self.ell, n), n * self.const)
 
 
-EXP_ONE = QExponent((), (), (), 0)
+EXP_ONE = QExponent(0, 0, (), 0)
 
 
 def exponent(alpha=(), gamma=(), ell=(), const=0) -> QExponent:
-    return QExponent(sparse(dict(alpha)), sparse(dict(gamma)), sparse(dict(ell)), const)
+    """An exponent from {position: value} u- and p-parts and a {label: value} lambda part."""
+    return QExponent(pack_entries(alpha), pack_entries(gamma), sparse(dict(ell)), const)
+
+
+class _Rows:
+    """Decoded u/p rows of a list of exponents: the pairing kernel's input.
+
+    ``alpha[i]`` and ``gamma[i]`` are the dense rows of exponent i over
+    ``n`` positions, and ``bound`` is the largest |entry|.  The nonzero
+    entries of the rows and the column packings are built on first use.
+    """
+
+    __slots__ = ("n", "alpha", "gamma", "bound", "_sparse", "_columns")
+
+    def __init__(self, expos):
+        n = max((field_count(x) for e in expos for x in (e.alpha, e.gamma)), default=0)
+        self.n = n
+        self.alpha = [unpack(e.alpha, n) for e in expos]
+        self.gamma = [unpack(e.gamma, n) for e in expos]
+        self.bound = max((max(max(r), -min(r)) for r in (*self.alpha, *self.gamma)), default=0)
+        self._sparse = None
+        self._columns: dict[int, tuple[list[int], list[int]]] = {}
+
+    def sparse(self) -> tuple[list, int]:
+        """Per row, its nonzero (position, value) u- and p-entries; and the
+        largest sum of |entries| over one row."""
+        if self._sparse is None:
+            shared: dict[tuple, tuple] = {}  # one (position, value) tuple per distinct entry
+            rows = [
+                tuple([shared.setdefault(kv, kv) for kv in compress(enumerate(row), row)]
+                      for row in pair)
+                for pair in zip(self.alpha, self.gamma)
+            ]
+            l1 = max((sum(map(abs, a)) + sum(map(abs, g)) for a, g in zip(self.alpha, self.gamma)),
+                     default=0)
+            self._sparse = rows, l1
+        return self._sparse
+
+    def columns(self, n: int, width: int) -> tuple[list[int], list[int]]:
+        """Column k of the u- and of the p-rows, each packed into one int
+        with a ``width``-bit field per row; zero columns past ``self.n`` pad
+        the lists to n."""
+        cols = self._columns.get(width)
+        if cols is None:
+            cols = self._columns[width] = tuple(
+                [pack(col, width) for col in zip(*rows)] for rows in (self.alpha, self.gamma)
+            )
+        pad = [0] * (n - self.n)
+        return cols[0] + pad, cols[1] + pad
+
+
+def _pairing_rows(tx: _Rows, ty: _Rows):
+    """Yield, per x-row, its commutation exponents with every y-row.
+
+    y's p-rows are packed column-wise, one ``width``-bit field per y-row,
+    so an x u-entry times one column int adds that entry's products with
+    all y-rows at once; one unpack reads the row of exponents.  ``width``
+    bounds every |exponent| (row sum of |x entries| times y's bound), so
+    no field carries into the next.
+    """
+    rows, l1 = tx.sparse()
+    limit = l1 * ty.bound
+    width = next(w for w in _FIELD_CODES if limit < 1 << (w - 1))
+    acols, gcols = ty.columns(max(tx.n, ty.n), width)
+    m = len(ty.alpha)
+    for ea, eg in rows:
+        total = 0
+        for k, v in ea:
+            total += v * gcols[k]
+        for k, v in eg:
+            total -= v * acols[k]
+        yield unpack(total, m, width)
+
+
+def _check_products(tx: _Rows, ty: _Rows) -> None:
+    """SlotOverflowError when the sum of some x- and y-exponent has an
+    entry outside its field.  Exact: it compares column extremes, and only
+    when the two bounds allow an overflow at all."""
+    if tx.bound + ty.bound < SLOT_BIAS:
+        return
+    for xrows, yrows in ((tx.alpha, ty.alpha), (tx.gamma, ty.gamma)):
+        for k, (xc, yc) in enumerate(zip(zip(*xrows), zip(*yrows))):
+            for value in (max(xc) + max(yc), min(xc) + min(yc)):
+                check_entry(value, f"at position {k} of a product")
+
+
+def pairing_matrix(xs, ys) -> list[tuple[int, ...]]:
+    """commutation_exponent(x, y) for every x of ``xs`` (rows) and y of ``ys``."""
+    return list(_pairing_rows(_Rows(xs), _Rows(ys)))
 
 
 def commutation_exponent(e1: QExponent, e2: QExponent) -> int:
     """s with m1*m2 = q**s * m2*m1; the lambda and constant slots are central."""
-    return sparse_dot(e1.alpha, e2.gamma) - sparse_dot(e1.gamma, e2.alpha)
-
-
-def pair_exponents(expos: list[QExponent]) -> dict[tuple[int, int], int]:
-    """The commutation exponent of every pair (a, b), a < b, of ``expos``."""
-    return {
-        (a, b): commutation_exponent(expos[a], expos[b])
-        for a in range(len(expos))
-        for b in range(a + 1, len(expos))
-    }
-
-
-def exponent_product(e1: QExponent, e2: QExponent) -> QExponent:
-    return QExponent(
-        sparse_add(e1.alpha, e2.alpha),
-        sparse_add(e1.gamma, e2.gamma),
-        sparse_add(e1.ell, e2.ell),
-        e1.const + e2.const,
-    )
+    return pairing_matrix((e1,), (e2,))[0][0]
 
 
 class _EntryOrder(dict):
-    """Sparse entry (k, v) -> its code in the dense lexicographic order.
+    """Lambda entry (k, v) -> its code in the dense lexicographic order.
 
     Two sparse vectors compare as dense ones (missing entries 0) when each
     becomes its sequence of entry codes closed by ``_PART_END``: at the
@@ -324,15 +493,32 @@ def canonical_order(exponents: Iterable[QExponent]) -> tuple[QExponent, ...]:
     """Exponents sorted by (alpha, gamma, ell) as dense vectors, then const.
 
     The order only fixes the order in which monomials and brackets are
-    listed and printed.
+    listed and printed.  A u- or p-part sorts by its biased fields written
+    big-endian, position 0 first: over a common field count, byte order is
+    dense lexicographic order.
     """
+    exps = list(exponents)
+    n = max((field_count(x) for e in exps for x in (e.alpha, e.gamma)), default=0)
+    size = n * SLOT_BITS // 8
+    bias = field_bias(n)
+    keys: dict[int, bytes] = {}
+
+    def fields(x: int) -> bytes:
+        key = keys.get(x)
+        if key is None:
+            raw = (x + bias).to_bytes(size, "little")
+            swapped = bytearray(size)  # each field is two bytes: swap them
+            swapped[0::2] = raw[1::2]
+            swapped[1::2] = raw[0::2]
+            key = keys[x] = bytes(swapped)
+        return key
+
     code = _EntryOrder().__getitem__
 
     def key(e: QExponent) -> tuple:
-        return (*map(code, e.alpha), _PART_END, *map(code, e.gamma), _PART_END,
-                *map(code, e.ell), _PART_END, e.const)
+        return (fields(e.alpha), fields(e.gamma), *map(code, e.ell), _PART_END, e.const)
 
-    return tuple(sorted(exponents, key=key))
+    return tuple(sorted(exps, key=key))
 
 
 class QMonomial(NamedTuple):
@@ -345,10 +531,11 @@ class QOperator:
 
     Stored as a mapping exponent -> nonzero coefficient; equality is exact.
     Instances are immutable by convention: algorithms always build fresh
-    term dictionaries, so the canonical order is sorted once and kept.
+    term dictionaries, so the canonical order is sorted once and kept, and
+    so are the decoded u/p rows the pairing kernel reads.
     """
 
-    __slots__ = ("terms", "_order")
+    __slots__ = ("terms", "_order", "_rows")
 
     def __init__(self, terms: dict[QExponent, VLaurent] | None = None):
         clean: dict[QExponent, VLaurent] = {}
@@ -358,6 +545,7 @@ class QOperator:
                     clean[e] = c
         self.terms = clean
         self._order: tuple[QExponent, ...] | None = None
+        self._rows: _Rows | None = None
 
     # -- constructors ------------------------------------------------------
 
@@ -437,11 +625,14 @@ class QOperator:
         return QOperator({e: c.shift(k) for e, c in self.terms.items()})
 
     def __mul__(self, other: QOperator) -> QOperator:
-        return QOperator.from_monomials(
-            (exponent_product(e1, e2), (c1 * c2).shift(commutation_exponent(e1, e2)))
-            for e1, c1 in self.terms.items()
-            for e2, c2 in other.terms.items()
-        )
+        return _pair_sum(self, other, None)
+
+
+def _rows_of(op: QOperator) -> _Rows:
+    """The decoded u/p rows of an operator's terms, in ``terms`` order."""
+    if op._rows is None:
+        op._rows = _Rows(list(op.terms))
+    return op._rows
 
 
 def add(*ops: QOperator) -> QOperator:
@@ -456,21 +647,67 @@ def q_commutator(x: QOperator, y: QOperator, v_twist: int = 0) -> QOperator:
     pair contributes c1*c2*(v**s - v**(v_twist - s)) there; pairs with
     2*s == v_twist cancel exactly and are skipped.
     """
-    acc: dict[QExponent, VLaurent] = {}
-    diffs: dict[int, VLaurent] = {}
-    for e1, c1 in x.terms.items():
-        for e2, c2 in y.terms.items():
-            s = commutation_exponent(e1, e2)
-            if 2 * s == v_twist:
+    return _pair_sum(x, y, v_twist)
+
+
+def _pair_sum(x: QOperator, y: QOperator, twist: int | None) -> QOperator:
+    """Sum of c1*c2*f(s) * m(e1 + e2) over the monomial pairs of x and y.
+
+    f(s) = v**s gives the product x*y (``twist`` None) and
+    f(s) = v**s - v**(twist - s) the q-commutator.  Coefficients and
+    central (lambda, constant) parts are interned per call, so each
+    coefficient of a pair and each central sum is formed once.
+    """
+    tx, ty = _rows_of(x), _rows_of(y)
+    _check_products(tx, ty)
+    coeffs: dict[VLaurent, int] = {}
+    centrals: dict[tuple, int] = {}
+
+    def intern(op: QOperator) -> list[tuple]:
+        return [
+            (e.alpha, e.gamma, centrals.setdefault((e.ell, e.const), len(centrals)),
+             coeffs.setdefault(c, len(coeffs)))
+            for e, c in op.terms.items()
+        ]
+
+    xs, ys = intern(x), intern(y)
+    coeff_of, central_of = list(coeffs), list(centrals)
+    central_sums: dict[int, list] = {}
+    for cx in {ce for _, _, ce, _ in xs}:
+        ell1, k1 = central_of[cx]
+        sums = central_sums[cx] = [None] * len(central_of)
+        for cy in {ce for _, _, ce, _ in ys}:
+            ell2, k2 = central_of[cy]
+            sums[cy] = (sparse_add(ell1, ell2), k1 + k2)
+    if twist is None:
+        skip = None
+
+        def factor(c: VLaurent, s: int) -> VLaurent:
+            return c.shift(s)
+    else:
+        skip = twist // 2 if twist % 2 == 0 else None
+
+        def factor(c: VLaurent, s: int) -> VLaurent:
+            return c * (VLaurent.v_power(s) - VLaurent.v_power(twist - s))
+
+    memos: dict[int, dict] = {}
+    acc: dict[tuple, VLaurent] = {}
+    for (a1, g1, ce1, co1), srow in zip(xs, _pairing_rows(tx, ty)):
+        sums = central_sums[ce1]
+        memo = memos.setdefault(co1, {})
+        c1 = coeff_of[co1]
+        for (a2, g2, ce2, co2), s in zip(ys, srow):
+            if s == skip:
                 continue
-            diff = diffs.get(s)
-            if diff is None:
-                diff = diffs[s] = VLaurent.v_power(s) - VLaurent.v_power(v_twist - s)
-            c = c1 * c2 * diff
-            e = exponent_product(e1, e2)
-            prev = acc.get(e)
-            acc[e] = c if prev is None else prev + c
-    return QOperator(acc)
+            c = memo.get((s, co2))
+            if c is None:
+                c = memo[(s, co2)] = factor(c1 * coeff_of[co2], s)
+            ell, const = sums[ce2]
+            key = (a1 + a2, g1 + g2, ell, const)
+            prev = acc.get(key)
+            acc[key] = c if prev is None else prev + c
+    make = QExponent._make
+    return QOperator({make(key): c for key, c in acc.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -481,12 +718,12 @@ class BracketTerm(NamedTuple):
     """scalar * [L] e(P): L is a linear form, P an integer momentum shift."""
 
     scalar: VLaurent
-    l_alpha: SparseVec  # u-coefficients of L (integers)
+    l_alpha: int        # packed u-coefficients of L (integers)
     l_ell: SparseVec    # lambda-coefficients of L (rationals)
     l_const: int
-    shift: SparseVec    # P
+    shift: int          # packed P
 
-    def weight(self) -> tuple[SparseVec, SparseVec, int]:
+    def weight(self) -> tuple[int, SparseVec, int]:
         """The bracket content as-is: (u-part, lambda-part, constant) of L."""
         return (self.l_alpha, self.l_ell, self.l_const)
 
@@ -494,7 +731,7 @@ class BracketTerm(NamedTuple):
 def bracket(l_alpha=(), l_ell=(), l_const=0, shift=(), scalar: VLaurent | None = None) -> BracketTerm:
     term = BracketTerm(
         scalar if scalar is not None else VLaurent.one(),
-        sparse(dict(l_alpha)), sparse(dict(l_ell)), l_const, sparse(dict(shift)),
+        pack_entries(l_alpha), sparse(dict(l_ell)), l_const, pack_entries(shift),
     )
     if not (term.l_alpha or term.l_ell or term.l_const):
         raise ValueError("bracket linear form must not be identically zero")
@@ -505,11 +742,9 @@ def expand_bracket(term: BracketTerm) -> QOperator:
     """Expand scalar*[L]e(P) into its two monomials."""
     if not (term.l_alpha or term.l_ell or term.l_const):
         raise ValueError("bracket linear form must not be identically zero")
-    s = sparse_dot(term.l_alpha, term.shift)
+    s = _dot(term.l_alpha, term.shift)
     plus = QExponent(term.l_alpha, term.shift, term.l_ell, term.l_const)
-    minus = QExponent(
-        sparse_neg(term.l_alpha), term.shift, sparse_neg(term.l_ell), -term.l_const
-    )
+    minus = QExponent(-term.l_alpha, term.shift, sparse_neg(term.l_ell), -term.l_const)
     return QOperator.from_monomials(
         ((plus, term.scalar.shift(1 + s)), (minus, term.scalar.shift(-1 - s)))
     )
@@ -532,14 +767,14 @@ def rebracket(op: QOperator) -> list[BracketTerm]:
     for e in op.exponents():
         if e not in remaining:
             continue
-        partner = e.inverse()._replace(gamma=e.gamma)
+        partner = QExponent(-e.alpha, e.gamma, sparse_neg(e.ell), -e.const)
         if partner == e:
             raise RebracketError(f"monomial with zero weight part: {e!r}")
         c1 = remaining.pop(e)
         c2 = remaining.pop(partner, None)
         if c2 is None:
             raise RebracketError(f"unpaired monomial: {e!r}")
-        s = sparse_dot(e.alpha, e.gamma)
+        s = _dot(e.alpha, e.gamma)
         if c1 == c2.shift(2 * (1 + s)):
             plus, scalar = e, c1.shift(-1 - s)
         elif c2 == c1.shift(2 * (1 - s)):

@@ -25,9 +25,10 @@ from .qtorus import (
     VLaurent,
     bracket,
     expand_bracket,
+    entries,
+    exponent,
     operator_from_brackets,
     rebracket,
-    sparse,
 )
 from .rootdata import CartanDatum
 from .transport import transport
@@ -95,9 +96,7 @@ def build_F(word: ReducedWord, i: int) -> QOperator:
 def build_K(word: ReducedWord, i: int) -> QOperator:
     datum = word.datum
     alpha = {t: -datum.a(i, j) for t, j in enumerate(word.letters) if datum.a(i, j)}
-    from .qtorus import QExponent
-
-    return QOperator.monomial(QExponent(sparse(alpha), (), sparse({i: -2}), 0))
+    return QOperator.monomial(exponent(alpha, ell={i: -2}))
 
 
 def build_E(word: ReducedWord, i: int) -> QOperator:
@@ -151,29 +150,29 @@ def _linear_form_text(entries, fmt) -> str:
 
 
 def bracket_text(term: BracketTerm, names: list[str]) -> str:
-    entries = [((0, t), c) for t, c in term.l_alpha]
-    entries += [((1, s), c) for s, c in term.l_ell]
+    form = [((0, t), c) for t, c in entries(term.l_alpha)]
+    form += [((1, s), c) for s, c in term.l_ell]
     if term.l_const:
-        entries.append(((2, 0), term.l_const))
+        form.append(((2, 0), term.l_const))
     body = _linear_form_text(
-        entries,
+        form,
         lambda key: {0: lambda t: f"u{names[t]}", 1: lambda s: f"L{s}", 2: lambda _: "1"}[key[0]](key[1]),
     )
     shift = _linear_form_text(
-        [((0, t), c) for t, c in term.shift], lambda key: f"p{names[key[1]]}"
+        [((0, t), c) for t, c in entries(term.shift)], lambda key: f"p{names[key[1]]}"
     )
     head = "" if term.scalar.is_unit_monomial() and term.scalar.val == 0 else f"({term.scalar.fmt_q()}) "
     return f"{head}[{body}] e({shift})"
 
 
 def monomial_text(expo, coeff: VLaurent, names: list[str]) -> str:
-    entries = [((0, t), c) for t, c in expo.alpha]
-    entries += [((1, t), 2 * c) for t, c in expo.gamma]
-    entries += [((2, s), c) for s, c in expo.ell]
+    form = [((0, t), c) for t, c in entries(expo.alpha)]
+    form += [((1, t), 2 * c) for t, c in entries(expo.gamma)]
+    form += [((2, s), c) for s, c in expo.ell]
     if expo.const:
-        entries.append(((3, 0), expo.const))
+        form.append(((3, 0), expo.const))
     body = _linear_form_text(
-        sorted(entries, key=lambda kv: (kv[0][1], kv[0][0])),
+        sorted(form, key=lambda kv: (kv[0][1], kv[0][0])),
         lambda key: {
             0: lambda t: f"u{names[t]}",
             1: lambda t: f"p{names[t]}",
@@ -210,17 +209,17 @@ def classical_render(op: QOperator, word: ReducedWord) -> str:
     names = position_names(word)
     lines = []
     for term in rebracket(op):
-        entries = [((2, 0), 1 + term.l_const)]
-        entries += [((0, t), c) for t, c in term.l_alpha]
-        entries += [((1, s), c) for s, c in term.l_ell]
+        form = [((2, 0), 1 + term.l_const)]
+        form += [((0, t), c) for t, c in entries(term.l_alpha)]
+        form += [((1, s), c) for s, c in term.l_ell]
         weight = _linear_form_text(
-            entries,
+            form,
             lambda key: {0: lambda t: f"u{names[t]}", 1: lambda s: f"L{s}", 2: lambda _: "1"}[
                 key[0]
             ](key[1]),
         )
         args = []
-        for t, c in term.shift:
+        for t, c in entries(term.shift):
             args.append(f"u{names[t]} {'-' if c > 0 else '+'} {abs(c)}")
         head = "" if term.scalar.is_unit_monomial() and term.scalar.val == 0 else f"({term.scalar.fmt_q()}) "
         lines.append(f"{head}({weight}) f({', '.join(args)})")

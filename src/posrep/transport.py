@@ -26,28 +26,34 @@ a commutation move swaps two entries of that list and touches no
 exponent, and a braid move at t runs on the slots of positions t, t+1,
 t+2, wherever they lie.
 
-Inside a transport the u- and p-parts of a monomial are packed into one
-int each.  Slot s owns the SLOT_BITS-bit field at bits
-[SLOT_BITS*s, SLOT_BITS*(s+1)) and stores value + SLOT_BIAS, with
-SLOT_BIAS = 2**(SLOT_BITS-1); a zero entry is a field holding the bias.
-Terms are keyed by (A, G, ell, const), where the lambda part ``ell`` and
-the constant stay unpacked because ``ell`` may hold Fractions.  A braid
-move reads its six frame fields with shift and mask, groups the monomials
-on what is left, and adds the biased image fields back.  Every entry
-must satisfy |value| < SLOT_BIAS: entries are checked when they are
-packed and braid images when they are computed, and one that does not fit
-raises SlotOverflowError instead of wrapping into a neighbouring field.
-Positions are restored in one pass after the last move, which unpacks
-each distinct packed int once.
+Exponents keep the packed u/p ints of ``qtorus`` (field layout, bias and
+overflow rule in its module docstring), and inside a transport field k is
+read as slot k.  Terms are keyed by (alpha, gamma, ell, const) tuples.  A
+braid move reads its six frame fields by adding the bias and masking,
+groups the monomials on what is left, and adds the image fields back.
+Braid images are checked when they are computed: an entry that does not
+fit raises SlotOverflowError.  Positions are restored in one pass after
+the last move, which permutes the fields of each distinct packed int once.
 """
 
 from __future__ import annotations
 
 import os
-import struct
+from operator import itemgetter
 from typing import Iterable
 
-from .qtorus import QExponent, QOperator, VLaurent
+from .qtorus import (
+    SLOT_BIAS,
+    SLOT_BITS,
+    QExponent,
+    QOperator,
+    VLaurent,
+    check_entry,
+    field_bias,
+    field_count,
+    pack,
+    unpack,
+)
 from .words import BraidMove, ReducedWord, apply_move
 
 
@@ -214,74 +220,32 @@ _PIPELINE_CACHE: dict[tuple, tuple] = {}
 _PIPELINE_CACHE_MAX = 200_000
 
 
-# ---------------------------------------------------------------------------
-# Packed slots (layout in the module docstring).  Every field holds a
-# nonnegative value below 2**SLOT_BITS, so no field borrows from or carries
-# into its neighbours.
-# ---------------------------------------------------------------------------
-
-SLOT_BITS = 16
-SLOT_BIAS = 1 << (SLOT_BITS - 1)
 _FIELD_MASK = (1 << SLOT_BITS) - 1
-_FIELD_FORMAT = "H"  # struct code of an unsigned SLOT_BITS-bit field
-
-
-class SlotOverflowError(ArithmeticError):
-    """An exponent entry does not fit a packed slot field (|value| < SLOT_BIAS)."""
-
-
-def _check_field(value: int, where: str) -> None:
-    if not -SLOT_BIAS < value < SLOT_BIAS:
-        raise SlotOverflowError(
-            f"exponent entry {value} {where} does not fit a {SLOT_BITS}-bit slot field"
-        )
-
-
-def _pack_terms(terms: dict, n: int) -> tuple[dict, int]:
-    """Key every term by (A, G, ell, const) over at least ``n`` slots.
-
-    Returns the packed terms and the slot count, raised to cover every
-    index present.  Each distinct sparse vector is packed once.
-    """
-    top = max((vec[-1][0] for e in terms for vec in (e.alpha, e.gamma) if vec), default=-1)
-    n = max(n, top + 1)
-    zero = SLOT_BIAS * ((1 << (SLOT_BITS * n)) - 1) // _FIELD_MASK  # every field at the bias
-    packed: dict[tuple, int] = {}
-
-    def pack(vec: tuple) -> int:
-        x = packed.get(vec)
-        if x is None:
-            x = zero
-            for k, v in vec:
-                if v.__class__ is not int:
-                    raise ValueError(f"packed exponent entries must be integers, got {v!r}")
-                _check_field(v, f"at position {k}")
-                x += v << (SLOT_BITS * k)
-            packed[vec] = x
-        return x
-
-    return {(pack(e.alpha), pack(e.gamma), e.ell, e.const): c for e, c in terms.items()}, n
 
 
 def _braid_inplace(terms: dict, frame: tuple[int, int, int]) -> None:
-    """Apply one braid move to packed terms.
+    """Apply one braid move to terms in slot coordinates.
 
-    ``frame`` holds the slots of the move's positions (u, v, w).  Monomials
-    whose six frame fields are all zero are fixed by the whole pipeline and
-    are left untouched; the others are grouped on their remainders (the
-    packed ints with the frame fields cleared), and each group's local
-    6-tuples go through the cached pipeline.
+    ``frame`` holds the slots of the move's positions (u, v, w).  Adding
+    the bias of the fields up to the highest frame slot makes each frame
+    field hold its value + SLOT_BIAS.  Monomials whose six frame fields are
+    all zero are fixed by the whole pipeline and are left untouched; the
+    others are grouped on their remainders (the packed ints minus their
+    biased frame fields), and each group's local 6-tuples go through the
+    cached pipeline.  Adding an image's biased fields to a remainder gives
+    the packed int of the image.
     """
     mask, bias = _FIELD_MASK, SLOT_BIAS
     su, sv, sw = (SLOT_BITS * s for s in frame)
     frame_mask = (mask << su) | (mask << sv) | (mask << sw)
     frame_zero = (bias << su) | (bias << sv) | (bias << sw)
+    read = field_bias(max(frame) + 1)
     groups: dict[tuple, list] = {}
     stale: list[tuple] = []
     for key, coef in terms.items():
         a, g, ell, const = key
-        fa = a & frame_mask
-        fg = g & frame_mask
+        fa = (a + read) & frame_mask
+        fg = (g + read) & frame_mask
         if fa == frame_zero and fg == frame_zero:
             continue
         loc = (
@@ -303,7 +267,7 @@ def _braid_inplace(terms: dict, frame: tuple[int, int, int]) -> None:
                 result = _braid_pipeline_loc(local)
                 for loc, _ in result:
                     for value in loc:
-                        _check_field(value, "from a braid move")
+                        check_entry(value, "from a braid move")
                 if len(_PIPELINE_CACHE) < _PIPELINE_CACHE_MAX:
                     _PIPELINE_CACHE[local] = result
             image = written[local] = [
@@ -328,7 +292,7 @@ def _braid_inplace(terms: dict, frame: tuple[int, int, int]) -> None:
 
 
 def _apply(terms: dict, slot: list[int], move: BraidMove) -> None:
-    """Apply one move to packed terms and the slot list."""
+    """Apply one move to terms in slot coordinates and to the slot list."""
     p = move.pos
     if move.kind == "commute":
         slot[p], slot[p + 1] = slot[p + 1], slot[p]
@@ -337,42 +301,36 @@ def _apply(terms: dict, slot: list[int], move: BraidMove) -> None:
 
 
 def _relabel(terms: dict, slot: list[int]) -> dict:
-    """Unpack packed terms into position-indexed exponents, draining ``terms``.
+    """Exponents in position coordinates, draining ``terms``.
 
-    Each distinct packed int is unpacked once: its fields are read in bulk
-    as little-endian bytes and listed in position order.  Each distinct
-    (position, value) entry is one tuple shared by every exponent that
-    holds it.
+    Position p reads the field of slot[p]; fields past the slot list stay
+    where they are.  Each distinct packed int is permuted once.
     """
     n = len(slot)
-    layout = f"<{n}{_FIELD_FORMAT}"
-    size = n * SLOT_BITS // 8
-    entries: dict[tuple, tuple] = {}
-    unpacked: dict[int, tuple] = {}
+    if slot != list(range(n)):
+        n = max([n] + [field_count(x) for key in terms for x in key[:2]])
+        take = itemgetter(*slot, *range(len(slot), n))
+        moved: dict[int, int] = {}
 
-    def unpack(x: int) -> tuple:
-        vec = unpacked.get(x)
-        if vec is None:
-            fields = struct.unpack(layout, x.to_bytes(size, "little"))
-            out = []
-            for p, s in enumerate(slot):
-                f = fields[s]
-                if f != SLOT_BIAS:
-                    entry = (p, f - SLOT_BIAS)
-                    out.append(entries.setdefault(entry, entry))
-            vec = unpacked[x] = tuple(out)
-        return vec
+        def permute(x: int) -> int:
+            y = moved.get(x)
+            if y is None:
+                y = moved[x] = pack(take(unpack(x, n)))
+            return y
+    else:
+        def permute(x: int) -> int:
+            return x
 
     out: dict[QExponent, VLaurent] = {}
     while terms:
         (a, g, ell, const), coef = terms.popitem()
-        out[QExponent(unpack(a), unpack(g), ell, const)] = coef
+        out[QExponent(permute(a), permute(g), ell, const)] = coef
     return out
 
 
 def _one_move(op: QOperator, move: BraidMove) -> QOperator:
-    terms, n = _pack_terms(op.terms, move.pos + 3)
-    slot = list(range(n))
+    terms = dict(op.terms)
+    slot = list(range(move.pos + 3))
     _apply(terms, slot, move)
     return QOperator(_relabel(terms, slot))
 
@@ -401,8 +359,8 @@ def transport(
     budget (default from POSREP_MAX_TERMS).
     """
     budget = term_budget() if max_terms is None else max_terms
-    terms, n = _pack_terms(op.terms, len(word))
-    slot = list(range(n))
+    terms = dict(op.terms)
+    slot = list(range(len(word)))
     for step, move in enumerate(path):
         word = apply_move(word, move)  # validates the pattern
         _apply(terms, slot, move)

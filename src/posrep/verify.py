@@ -7,7 +7,7 @@ CLI can emit them as JSON.
 
 from __future__ import annotations
 
-from .qtorus import QOperator, VLaurent, pair_exponents, q_commutator
+from .qtorus import QOperator, VLaurent, pairing_matrix, q_commutator
 from .repbuild import Representation, build_rep, operator_text
 from .words import ReducedWord, braid_path
 from .transport import transport
@@ -77,25 +77,22 @@ def q2_chain_certificate(op: QOperator) -> dict:
     exists; otherwise the commutation-exponent multiset is reported, along
     with whether it is at least all-even.
     """
-    monos = op.monomials()
-    n = len(monos)
-    exps = pair_exponents([m.expo for m in monos])
-    multiset = sorted(exps.values())
+    expos = op.exponents()
+    n = len(expos)
+    exps = pairing_matrix(expos, expos)
+    multiset = sorted(s for a, row in enumerate(exps) for s in row[a + 1:])
     all_even = all(s % 2 == 0 for s in multiset)
     chain = all(abs(s) == 2 for s in multiset)
     if chain:
         wins = [0] * n
-        for (a, b), s in exps.items():
-            if s == 2:
-                wins[a] += 1
-            else:
-                wins[b] += 1
+        for a, row in enumerate(exps):
+            for b in range(a + 1, n):
+                if row[b] == 2:
+                    wins[a] += 1
+                else:
+                    wins[b] += 1
         order = sorted(range(n), key=lambda a: -wins[a])
-        ok = all(
-            (exps[(a, b)] if a < b else -exps[(b, a)]) == 2
-            for pos, a in enumerate(order)
-            for b in order[pos + 1 :]
-        )
+        ok = all(exps[a][b] == 2 for pos, a in enumerate(order) for b in order[pos + 1 :])
         if ok:
             return {"check": "q2_chain", "status": "pass", "order": order, "even": True}
     return {

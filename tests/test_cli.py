@@ -4,7 +4,7 @@ import pytest
 
 from posrep import moddouble
 from posrep.cli import main, operator_from_json, operator_to_json, dump_json
-from posrep.qtorus import QOperator, exponent
+from posrep.qtorus import SLOT_BIAS, QOperator, SlotOverflowError, exponent
 from posrep.repbuild import build_rep, operator_text
 from posrep.rootdata import build_cartan
 from posrep.words import good_word
@@ -38,6 +38,44 @@ def test_construct_json_round_trip(capsys):
     assert op == build_rep(datum, word).gens[1].E
     # serialization is canonical: dump(parse(dump)) == dump
     assert dump_json(operator_to_json(op, word)) == dump_json(payload["operator"])
+
+
+def _a2_payload():
+    word = good_word(build_cartan("A", 2))
+    return operator_to_json(build_rep(word.datum, word).gens[1].F, word), word
+
+
+@pytest.mark.parametrize("corrupt,message", [
+    (lambda p: p.pop("monomials"), 'operator JSON needs a "monomials" list'),
+    (lambda p: p["monomials"][0].pop("gamma"), "monomial 0 has no 'gamma'"),
+    (lambda p: p["monomials"][1]["alpha"].update({"u9.9": 1}),
+     "unknown position name 'u9.9' in monomial 1 alpha"),
+    (lambda p: p["monomials"][0]["gamma"].update({"1.1": 1.5}),
+     "u/p exponent entries must be integers, got 1.5 at '1.1' in monomial 0 gamma"),
+    (lambda p: p["monomials"][0]["alpha"].update({"1.1": "2"}),
+     "u/p exponent entries must be integers, got '2' at '1.1' in monomial 0 alpha"),
+    (lambda p: p["monomials"][0]["ell"].update({"1": "x"}), "bad lambda entry '1': 'x' in monomial 0"),
+    (lambda p: p["monomials"][0].update({"coeff": [[0]]}), "bad coefficient term [0] in monomial 0"),
+    (lambda p: p["monomials"][1].update({"ell": "L1"}), "'ell' of monomial 1 must be a JSON object"),
+])
+def test_malformed_operator_json_raises_value_error(corrupt, message):
+    payload, word = _a2_payload()
+    corrupt(payload)
+    with pytest.raises(ValueError) as info:
+        operator_from_json(payload, word)
+    assert str(info.value) == message
+    assert not isinstance(info.value, SlotOverflowError)
+
+
+@pytest.mark.parametrize("value", [SLOT_BIAS, -SLOT_BIAS, 1 << 20])
+def test_operator_json_entry_outside_the_field_raises(value):
+    payload, word = _a2_payload()
+    payload["monomials"][0]["alpha"]["2.1"] = value
+    with pytest.raises(SlotOverflowError) as info:
+        operator_from_json(payload, word)
+    assert str(info.value) == (
+        f"exponent entry {value} at '2.1' in monomial 0 alpha does not fit a 16-bit slot field"
+    )
 
 
 def test_non_bracket_operator_renders_raw_monomials():

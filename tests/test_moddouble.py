@@ -5,6 +5,7 @@ import pytest
 from posrep.moddouble import (
     ModifiedRep,
     ModifiedTriple,
+    _k_power,
     build_modified,
     check_modified_relations,
     commutant_check,
@@ -18,7 +19,7 @@ from posrep.moddouble import (
     verify_weyl_pattern,
     weyl_reflect_lambda,
 )
-from posrep.qtorus import QOperator, VLaurent, sparse
+from posrep.qtorus import SLOT_BIAS, QOperator, SlotOverflowError, VLaurent, entries, exponent, sparse
 from posrep.repbuild import build_rep
 from posrep.rootdata import build_cartan
 from posrep.words import ReducedWord, good_word
@@ -27,6 +28,18 @@ from posrep.words import ReducedWord, good_word
 def rep_for(family, rank, flip=False):
     datum = build_cartan(family, rank, flip_bipartition=flip)
     return build_rep(datum, good_word(datum))
+
+
+def test_k_power_reaching_the_field_limit_raises():
+    k = QOperator.monomial(exponent({0: 1, 1: -(SLOT_BIAS // 2)}, ell={1: Fraction(1, 2)}))
+    with pytest.raises(SlotOverflowError, match=f"entry {SLOT_BIAS} at position 1 of a power"):
+        _k_power(k, -2)
+    # one short of the limit does not wrap into position 2
+    assert (SLOT_BIAS - 1) % 7 == 0
+    k = QOperator.monomial(exponent({1: -(SLOT_BIAS - 1) // 7}, {2: 5}, {1: Fraction(1, 2)}, 1))
+    expo = _k_power(k, 7).single_monomial().expo
+    assert entries(expo.alpha) == ((1, -(SLOT_BIAS - 1)),)
+    assert entries(expo.gamma) == ((2, 35),) and expo.ell == sparse({1: Fraction(7, 2)}) and expo.const == 7
 
 
 def test_modified_a1_shape():
@@ -196,7 +209,7 @@ def test_normalize_a1():
     assert result.betas == {0: 1}
     assert result.shifts[0] == sparse({1: 1})  # u -> u - lam
     k = result.rep.gens[1].K.single_monomial()
-    assert dict(k.expo.alpha) == {0: -2} and not k.expo.ell
+    assert entries(k.expo.alpha) == ((0, -2),) and not k.expo.ell
 
 
 @pytest.mark.parametrize("family,rank", [("A", 2), ("A", 3), ("D", 4)])

@@ -1,25 +1,29 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from posrep.qtorus import (
-    EXP_ONE,
-    QExponent,
+    SLOT_BIAS,
+    SLOT_BITS,
     QMonomial,
     QOperator,
     RebracketError,
+    SlotOverflowError,
     VLaurent,
     bracket,
     commutation_exponent,
     expand_bracket,
+    entries,
     exponent,
-    exponent_product,
     operator_from_brackets,
+    pack,
+    pack_entries,
+    pairing_matrix,
     q_commutator,
     rebracket,
-    sparse,
     term_count,
+    unpack,
 )
 
 ONE = VLaurent.one()
@@ -107,7 +111,8 @@ def test_pairing_antisymmetric(a1, g1, a2, g2):
 @given(small_vec, small_vec, small_vec, small_vec, small_vec, small_vec)
 def test_pairing_bilinear(a1, g1, a2, g2, a3, g3):
     e1, e2, e3 = exponent(a1, g1), exponent(a2, g2), exponent(a3, g3)
-    assert commutation_exponent(e1, exponent_product(e2, e3)) == (
+    e23 = (QOperator.monomial(e2) * QOperator.monomial(e3)).single_monomial().expo
+    assert commutation_exponent(e1, e23) == (
         commutation_exponent(e1, e2) + commutation_exponent(e1, e3)
     )
 
@@ -132,9 +137,9 @@ def test_sum_order_independent():
 
 def test_canonical_order_deterministic():
     op = mono(alpha={0: -1}) + mono(alpha={0: 1}) + mono(gamma={0: 1})
-    exps = [m.expo for m in op.monomials()]
-    assert exps == sorted(exps, key=lambda e: (e.alpha, e.gamma), reverse=False) or True
-    assert [m.expo.alpha for m in op.monomials()][0] == ((0, -1),)
+    # dense order on (alpha, gamma): u-entry -1, then 0 (with gamma 1), then 1
+    listed = [(entries(m.expo.alpha), entries(m.expo.gamma)) for m in op.monomials()]
+    assert listed == [(((0, -1),), ()), ((), ((0, 1),)), (((0, 1),), ())]
 
 
 def _dense(vec, width=6):
@@ -144,21 +149,52 @@ def _dense(vec, width=6):
     return row
 
 
-entry_values = st.sampled_from([-2, -1, 1, 2, Fraction(1, 2), Fraction(-3, 2)])
-small_vecs = st.dictionaries(st.integers(0, 5), entry_values, max_size=4).map(sparse)
-exponents = st.builds(QExponent, small_vecs, small_vecs, small_vecs, st.integers(-1, 1))
+FIELD_MAX = SLOT_BIAS - 1
+field_values = st.one_of(
+    st.sampled_from([FIELD_MAX, -FIELD_MAX, 1, -1, 0]), st.integers(-FIELD_MAX, FIELD_MAX)
+)
+packed_dicts = st.dictionaries(st.integers(0, 5), field_values, max_size=4)
+ell_dicts = st.dictionaries(
+    st.integers(0, 5), st.sampled_from([-2, -1, 1, 2, Fraction(1, 2), Fraction(-3, 2)]), max_size=4
+)
 
 
-@given(st.lists(exponents, max_size=12))
-def test_canonical_order_is_dense_lexicographic(exps):
+@given(st.lists(st.tuples(packed_dicts, packed_dicts, ell_dicts, st.integers(-1, 1)), max_size=12))
+def test_canonical_order_is_dense_lexicographic(parts):
     # monomials() lists exponents by (alpha, gamma, ell, const), each part
     # compared as a dense vector with missing entries 0
-    op = QOperator({e: ONE for e in exps})
-    listed = [m.expo for m in op.monomials()]
-    assert listed == sorted(
-        op.terms, key=lambda e: (_dense(e.alpha), _dense(e.gamma), _dense(e.ell), e.const)
-    )
+    dense = {
+        exponent(a, g, l, k): (_dense(a.items()), _dense(g.items()), _dense(l.items()), k)
+        for a, g, l, k in parts
+    }
+    op = QOperator({e: ONE for e in dense})
+    assert [m.expo for m in op.monomials()] == sorted(op.terms, key=dense.__getitem__)
     assert op.exponents() is op.exponents()  # sorted once per operator
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(field_values, max_size=40))
+def test_pack_unpack_dense_rows(row):
+    x = pack(row)
+    assert x == sum(v << (SLOT_BITS * k) for k, v in enumerate(row))  # signed-linear
+    assert unpack(x, len(row)) == tuple(row)
+    last = max((k for k, v in enumerate(row) if v), default=-1)
+    assert unpack(x)[: last + 1] == tuple(row[: last + 1]) and not any(unpack(x)[last + 1:])
+    assert entries(x) == tuple((k, v) for k, v in enumerate(row) if v)
+    assert pack_entries(dict(entries(x))) == x
+    assert unpack(-x, len(row)) == tuple(-v for v in row)
+
+
+@pytest.mark.parametrize("value", [SLOT_BIAS, -SLOT_BIAS, 3 * SLOT_BIAS])
+def test_pack_rejects_out_of_range_entries(value):
+    with pytest.raises(SlotOverflowError, match=f"exponent entry {value} at position 2"):
+        pack([0, 1, value])
+
+
+@pytest.mark.parametrize("value", [1.0, Fraction(1, 2), "1", None])
+def test_pack_rejects_non_integer_entries(value):
+    with pytest.raises(ValueError, match="must be integers"):
+        pack_entries({3: value})
 
 
 laurent = st.lists(st.tuples(st.integers(-4, 4), st.integers(-3, 3)), min_size=1, max_size=3).map(
@@ -175,6 +211,105 @@ operator = st.lists(monomial, max_size=4).map(QOperator.from_monomials)
 @given(operator, operator, st.integers(-6, 6))
 def test_q_commutator_matches_products(x, y, t):
     assert q_commutator(x, y, t) == x * y - (y * x).scale_v(t)
+
+
+# ---------------------------------------------------------------------------
+# the pairing kernel against a dense-row oracle
+# ---------------------------------------------------------------------------
+
+WIDTH = 6
+small_entries = st.dictionaries(st.integers(0, 2), st.integers(-3, 3), max_size=3)
+edge_values = st.sampled_from([FIELD_MAX, -FIELD_MAX, FIELD_MAX - 1, 1, -1])
+
+
+def _kernel_dicts(edge_positions):
+    # entries near the field limit sit where the other part is zero, so
+    # they reach every overflow check while the exponents s stay small
+    # (v**s is a dense Laurent polynomial)
+    return st.tuples(small_entries, st.dictionaries(st.sampled_from(edge_positions), edge_values)).map(
+        lambda parts: {k: v for part in parts for k, v in part.items() if v}
+    )
+
+
+kernel_ells = st.dictionaries(st.integers(1, 2), st.sampled_from([-2, 1, Fraction(1, 2), Fraction(-3, 2)]),
+                              max_size=2)
+kernel_ops = st.lists(
+    st.tuples(_kernel_dicts([3, 4]), _kernel_dicts([5]), kernel_ells, st.integers(-1, 1),
+              laurent.filter(bool)),
+    max_size=4,
+    unique_by=lambda m: tuple(frozenset(d.items()) for d in m[:3]) + (m[3],),
+)
+
+
+def _operator(parts):
+    return QOperator({exponent(a, g, l, k): c for a, g, l, k, c in parts})
+
+
+def _pairing(a1, g1, a2, g2):
+    return sum(a1[k] * g2[k] - g1[k] * a2[k] for k in range(WIDTH))
+
+
+def _oracle(xparts, yparts, twist):
+    """x*y (twist None) or x*y - v**twist * y*x from dense rows; None when
+    some exponent sum has an entry outside its field."""
+    out = []
+    for a1, g1, l1, k1, c1 in xparts:
+        for a2, g2, l2, k2, c2 in yparts:
+            ra1, rg1, ra2, rg2 = (_dense(d.items(), WIDTH) for d in (a1, g1, a2, g2))
+            s = _pairing(ra1, rg1, ra2, rg2)
+            f = VLaurent.v_power(s)
+            if twist is not None:
+                f = f - VLaurent.v_power(twist - s)
+            rows = [p + q for p, q in zip(ra1, ra2)], [p + q for p, q in zip(rg1, rg2)]
+            ell = {j: l1.get(j, 0) + l2.get(j, 0) for j in {*l1, *l2}}
+            out.append((rows, ell, k1 + k2, c1 * c2 * f))
+    if any(abs(v) >= SLOT_BIAS for rows, _, _, _ in out for row in rows for v in row):
+        return None
+    return QOperator.from_monomials(
+        (exponent(dict(enumerate(ra)), dict(enumerate(rg)), ell, k), c) for (ra, rg), ell, k, c in out
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(kernel_ops, kernel_ops, st.one_of(st.none(), st.integers(-6, 6)))
+def test_pairing_kernel_matches_dense_oracle(xparts, yparts, twist):
+    x, y = _operator(xparts), _operator(yparts)
+    expected = _oracle(xparts, yparts, twist)
+    if expected is None:
+        with pytest.raises(SlotOverflowError):
+            x * y if twist is None else q_commutator(x, y, twist)
+    elif twist is None:
+        assert x * y == expected
+    else:
+        assert q_commutator(x, y, twist) == expected
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.tuples(packed_dicts, packed_dicts), max_size=8),
+       st.lists(st.tuples(packed_dicts, packed_dicts), max_size=8))
+def test_pairing_matrix_matches_dense_oracle(xparts, yparts):
+    # full-range entries: the packed columns need 32- and 64-bit fields
+    xrows, yrows = ([(_dense(a.items(), WIDTH), _dense(g.items(), WIDTH)) for a, g in parts]
+                    for parts in (xparts, yparts))
+    assert pairing_matrix([exponent(a, g) for a, g in xparts], [exponent(a, g) for a, g in yparts]) == [
+        tuple(_pairing(*x, *y) for y in yrows) for x in xrows
+    ]
+
+
+def test_product_reaching_the_field_limit_raises_before_any_term():
+    x = mono(alpha={1: FIELD_MAX})
+    with pytest.raises(SlotOverflowError, match=f"entry {SLOT_BIAS} at position 1 of a product"):
+        x * mono(alpha={1: 1}, gamma={0: 1})
+    # every pair of this commutator cancels (s = 0), yet the check comes first
+    with pytest.raises(SlotOverflowError):
+        q_commutator(x, mono(alpha={1: 1}))
+    with pytest.raises(SlotOverflowError, match=f"entry {-SLOT_BIAS} at position 0"):
+        mono(gamma={0: -FIELD_MAX}) * mono(gamma={0: -1})
+    # one short of the limit, and fields next to it, do not wrap
+    out = mono(alpha={0: -FIELD_MAX + 1, 1: FIELD_MAX - 1}) * mono(alpha={0: -1, 1: 1}, gamma={2: -FIELD_MAX})
+    expo = out.single_monomial().expo
+    assert entries(expo.alpha) == ((0, -FIELD_MAX), (1, FIELD_MAX))
+    assert entries(expo.gamma) == ((2, -FIELD_MAX),)
 
 
 # ---------------------------------------------------------------------------

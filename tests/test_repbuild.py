@@ -4,6 +4,7 @@ from posrep.qtorus import (
     QOperator,
     VLaurent,
     bracket,
+    entries,
     expand_bracket,
     operator_from_brackets,
     rebracket,
@@ -47,7 +48,7 @@ def test_f_a1():
 
 def test_k_a1():
     k = build_K(W1, 1).single_monomial()
-    assert dict(k.expo.alpha) == {0: -2}
+    assert entries(k.expo.alpha) == ((0, -2),)
     assert dict(k.expo.ell) == {1: -2}
     assert not k.expo.gamma and k.coeff == VLaurent.one()
 

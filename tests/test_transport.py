@@ -6,31 +6,34 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from posrep import repbuild
 from posrep.cli import main
 from posrep.qtorus import (
+    SLOT_BIAS,
     QExponent,
     QOperator,
+    SlotOverflowError,
     VLaurent,
     bracket,
     commutation_exponent,
+    entries,
     expand_bracket,
     exponent,
     operator_from_brackets,
+    pack_entries,
     rebracket,
+    unpack,
 )
 from posrep.repbuild import build_E, build_E_rightmost, build_F, build_K
 from posrep.rootdata import build_cartan
 from posrep.transport import (
-    SLOT_BIAS,
     NonPolynomialError,
     OddPairingError,
-    SlotOverflowError,
     TermBudgetError,
     _PIPELINE_CACHE,
     _braid_pipeline_loc,
-    _pack_terms,
     _relabel,
     braid_conjugate,
     commutation_move,
     conjugation_factor,
+    term_budget,
     transport,
 )
 from posrep.words import (
@@ -126,8 +129,7 @@ def test_odd_pairing_rejected():
     op = QOperator.monomial(
         expand_bracket(bracket(l_alpha={2: 1}, shift={2: -1})).monomials()[0].expo
     )
-    bad = QOperator.monomial(op.single_monomial().expo._replace(gamma=(((2, -2)))))
-    bad = QOperator.monomial(bad.single_monomial().expo._replace(gamma=((2, -2),)))
+    bad = QOperator.monomial(op.single_monomial().expo._replace(gamma=pack_entries({2: -2})))
     with pytest.raises(OddPairingError):
         braid_conjugate(bad, 0)
 
@@ -285,11 +287,18 @@ def test_transport_equals_fold_of_single_moves(data):
 def test_transport_there_and_back_is_exact(data):
     op, start, path, end = _random_case(data)
     assume(_slot_permutation(len(start), path) != list(range(len(start))))
-    mid, word = transport(op, start, path)
+    out_trace: list = []
+    back_trace: list = []
+    mid, word = transport(op, start, path, trace=out_trace)
     assert word.letters == end.letters
-    back, home = transport(mid, end, reversed(path))
+    back, home = transport(mid, end, reversed(path), trace=back_trace)
     assert home.letters == start.letters
     assert back == op
+    # one trace step per move, every intermediate count within the budget
+    budget = term_budget()
+    for trace, moves in ((out_trace, path), (back_trace, path[::-1])):
+        assert [move for move, _, _ in trace] == moves
+        assert all(0 < n <= budget for _, _, n in trace)
 
 
 @pytest.mark.parametrize("rank", [5, 6])
@@ -307,7 +316,8 @@ def test_transport_equals_fold_on_d_bad_word(rank):
 
 
 # ---------------------------------------------------------------------------
-# Packed slots: u- and p-parts travel as one int each, SLOT_BITS per slot.
+# Packed slots: transport reads field k of the qtorus packing as slot k and
+# permutes fields back into positions after the last move.
 # ---------------------------------------------------------------------------
 
 FIELD_MAX = SLOT_BIAS - 1
@@ -317,9 +327,7 @@ field_values = st.one_of(
     st.sampled_from([FIELD_MAX, -FIELD_MAX, 1, -1]),
     st.integers(-FIELD_MAX, FIELD_MAX).filter(bool),
 )
-sparse_vecs = st.dictionaries(st.integers(0, N_SLOTS - 1), field_values, max_size=6).map(
-    lambda d: tuple(sorted(d.items()))
-)
+sparse_vecs = st.dictionaries(st.integers(0, N_SLOTS - 1), field_values, max_size=6)
 
 
 @settings(max_examples=200, deadline=None)
@@ -328,33 +336,34 @@ sparse_vecs = st.dictionaries(st.integers(0, N_SLOTS - 1), field_values, max_siz
     st.permutations(range(N_SLOTS)),
 )
 def test_pack_unpack_round_trip(parts, slot):
-    terms = {QExponent(a, g, (), c): VLaurent.v_power(c) for a, g, c in parts}
-    packed, n = _pack_terms(terms, N_SLOTS)
-    assert n == N_SLOTS and len(packed) == len(terms)
-    assert _relabel(dict(packed), list(range(n))) == terms
+    for a, g, c in parts:
+        e = exponent(a, g, (), c)
+        assert (dict(entries(e.alpha)), dict(entries(e.gamma))) == (a, g)
+    terms = {exponent(a, g, (), c): VLaurent.v_power(c) for a, g, c in parts}
+    assert _relabel(dict(terms), list(range(N_SLOTS))) == terms
     # under a slot permutation, position p reads the field of slot[p]
     position = {s: p for p, s in enumerate(slot)}
 
-    def moved(vec):
-        return tuple(sorted((position[s], v) for s, v in vec))
+    def moved(x):
+        return pack_entries({position[s]: v for s, v in entries(x)})
 
-    assert _relabel(packed, list(slot)) == {
+    assert _relabel(dict(terms), list(slot)) == {
         QExponent(moved(e.alpha), moved(e.gamma), e.ell, e.const): c for e, c in terms.items()
     }
 
 
 def test_pack_grows_to_the_highest_index():
-    terms = {exponent(alpha={7: -1}, gamma={2: 1}): VLaurent.one()}
-    packed, n = _pack_terms(terms, 3)
-    assert n == 8
-    assert _relabel(packed, list(range(n))) == terms
+    expo = exponent(alpha={7: -1, 0: 2}, gamma={2: 1})
+    assert len(unpack(expo.alpha)) == 8 and unpack(expo.alpha)[7] == -1
+    # fields past the slot list stay where they are
+    out = _relabel({expo: VLaurent.one()}, [1, 0, 2])
+    assert out == {exponent(alpha={7: -1, 1: 2}, gamma={2: 1}): VLaurent.one()}
 
 
 @pytest.mark.parametrize("value", [SLOT_BIAS, -SLOT_BIAS, 3 * SLOT_BIAS])
 def test_pack_rejects_entries_outside_the_field(value):
-    op = QOperator.monomial(exponent(alpha={1: 1}, gamma={2: value}))
     with pytest.raises(SlotOverflowError):
-        commutation_move(op, 0)
+        exponent(alpha={1: 1}, gamma={2: value})
 
 
 def test_braid_output_outside_the_field_raises():

@@ -4,7 +4,7 @@ from posrep.qtorus import QOperator, VLaurent
 from posrep.repbuild import GeneratorTriple, Representation, build_rep
 from posrep.rootdata import build_cartan
 from posrep.verify import check_relations, path_independence, q2_chain_certificate
-from posrep.words import ReducedWord, enumerate_words, good_word
+from posrep.words import ReducedWord, enumerate_words, good_word, random_longest_words
 
 A1 = build_cartan("A", 1)
 A2 = build_cartan("A", 2)
@@ -94,3 +94,11 @@ def test_path_independence_a2():
 def test_path_independence_same_word():
     w = good_word(A3)
     assert path_independence(A3, w, w)["status"] == "pass"
+
+
+def test_path_independence_on_sampled_d4_words():
+    datum = build_cartan("D", 4)
+    base = good_word(datum)
+    for word in random_longest_words(datum, 3, seed=5):
+        assert word.letters != base.letters
+        assert path_independence(datum, base, word)["status"] == "pass", word

@@ -33,9 +33,11 @@ from .words import (
     apply_move,
     bad_word,
     braid_path,
+    enumerate_words,
     good_word,
     is_reduced,
     lusztig_labels,
+    random_longest_words,
     word_ending_in,
     word_starting_with,
 )
@@ -55,6 +57,14 @@ from .transport import (
     conjugation_factor,
     transport,
 )
+from .crosscheck import closed_form_An, closed_form_Dn
+from .moddouble import (
+    cross_parity_certificate,
+    distinguished_lambda_forms,
+    qtori_certificate,
+    verify_weyl_pattern,
+)
+from .verify import path_independence
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -28,21 +28,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import moddouble, verify
-from .qtorus import (
-    QExponent,
-    QOperator,
-    RebracketError,
-    VLaurent,
-    check_entry,
-    entries,
-    pack_entries,
-    rebracket,
-    sparse,
-    term_count,
-)
+from .qtorus import QOperator, RebracketError, VLaurent, entries, rebracket, term_count
 from .repbuild import build_rep, classical_render, operator_text, position_names
 from .rootdata import build_cartan, langlands_b_vectors
 from .transport import TermBudgetError, transport
@@ -60,10 +48,6 @@ from .words import (
 # ---------------------------------------------------------------------------
 # JSON serialization (labels u<i>.<k> / L<i>).
 # ---------------------------------------------------------------------------
-
-def _positions_by_name(word: ReducedWord) -> dict[str, int]:
-    return {name: t for t, name in enumerate(position_names(word))}
-
 
 def operator_to_json(op: QOperator, word: ReducedWord) -> dict:
     names = position_names(word)
@@ -109,51 +93,6 @@ def bracket_to_json(term, by_name) -> dict:
 
 def _laurent_pairs(c: VLaurent) -> list[tuple[int, int]]:
     return [(c.val + k, coef) for k, coef in enumerate(c.coeffs) if coef]
-
-
-def operator_from_json(data: dict, word: ReducedWord) -> QOperator:
-    """Parse the output of ``operator_to_json``.
-
-    A malformed payload raises ValueError naming the bad key or value; a
-    u/p entry that does not fit its packed field raises SlotOverflowError.
-    """
-    monos = data.get("monomials") if isinstance(data, dict) else None
-    if not isinstance(monos, list):
-        raise ValueError('operator JSON needs a "monomials" list')
-    pos = _positions_by_name(word)
-    acc = {}
-    for idx, m in enumerate(monos):
-        where = f"monomial {idx}"
-        for key, kind in (("alpha", dict), ("gamma", dict), ("ell", dict), ("coeff", list)):
-            if not isinstance(m, dict) or key not in m:
-                raise ValueError(f"{where} has no {key!r}")
-            if not isinstance(m[key], kind):
-                raise ValueError(f"{key!r} of {where} must be a JSON {'object' if kind is dict else 'array'}")
-        packed = []
-        for key in ("alpha", "gamma"):
-            row = {}
-            for name, value in m[key].items():
-                if name not in pos:
-                    raise ValueError(f"unknown position name {name!r} in {where} {key}")
-                check_entry(value, f"at {name!r} in {where} {key}")
-                row[pos[name]] = value
-            packed.append(pack_entries(row))
-        ell = {}
-        for label, value in m["ell"].items():
-            try:
-                ell[int(label)] = Fraction(value)
-            except (TypeError, ValueError, ZeroDivisionError):
-                raise ValueError(f"bad lambda entry {label!r}: {value!r} in {where}") from None
-        const = m.get("const", 0)
-        if const.__class__ is not int:
-            raise ValueError(f"const must be an integer, got {const!r} in {where}")
-        coeff = VLaurent.zero()
-        for pair in m["coeff"]:
-            if not (isinstance(pair, list) and len(pair) == 2 and all(x.__class__ is int for x in pair)):
-                raise ValueError(f"bad coefficient term {pair!r} in {where}")
-            coeff = coeff + VLaurent.v_power(*pair)
-        acc[QExponent(*packed, sparse(ell), const)] = coeff
-    return QOperator(acc)
 
 
 def dump_json(data) -> str:

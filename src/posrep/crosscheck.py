@@ -1,4 +1,4 @@
-"""Independent closed-form constructions and classical-coordinate oracles.
+"""Independent closed-form constructions of the generators.
 
 These are written straight from the label-level display formulas, not
 through the generic word machinery, so that agreement with the engine is
@@ -7,8 +7,6 @@ beyond the letter's count) contribute zero and are skipped.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .qtorus import QOperator, bracket, exponent, operator_from_brackets
 from .rootdata import CartanDatum
@@ -142,94 +140,3 @@ def closed_form_Dn(datum: CartanDatum, i: int) -> QOperator:
                 u(i + 1, l1, -((-1) ** l1), shift)
             terms.append(bracket(l_alpha=alpha, shift=shift))
     return operator_from_brackets(terms)
-
-
-# ---------------------------------------------------------------------------
-# Cluster <-> Lusztig coordinate maps for type A.
-# ---------------------------------------------------------------------------
-
-class ClusterCoordinateMap:
-    """Exact monomial maps between Lusztig data x_i^j and initial minors X_{i,j}.
-
-    x labels are (i, j) with 1 <= j <= i <= n; X labels are (a, b) with
-    1 <= a < b <= n+1 and boundary minors X_{a,a} = X_{a,0} = X_{0,b} = 1.
-    Both transition matrices are integer and mutually inverse.
-    """
-
-    def __init__(self, n: int):
-        self.n = n
-        self.x_labels = [(i, j) for i in range(1, n + 1) for j in range(1, i + 1)]
-        self.X_labels = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 2)]
-
-    def _check_X(self, a: int, b: int) -> bool:
-        # boundary minors are 1 and drop out of exponent arithmetic
-        if a == b or a == 0 or b == 0:
-            return False
-        if not (1 <= a < b <= self.n + 1):
-            raise ValueError(f"initial minor index ({a},{b}) out of range")
-        return True
-
-    def X_in_x(self, a: int, b: int) -> dict[tuple[int, int], int]:
-        """X_{a,b} as a monomial in the x's: the rectangle double product."""
-        if not self._check_X(a, b):
-            return {}
-        j = b - a
-        out: dict[tuple[int, int], int] = {}
-        for m in range(1, j + 1):
-            for nn in range(1, a + 1):
-                key = (m + nn - 1, nn)
-                out[key] = out.get(key, 0) + 1
-        return out
-
-    def x_in_X(self, i: int, j: int) -> dict[tuple[int, int], int]:
-        """x_i^j as a ratio of initial minors."""
-        if not (1 <= j <= i <= self.n):
-            raise ValueError(f"Lusztig label x_{i}^{j} out of range")
-        out: dict[tuple[int, int], int] = {}
-        for (a, b), c in (
-            ((j, i + 1), 1), ((j - 1, i - 1), 1), ((j, i), -1), ((j - 1, i), -1),
-        ):
-            if self._check_X(a, b):
-                out[(a, b)] = out.get((a, b), 0) + c
-        return {k: v for k, v in out.items() if v}
-
-    def to_cluster(self, x_expo: dict[tuple[int, int], int]) -> dict[tuple[int, int], int]:
-        out: dict[tuple[int, int], int] = {}
-        for (i, j), c in x_expo.items():
-            for key, e in self.x_in_X(i, j).items():
-                out[key] = out.get(key, 0) + c * e
-        return {k: v for k, v in out.items() if v}
-
-    def from_cluster(self, X_expo: dict[tuple[int, int], int]) -> dict[tuple[int, int], int]:
-        out: dict[tuple[int, int], int] = {}
-        for (a, b), c in X_expo.items():
-            for key, e in self.X_in_x(a, b).items():
-                out[key] = out.get(key, 0) + c * e
-        return {k: v for k, v in out.items() if v}
-
-
-# ---------------------------------------------------------------------------
-# Classical positive coordinates.
-# ---------------------------------------------------------------------------
-
-def classical_flip(a: Fraction, b: Fraction, c: Fraction) -> tuple[Fraction, Fraction, Fraction]:
-    """The positive coordinate change across one braid move:
-
-        (a, b, c) -> (bc/(a+c), a+c, ab/(a+c)).
-    """
-    a, b, c = Fraction(a), Fraction(b), Fraction(c)
-    if a <= 0 or b <= 0 or c <= 0:
-        raise ValueError("classical flip needs positive coordinates")
-    s = a + c
-    return (b * c / s, s, a * b / s)
-
-
-def classical_move(values: list[Fraction], move) -> list[Fraction]:
-    """Apply a braid/commutation move to a positive coordinate tuple."""
-    out = list(values)
-    p, kind = move
-    if kind == "commute":
-        out[p], out[p + 1] = out[p + 1], out[p]
-    else:
-        out[p], out[p + 1], out[p + 2] = classical_flip(out[p], out[p + 1], out[p + 2])
-    return out

@@ -272,22 +272,6 @@ def weyl_reflect_lambda(datum: CartanDatum, form: LambdaForm, i: int) -> LambdaF
     return sparse_add(form, sparse({i: -c}))
 
 
-def dominant_lambda(datum: CartanDatum, values: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    """Map a numeric parameter tuple into the closed dominant chamber by
-    repeated simple reflections."""
-    vals = {lab: Fraction(v) for lab, v in zip(datum.labels, values)}
-    changed = True
-    while changed:
-        changed = False
-        for i in datum.labels:
-            if vals[i] < 0:
-                old = vals[i]
-                for j in datum.labels:
-                    vals[j] = vals[j] - datum.a(i, j) * old
-                changed = True
-    return tuple(vals[lab] for lab in datum.labels)
-
-
 def substitute_lambda(op: QOperator, subs: dict[int, LambdaForm]) -> QOperator:
     """Apply a substitution lam_i -> linear form to all monomial exponents."""
 
@@ -317,10 +301,11 @@ def reflect_representation(rep: Representation, i: int) -> Representation:
 def verify_weyl_pattern(datum: CartanDatum, i: int) -> dict:
     """Compare Rep(lambda) and Rep(s_i lambda) on a word starting with i.
 
-    The two must differ exactly by: a sign flip of lam_i in every F_i
-    weight, lam_j -> lam_j + lam_i in every F_j weight for j adjacent to
-    i, no change in any E weight, and the matching substitution in the K
-    exponents.  Applying the reflection twice must restore everything.
+    No E may change, and the lambda-part of every F_j weight must move by
+    the Weyl action on forms (``weyl_reflect_lambda``), its u-part fixed:
+    a sign flip of lam_i in every F_i weight, lam_j -> lam_j + lam_i in
+    every F_j weight for j adjacent to i, no change elsewhere.  Applying
+    the reflection twice must restore everything.
     """
     word = word_starting_with(datum, i)
     rep = build_rep(datum, word)
@@ -341,12 +326,7 @@ def verify_weyl_pattern(datum: CartanDatum, i: int) -> dict:
                 failures.append({"generator": f"F{j}", "kind": "unexpected_weight",
                                  "ell": [list(x) for x in t0.l_ell]})
                 continue
-            if j == i:
-                want = sparse({i: 2})
-            elif datum.adjacent(i, j):
-                want = sparse({j: -2, i: -2})
-            else:
-                want = t0.l_ell
+            want = weyl_reflect_lambda(datum, t0.l_ell, i)
             if t1.l_ell != want or t1.l_alpha != t0.l_alpha:
                 failures.append({"generator": f"F{j}", "kind": "pattern_mismatch"})
     twice = reflect_representation(reflected, i)

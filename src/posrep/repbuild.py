@@ -134,54 +134,45 @@ def position_names(word: ReducedWord) -> list[str]:
     return [f"{lab.letter}.{lab.occurrence}" for lab in lusztig_labels(word)]
 
 
-def _linear_form_text(entries, fmt) -> str:
+def _linear_form_text(form) -> str:
+    """Render (name, coefficient) pairs as a signed sum; the empty name is
+    the constant term."""
     parts = []
-    for key, coef in entries:
+    for name, coef in form:
         if coef == 0:
             continue
         mag = abs(coef)
-        head = "" if mag == 1 else f"{mag}"
-        name = fmt(key)
-        if not parts:
-            parts.append(("-" if coef < 0 else "") + head + name)
-        else:
-            parts.append(("- " if coef < 0 else "+ ") + head + name)
+        body = name if mag == 1 and name else f"{mag}{name}"
+        sign = ("- " if coef < 0 else "+ ") if parts else ("-" if coef < 0 else "")
+        parts.append(sign + body)
     return " ".join(parts) if parts else "0"
 
 
+def _scalar_head(scalar: VLaurent) -> str:
+    return "" if scalar.is_unit_monomial() and scalar.val == 0 else f"({scalar.fmt_q()}) "
+
+
+def _weight_form(term: BracketTerm, names: list[str]) -> list:
+    """The u- and lambda-parts of a bracket weight as (name, coefficient)."""
+    return [(f"u{names[t]}", c) for t, c in entries(term.l_alpha)] + [
+        (f"L{s}", c) for s, c in term.l_ell
+    ]
+
+
 def bracket_text(term: BracketTerm, names: list[str]) -> str:
-    form = [((0, t), c) for t, c in entries(term.l_alpha)]
-    form += [((1, s), c) for s, c in term.l_ell]
-    if term.l_const:
-        form.append(((2, 0), term.l_const))
-    body = _linear_form_text(
-        form,
-        lambda key: {0: lambda t: f"u{names[t]}", 1: lambda s: f"L{s}", 2: lambda _: "1"}[key[0]](key[1]),
-    )
-    shift = _linear_form_text(
-        [((0, t), c) for t, c in entries(term.shift)], lambda key: f"p{names[key[1]]}"
-    )
-    head = "" if term.scalar.is_unit_monomial() and term.scalar.val == 0 else f"({term.scalar.fmt_q()}) "
-    return f"{head}[{body}] e({shift})"
+    body = _linear_form_text(_weight_form(term, names) + [("", term.l_const)])
+    shift = _linear_form_text((f"p{names[t]}", c) for t, c in entries(term.shift))
+    return f"{_scalar_head(term.scalar)}[{body}] e({shift})"
 
 
 def monomial_text(expo, coeff: VLaurent, names: list[str]) -> str:
-    form = [((0, t), c) for t, c in entries(expo.alpha)]
-    form += [((1, t), 2 * c) for t, c in entries(expo.gamma)]
-    form += [((2, s), c) for s, c in expo.ell]
-    if expo.const:
-        form.append(((3, 0), expo.const))
-    body = _linear_form_text(
-        sorted(form, key=lambda kv: (kv[0][1], kv[0][0])),
-        lambda key: {
-            0: lambda t: f"u{names[t]}",
-            1: lambda t: f"p{names[t]}",
-            2: lambda s: f"L{s}",
-            3: lambda _: "1",
-        }[key[0]](key[1]),
-    )
-    head = "" if coeff.is_unit_monomial() and coeff.val == 0 else f"({coeff.fmt_q()}) "
-    return f"{head}E^(pi b({body}))"
+    # ordered by index first, then u, p, L and the constant
+    form = [((t, 0), f"u{names[t]}", c) for t, c in entries(expo.alpha)]
+    form += [((t, 1), f"p{names[t]}", 2 * c) for t, c in entries(expo.gamma)]
+    form += [((s, 2), f"L{s}", c) for s, c in expo.ell]
+    form.append(((0, 3), "", expo.const))
+    body = _linear_form_text((name, c) for _, name, c in sorted(form, key=lambda x: x[0]))
+    return f"{_scalar_head(coeff)}E^(pi b({body}))"
 
 
 def operator_text(op: QOperator, word: ReducedWord) -> str:
@@ -209,18 +200,7 @@ def classical_render(op: QOperator, word: ReducedWord) -> str:
     names = position_names(word)
     lines = []
     for term in rebracket(op):
-        form = [((2, 0), 1 + term.l_const)]
-        form += [((0, t), c) for t, c in entries(term.l_alpha)]
-        form += [((1, s), c) for s, c in term.l_ell]
-        weight = _linear_form_text(
-            form,
-            lambda key: {0: lambda t: f"u{names[t]}", 1: lambda s: f"L{s}", 2: lambda _: "1"}[
-                key[0]
-            ](key[1]),
-        )
-        args = []
-        for t, c in entries(term.shift):
-            args.append(f"u{names[t]} {'-' if c > 0 else '+'} {abs(c)}")
-        head = "" if term.scalar.is_unit_monomial() and term.scalar.val == 0 else f"({term.scalar.fmt_q()}) "
-        lines.append(f"{head}({weight}) f({', '.join(args)})")
+        weight = _linear_form_text([("", 1 + term.l_const)] + _weight_form(term, names))
+        args = [f"u{names[t]} {'-' if c > 0 else '+'} {abs(c)}" for t, c in entries(term.shift)]
+        lines.append(f"{_scalar_head(term.scalar)}({weight}) f({', '.join(args)})")
     return " + ".join(lines)

@@ -60,9 +60,6 @@ class CartanDatum:
     def n_weight(self, label: int) -> int:
         return dict(self.bipartition)[label]
 
-    def neighbors(self, label: int) -> tuple[int, ...]:
-        return tuple(j for j in self.labels if self.adjacent(label, j))
-
 
 def _edges(family: str, rank: int) -> list[tuple[int, int]]:
     if family == "A":

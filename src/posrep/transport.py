@@ -85,7 +85,17 @@ DEFAULT_MAX_TERMS = 5_000_000
 
 
 def term_budget() -> int:
-    return int(os.environ.get("POSREP_MAX_TERMS", DEFAULT_MAX_TERMS))
+    """The monomial budget from POSREP_MAX_TERMS, a positive integer."""
+    text = os.environ.get("POSREP_MAX_TERMS")
+    if text is None:
+        return DEFAULT_MAX_TERMS
+    try:
+        budget = int(text)
+    except ValueError:
+        budget = 0
+    if budget < 1:
+        raise ValueError(f"POSREP_MAX_TERMS must be a positive integer, got {text!r}")
+    return budget
 
 
 def conjugation_factor(s: int, direction: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -120,9 +130,6 @@ def conjugation_factor(s: int, direction: str) -> tuple[tuple[int, ...], tuple[i
 
 _Z_LOC = ((-1, 1, -1), (-1, 0, 1))
 _Y_LOC = ((1, -1, 1), (-1, 0, 1))
-
-LocalKey = tuple  # (au, av, aw, gu, gv, gw)
-
 
 def _pair_loc(a1, g1, a2, g2) -> int:
     return (
@@ -217,7 +224,6 @@ def _braid_pipeline_loc(group: tuple) -> tuple:
 
 
 _PIPELINE_CACHE: dict[tuple, tuple] = {}
-_PIPELINE_CACHE_MAX = 200_000
 
 
 _FIELD_MASK = (1 << SLOT_BITS) - 1
@@ -268,8 +274,7 @@ def _braid_inplace(terms: dict, frame: tuple[int, int, int]) -> None:
                 for loc, _ in result:
                     for value in loc:
                         check_entry(value, "from a braid move")
-                if len(_PIPELINE_CACHE) < _PIPELINE_CACHE_MAX:
-                    _PIPELINE_CACHE[local] = result
+                _PIPELINE_CACHE[local] = result
             image = written[local] = [
                 (
                     ((au + bias) << su) + ((av + bias) << sv) + ((aw + bias) << sw),

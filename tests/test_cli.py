@@ -3,9 +3,9 @@ import json
 import pytest
 
 from posrep import moddouble
-from posrep.cli import main, operator_from_json, operator_to_json, dump_json
-from posrep.qtorus import SLOT_BIAS, QOperator, SlotOverflowError, exponent
-from posrep.repbuild import build_rep, operator_text
+from posrep.cli import main, operator_to_json, dump_json
+from posrep.qtorus import QOperator, bracket, expand_bracket, exponent
+from posrep.repbuild import build_rep, classical_render, operator_text
 from posrep.rootdata import build_cartan
 from posrep.words import good_word
 
@@ -34,48 +34,10 @@ def test_construct_json_round_trip(capsys):
     payload = json.loads(out)
     datum = build_cartan("A", 2)
     word = good_word(datum)
-    op = operator_from_json(payload["operator"], word)
-    assert op == build_rep(datum, word).gens[1].E
-    # serialization is canonical: dump(parse(dump)) == dump
+    op = build_rep(datum, word).gens[1].E
+    # the command serializes the operator it builds, canonically
     assert dump_json(operator_to_json(op, word)) == dump_json(payload["operator"])
-
-
-def _a2_payload():
-    word = good_word(build_cartan("A", 2))
-    return operator_to_json(build_rep(word.datum, word).gens[1].F, word), word
-
-
-@pytest.mark.parametrize("corrupt,message", [
-    (lambda p: p.pop("monomials"), 'operator JSON needs a "monomials" list'),
-    (lambda p: p["monomials"][0].pop("gamma"), "monomial 0 has no 'gamma'"),
-    (lambda p: p["monomials"][1]["alpha"].update({"u9.9": 1}),
-     "unknown position name 'u9.9' in monomial 1 alpha"),
-    (lambda p: p["monomials"][0]["gamma"].update({"1.1": 1.5}),
-     "u/p exponent entries must be integers, got 1.5 at '1.1' in monomial 0 gamma"),
-    (lambda p: p["monomials"][0]["alpha"].update({"1.1": "2"}),
-     "u/p exponent entries must be integers, got '2' at '1.1' in monomial 0 alpha"),
-    (lambda p: p["monomials"][0]["ell"].update({"1": "x"}), "bad lambda entry '1': 'x' in monomial 0"),
-    (lambda p: p["monomials"][0].update({"coeff": [[0]]}), "bad coefficient term [0] in monomial 0"),
-    (lambda p: p["monomials"][1].update({"ell": "L1"}), "'ell' of monomial 1 must be a JSON object"),
-])
-def test_malformed_operator_json_raises_value_error(corrupt, message):
-    payload, word = _a2_payload()
-    corrupt(payload)
-    with pytest.raises(ValueError) as info:
-        operator_from_json(payload, word)
-    assert str(info.value) == message
-    assert not isinstance(info.value, SlotOverflowError)
-
-
-@pytest.mark.parametrize("value", [SLOT_BIAS, -SLOT_BIAS, 1 << 20])
-def test_operator_json_entry_outside_the_field_raises(value):
-    payload, word = _a2_payload()
-    payload["monomials"][0]["alpha"]["2.1"] = value
-    with pytest.raises(SlotOverflowError) as info:
-        operator_from_json(payload, word)
-    assert str(info.value) == (
-        f"exponent entry {value} at '2.1' in monomial 0 alpha does not fit a 16-bit slot field"
-    )
+    assert payload["word"] == list(word.letters)
 
 
 def test_non_bracket_operator_renders_raw_monomials():
@@ -85,7 +47,23 @@ def test_non_bracket_operator_renders_raw_monomials():
     assert operator_text(op, word) == "E^(pi b(u2.1)) + E^(pi b(u2.2 - 2p2.2))"
     payload = operator_to_json(op, word)
     assert "brackets" not in payload
-    assert operator_from_json(payload, word) == op
+
+
+@pytest.mark.parametrize("const,text", [(3, "u2.2 + 3"), (-3, "u2.2 - 3"), (1, "u2.2 + 1"), (-1, "u2.2 - 1")])
+def test_monomial_constant_renders_as_its_value(const, text):
+    word = good_word(build_cartan("A", 2))
+    op = QOperator.monomial(exponent({0: 1}, const=const))
+    assert operator_text(op, word) == f"E^(pi b({text}))"
+    assert operator_text(QOperator.monomial(exponent(const=const)), word) == f"E^(pi b({const}))"
+
+
+def test_bracket_constant_renders_as_its_value():
+    word = good_word(build_cartan("A", 2))
+    op = expand_bracket(bracket(l_alpha={0: 1}, l_const=2, shift={0: 1}))
+    assert operator_text(op, word) == "[u2.2 + 2] e(p2.2)"
+    assert classical_render(op, word) == "(3 + u2.2) f(u2.2 - 1)"
+    op = expand_bracket(bracket(l_alpha={0: 1}, l_const=-3, shift={0: 1}))
+    assert classical_render(op, word) == "(-2 + u2.2) f(u2.2 - 1)"
 
 
 def test_invalid_word_rejected(capsys):
@@ -179,3 +157,12 @@ def test_classical_cmd(capsys):
     code, out = run_cli(capsys, "classical", "A", "3", "--word", "good", "--gen", "E3")
     assert code == 0
     assert out.strip() == "(1 + u3.1) f(u3.1 + 1)"
+
+
+@pytest.mark.parametrize("value", ["abc", "1e6", "0", "-5"])
+def test_bad_term_budget_exits_2(capsys, monkeypatch, value):
+    monkeypatch.setenv("POSREP_MAX_TERMS", value)
+    code = main(["construct", "A", "2", "--gen", "E1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"error: POSREP_MAX_TERMS must be a positive integer, got {value!r}\n"

@@ -1,19 +1,10 @@
-from fractions import Fraction
-
 import pytest
-from hypothesis import given, strategies as st
 
-from posrep.crosscheck import (
-    ClusterCoordinateMap,
-    classical_flip,
-    classical_move,
-    closed_form_An,
-    closed_form_Dn,
-)
+from posrep.crosscheck import closed_form_An, closed_form_Dn
 from posrep.qtorus import term_count
 from posrep.repbuild import build_rep
 from posrep.rootdata import build_cartan
-from posrep.words import apply_move, braid_path, enumerate_words, good_word
+from posrep.words import good_word
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -43,68 +34,3 @@ def test_closed_form_Dn_term_counts():
     assert term_count(closed_form_Dn(datum, 3)) == 1
     assert term_count(closed_form_Dn(datum, 0)) == 5
     assert term_count(closed_form_Dn(datum, 1)) == 5
-
-
-# ---------------------------------------------------------------------------
-# cluster coordinates
-# ---------------------------------------------------------------------------
-
-def test_cluster_base_cases():
-    cmap = ClusterCoordinateMap(2)
-    assert cmap.X_in_x(1, 2) == {(1, 1): 1}
-    assert cmap.x_in_X(1, 1) == {(1, 2): 1}
-
-
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_cluster_round_trips(n):
-    cmap = ClusterCoordinateMap(n)
-    for lab in cmap.x_labels:
-        assert cmap.from_cluster(cmap.to_cluster({lab: 1})) == {lab: 1}
-    for lab in cmap.X_labels:
-        assert cmap.to_cluster(cmap.from_cluster({lab: 1})) == {lab: 1}
-
-
-def test_cluster_range_errors():
-    cmap = ClusterCoordinateMap(3)
-    with pytest.raises(ValueError):
-        cmap.x_in_X(4, 1)
-    with pytest.raises(ValueError):
-        cmap.X_in_x(2, 5)
-
-
-# ---------------------------------------------------------------------------
-# classical coordinates
-# ---------------------------------------------------------------------------
-
-def test_flip_example():
-    assert classical_flip(1, 1, 1) == (Fraction(1, 2), 2, Fraction(1, 2))
-
-
-positive = st.fractions(min_value=Fraction(1, 7), max_value=7)
-
-
-@given(positive, positive, positive)
-def test_flip_involution(a, b, c):
-    assert classical_flip(*classical_flip(a, b, c)) == (a, b, c)
-
-
-def test_flip_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        classical_flip(0, 1, 1)
-
-
-@given(st.lists(positive, min_size=6, max_size=6))
-def test_a3_loop_consistency(values):
-    # going around word-graph loops returns the starting coordinates exactly
-    datum = build_cartan("A", 3)
-    words = enumerate_words(datum)
-    base = good_word(datum)
-    for target in words[:4]:
-        loop = braid_path(base, target) + braid_path(target, base)
-        coords = list(values)
-        word = base
-        for move in loop:
-            coords = classical_move(coords, move)
-            word = apply_move(word, move)
-        assert word.letters == base.letters
-        assert coords == list(values)

@@ -1,12 +1,21 @@
-"""Every name a module of the package imports is used there.
+"""Every name a module of the package imports is used there, and every
+definition of the package is used somewhere in it.
 
-A stdlib-only AST scan of ``src/posrep/*.py``: an imported name must occur
-in the module as a name or as the base of an attribute access, or else be
-re-exported by ``__init__`` from that module.  Every name ``__init__``
-imports is a public export.
+Stdlib-only AST scans of ``src/posrep/*.py``:
+
+* an imported name must occur in the module as a name or as the base of an
+  attribute access, or else be re-exported by ``__init__`` from that module;
+* a module-level function or class and a method of such a class must be
+  referenced, as a name or as an attribute, somewhere in the package
+  outside its own definition.  Dunder names and the names ``__init__``
+  imports (the public exports) are exempt; private names are not.
+
+So a helper that only the tests reach fails here: either the package uses
+it, or it is exported as API, or it goes.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -14,13 +23,14 @@ import pytest
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "posrep"
 
 
-def reexports(module: str) -> set[str]:
-    """Names that ``__init__`` imports from ``module``."""
+def reexports(module: str | None = None) -> set[str]:
+    """Names that ``__init__`` imports from ``module``, or from any module."""
     tree = ast.parse((PACKAGE / "__init__.py").read_text())
     return {
         alias.name
         for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == module
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        and module in (None, node.module)
         for alias in node.names
     }
 
@@ -50,3 +60,63 @@ def test_scan_flags_an_unused_import():
     source = "import os\nfrom typing import Iterable, List, Tuple\nx: List = os.sep\n"
     assert unused_imports(source) == ["Iterable (line 2)", "Tuple (line 2)"]
     assert unused_imports(source, {"Tuple"}) == ["Iterable (line 2)"]
+
+
+FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def definitions(tree: ast.Module):
+    """(qualified name, node) of the module-level functions and classes and
+    of the methods of those classes."""
+    for node in tree.body:
+        if isinstance(node, (*FUNCS, ast.ClassDef)):
+            yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                yield from ((f"{node.name}.{m.name}", m) for m in node.body if isinstance(m, FUNCS))
+
+
+def references(node: ast.AST) -> Counter:
+    """How often each name occurs under ``node`` as a name or an attribute."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    )
+
+
+def unreferenced(sources: dict[str, str], exported: set[str] = frozenset()) -> list[str]:
+    """``module.name`` of every definition that nothing outside it references."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    total = sum((references(tree) for tree in trees.values()), Counter())
+    return [
+        f"{module}.{qualname}"
+        for module, tree in trees.items()
+        for qualname, node in definitions(tree)
+        if not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in exported
+        and total[node.name] == references(node)[node.name]
+    ]
+
+
+def test_every_definition_is_referenced():
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert unreferenced(sources, reexports()) == []
+
+
+def test_scan_flags_an_unreferenced_definition():
+    sources = {
+        "a": (
+            "def uncalled():\n    return helper()\n"
+            "def recursive(n):\n    return recursive(n - 1)\n"
+            "def exported():\n    pass\n"
+            "def _helper():\n    pass\n"
+            "helper = _helper\n"
+            "class Box:\n"
+            "    def __init__(self):\n        self.used()\n"
+            "    def used(self):\n        pass\n"
+            "    def unused(self):\n        return self.unused\n"
+        ),
+        "b": "from .a import Box\nBox()\n",
+    }
+    assert unreferenced(sources, {"exported"}) == ["a.uncalled", "a.recursive", "a.Box.unused"]
+    assert unreferenced(sources) == ["a.uncalled", "a.recursive", "a.exported", "a.Box.unused"]

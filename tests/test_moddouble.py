@@ -11,7 +11,6 @@ from posrep.moddouble import (
     commutant_check,
     cross_parity_certificate,
     distinguished_lambda_forms,
-    dominant_lambda,
     normalize_lambda,
     qtori_certificate,
     reflect_representation,
@@ -178,12 +177,6 @@ def test_weyl_reflect_lambda():
     assert weyl_reflect_lambda(datum, sparse({2: 1}), 1) == sparse({1: 1, 2: 1})
     twice = weyl_reflect_lambda(datum, weyl_reflect_lambda(datum, lam1, 2), 2)
     assert twice == lam1
-
-
-def test_dominant_lambda():
-    datum = build_cartan("A", 2)
-    out = dominant_lambda(datum, (Fraction(-1), Fraction(0)))
-    assert all(v >= 0 for v in out)
 
 
 @pytest.mark.parametrize("family,rank,i", [("A", 1, 1), ("A", 2, 1), ("A", 2, 2)])

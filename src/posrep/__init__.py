@@ -66,5 +66,53 @@ from .moddouble import (
 )
 from .verify import path_independence
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "BracketTerm",
+    "QExponent",
+    "QMonomial",
+    "QOperator",
+    "VLaurent",
+    "bracket",
+    "commutation_exponent",
+    "expand_bracket",
+    "operator_from_brackets",
+    "q_commutator",
+    "rebracket",
+    "term_count",
+    "CartanDatum",
+    "build_cartan",
+    "langlands_b_vectors",
+    "positive_root_count",
+    "BraidMove",
+    "ReducedWord",
+    "apply_move",
+    "bad_word",
+    "braid_path",
+    "enumerate_words",
+    "good_word",
+    "is_reduced",
+    "lusztig_labels",
+    "random_longest_words",
+    "word_ending_in",
+    "word_starting_with",
+    "Representation",
+    "build_E",
+    "build_E_rightmost",
+    "build_F",
+    "build_K",
+    "build_rep",
+    "classical_render",
+    "operator_text",
+    "braid_conjugate",
+    "commutation_move",
+    "conjugation_factor",
+    "transport",
+    "closed_form_An",
+    "closed_form_Dn",
+    "cross_parity_certificate",
+    "distinguished_lambda_forms",
+    "qtori_certificate",
+    "verify_weyl_pattern",
+    "path_independence",
+]
 __version__ = "0.1.0"

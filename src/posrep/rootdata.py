@@ -34,12 +34,21 @@ class CartanDatum:
     # derived from labels and edges; left out of equality and hashing
     label_set: frozenset[int] = field(init=False, repr=False, compare=False)
     _cartan: dict[tuple[int, int], int] = field(init=False, repr=False, compare=False)
+    # label i -> (index of i, the (index of j, a(i, j)) with a(i, j) != 0)
+    _rows: dict[int, tuple[int, tuple[tuple[int, int], ...]]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         object.__setattr__(self, "label_set", frozenset(self.labels))
         object.__setattr__(self, "_cartan", {
             (i, j): 2 if i == j else -1 if frozenset((i, j)) in self.edges else 0
             for i in self.labels for j in self.labels
+        })
+        object.__setattr__(self, "_rows", {
+            i: (k, tuple((t, self._cartan[i, j]) for t, j in enumerate(self.labels)
+                         if self._cartan[i, j]))
+            for k, i in enumerate(self.labels)
         })
 
     def index(self, label: int) -> int:
@@ -224,12 +233,17 @@ def weyl_act(datum: CartanDatum, w: WeylElement, vec: tuple[int, ...]) -> tuple[
 
 
 def weyl_right_mul(datum: CartanDatum, w: WeylElement, label: int) -> WeylElement:
-    """w * s_label."""
-    i = datum.index(label)
-    return tuple(
-        tuple(x - datum.a(label, j) * y for x, y in zip(w[k], w[i]))
-        for k, j in enumerate(datum.labels)
-    )
+    """w * s_label.
+
+    (w s_i)(alpha_j) = w(alpha_j) - a(i, j) w(alpha_i), so only the images
+    with a(i, j) != 0 (alpha_i and its neighbours) change.
+    """
+    i, row = datum._rows[label]
+    wi = w[i]
+    out = list(w)
+    for k, a in row:
+        out[k] = tuple([x - a * y for x, y in zip(w[k], wi)])
+    return tuple(out)
 
 
 def weyl_compose(datum: CartanDatum, w: WeylElement, v: WeylElement) -> WeylElement:

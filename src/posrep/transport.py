@@ -32,14 +32,25 @@ read as slot k.  Terms are keyed by (alpha, gamma, ell, const) tuples.  A
 braid move reads its six frame fields by adding the bias and masking,
 groups the monomials on what is left, and adds the image fields back.
 Braid images are checked when they are computed: an entry that does not
-fit raises SlotOverflowError.  Positions are restored in one pass after
-the last move, which permutes the fields of each distinct packed int once.
+fit raises SlotOverflowError.
+
+Positions are restored once, after the last move, by a column copy.  The
+distinct packed ints are written as rows of biased 16-bit fields (the
+bytes of x + B_n), and position p of every row is filled from the column
+of slot[p] by one strided copy; fields past the slot list stay where they
+are.  Each row is read back and the bias removed.  Rows go through in
+blocks of a fixed size, so the buffer stays small on large operators.
+
+The word is tracked as a plain letter list: each move is checked against
+the letters (the checks and MoveError messages of ``words.apply_move``)
+and applied in place, and a ReducedWord is built once at the end, or once
+per step when a trace is requested.
 """
 
 from __future__ import annotations
 
 import os
-from operator import itemgetter
+from itertools import islice
 from typing import Iterable
 
 from .qtorus import (
@@ -51,10 +62,8 @@ from .qtorus import (
     check_entry,
     field_bias,
     field_count,
-    pack,
-    unpack,
 )
-from .words import BraidMove, ReducedWord, apply_move
+from .words import BraidMove, ReducedWord, _apply_move_letters, _check_move
 
 
 class OddPairingError(ArithmeticError):
@@ -305,31 +314,50 @@ def _apply(terms: dict, slot: list[int], move: BraidMove) -> None:
         _braid_inplace(terms, (slot[p], slot[p + 1], slot[p + 2]))
 
 
+_RELABEL_BLOCK = 4096  # distinct packed ints per relabel buffer
+
+
+def _permute_fields(xs: list[int], n: int, copies: list[tuple[int, int]]) -> list[int]:
+    """The packed ints xs with field p of each read from field q, for every
+    (p, q) in ``copies``; every other field of the n stays where it is.
+
+    Each x + B_n is written as a row of n unsigned 16-bit fields, and one
+    strided copy per pair moves column q of the rows into column p.
+    """
+    bias, width = field_bias(n), 2 * n
+    src = b"".join([(x + bias).to_bytes(width, "little") for x in xs])
+    dst = bytearray(src)
+    rows, cols = memoryview(src).cast("H"), memoryview(dst).cast("H")
+    for p, q in copies:
+        cols[p::n] = rows[q::n]
+    view = memoryview(dst)
+    return [
+        int.from_bytes(view[r : r + width], "little") - bias
+        for r in range(0, len(dst), width)
+    ]
+
+
 def _relabel(terms: dict, slot: list[int]) -> dict:
     """Exponents in position coordinates, draining ``terms``.
 
     Position p reads the field of slot[p]; fields past the slot list stay
-    where they are.  Each distinct packed int is permuted once.
+    where they are.  The distinct packed ints are permuted together, in
+    blocks of _RELABEL_BLOCK, so the buffer stays bounded.
     """
-    n = len(slot)
-    if slot != list(range(n)):
-        n = max([n] + [field_count(x) for key in terms for x in key[:2]])
-        take = itemgetter(*slot, *range(len(slot), n))
-        moved: dict[int, int] = {}
-
-        def permute(x: int) -> int:
-            y = moved.get(x)
-            if y is None:
-                y = moved[x] = pack(take(unpack(x, n)))
-            return y
-    else:
-        def permute(x: int) -> int:
-            return x
-
+    copies = [(p, q) for p, q in enumerate(slot) if p != q]
+    moved: dict[int, int] = {}
+    if copies:
+        moved = dict.fromkeys(x for key in terms for x in key[:2])
+        n = max(len(slot), field_count(max(map(abs, moved), default=0)))
+        distinct = iter(moved)  # values are replaced in place; no key changes
+        while block := list(islice(distinct, _RELABEL_BLOCK)):
+            moved.update(zip(block, _permute_fields(block, n, copies)))
     out: dict[QExponent, VLaurent] = {}
     while terms:
         (a, g, ell, const), coef = terms.popitem()
-        out[QExponent(permute(a), permute(g), ell, const)] = coef
+        if moved:
+            a, g = moved[a], moved[g]
+        out[QExponent(a, g, ell, const)] = coef
     return out
 
 
@@ -365,15 +393,18 @@ def transport(
     """
     budget = term_budget() if max_terms is None else max_terms
     terms = dict(op.terms)
-    slot = list(range(len(word)))
+    datum = word.datum
+    letters = list(word.letters)
+    slot = list(range(len(letters)))
     for step, move in enumerate(path):
-        word = apply_move(word, move)  # validates the pattern
+        _check_move(datum, letters, move)
+        _apply_move_letters(letters, move)
         _apply(terms, slot, move)
         if trace is not None:
-            trace.append((move, word, len(terms)))
+            trace.append((move, ReducedWord(datum, tuple(letters)), len(terms)))
         if len(terms) > budget:
             raise TermBudgetError(len(terms), step, move, budget)
-    return QOperator(_relabel(terms, slot)), word
+    return QOperator(_relabel(terms, slot)), ReducedWord(datum, tuple(letters))
 
 
 def format_trace(trace: list) -> str:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import importlib.resources
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Literal, NamedTuple
+from typing import Literal, NamedTuple, Sequence
 
 from .rootdata import (
     CartanDatum,
@@ -65,15 +65,25 @@ class LusztigLabel(NamedTuple):
     occurrence: int  # 1 at the rightmost occurrence of this letter
 
 
-def is_reduced(word: ReducedWord) -> bool:
-    """True iff no prefix reflection ever sends a simple root negative."""
+def _reduced_element(word: ReducedWord):
+    """The Weyl group element of ``word``, or None if the word is not reduced.
+
+    One left-to-right pass: the word is reduced iff each letter i finds
+    w(alpha_i) positive for the element w of the letters before it.
+    """
     datum = word.datum
     w = weyl_identity(datum)
     for i in word.letters:
         if not is_positive(w[datum.index(i)]):
-            return False
+            return None
         w = weyl_right_mul(datum, w, i)
-    return True
+    return w
+
+
+def is_reduced(word: ReducedWord) -> bool:
+    """True iff no prefix reflection ever sends a simple root negative
+    (one pass of ``_reduced_element``)."""
+    return _reduced_element(word) is not None
 
 
 def check_longest(word: ReducedWord) -> None:
@@ -103,7 +113,7 @@ def occurrence_positions(word: ReducedWord, letter: int) -> list[int]:
 # Moves.
 # ---------------------------------------------------------------------------
 
-def _check_move(datum: CartanDatum, letters: tuple[int, ...], move: BraidMove) -> None:
+def _check_move(datum: CartanDatum, letters: Sequence[int], move: BraidMove) -> None:
     p, kind = move
     if kind == "commute":
         if p < 0 or p + 1 >= len(letters):
@@ -331,17 +341,22 @@ def _force_last(datum, letters: list[int], end: int, target: int, moves: list[Br
 def braid_path(src: ReducedWord, dst: ReducedWord) -> list[BraidMove]:
     """A move sequence transforming ``src`` into ``dst``.
 
-    Works by aligning prefixes left to right; every intermediate word stays
+    Each word takes one Weyl pass (``_reduced_element``), which both checks
+    that it is reduced and gives its element; the two elements must agree.
+    The path aligns prefixes left to right; every intermediate word stays
     reduced because only valid moves are emitted.
     """
     if src.datum != dst.datum:
         raise ValueError("words live over different Cartan data")
     if len(src.letters) != len(dst.letters):
         raise NotReducedError("words have different lengths")
+    elements = []
     for w in (src, dst):
-        if not is_reduced(w):
+        elem = _reduced_element(w)
+        if elem is None:
             raise NotReducedError(f"word {w} is not reduced")
-    if weyl_from_word(src.datum, src.letters) != weyl_from_word(dst.datum, dst.letters):
+        elements.append(elem)
+    if elements[0] != elements[1]:
         raise ValueError("words represent different group elements")
     letters = list(src.letters)
     moves: list[BraidMove] = []

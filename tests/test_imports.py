@@ -17,6 +17,7 @@ it, or it is exported as API, or it goes.
 import ast
 from collections import Counter
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
@@ -120,3 +121,16 @@ def test_scan_flags_an_unreferenced_definition():
     }
     assert unreferenced(sources, {"exported"}) == ["a.uncalled", "a.recursive", "a.Box.unused"]
     assert unreferenced(sources) == ["a.uncalled", "a.recursive", "a.exported", "a.Box.unused"]
+
+
+def test_all_lists_exactly_the_imported_names():
+    import posrep
+
+    imported = [
+        alias.name
+        for node in ast.parse((PACKAGE / "__init__.py").read_text()).body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert posrep.__all__ == imported
+    assert [name for name in posrep.__all__ if isinstance(getattr(posrep, name), ModuleType)] == []

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from posrep.rootdata import (
     positive_roots,
     weyl_from_word,
     weyl_length,
+    weyl_right_mul,
 )
 
 ALL_TYPES = [("A", n) for n in range(1, 6)] + [("D", 4), ("D", 5), ("E", 6), ("E", 7), ("E", 8)]
@@ -121,3 +123,22 @@ def test_longest_element_length():
     datum = build_cartan("A", 3)
     assert weyl_length(datum, weyl_from_word(datum, (3, 2, 1, 3, 2, 3))) == 6
     assert weyl_length(datum, weyl_from_word(datum, (1, 1))) == 0
+
+
+def _full_row_right_mul(datum, w, label):
+    """w * s_label with every image recomputed from the full Cartan row."""
+    i = datum.index(label)
+    return tuple(
+        tuple(x - datum.a(label, j) * y for x, y in zip(w[k], w[i]))
+        for k, j in enumerate(datum.labels)
+    )
+
+
+@pytest.mark.parametrize("family,rank", [("A", 5), ("D", 6), ("E", 8)])
+def test_weyl_right_mul_matches_the_full_row(family, rank):
+    datum = build_cartan(family, rank)
+    rng = random.Random(rank)
+    for _ in range(20):
+        w = weyl_from_word(datum, [rng.choice(datum.labels) for _ in range(rng.randrange(40))])
+        for label in datum.labels:
+            assert weyl_right_mul(datum, w, label) == _full_row_right_mul(datum, w, label)

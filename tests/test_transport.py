@@ -1,4 +1,7 @@
+import importlib
 import os
+from operator import itemgetter
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
@@ -16,7 +19,9 @@ from posrep.qtorus import (
     entries,
     expand_bracket,
     exponent,
+    field_count,
     operator_from_brackets,
+    pack,
     pack_entries,
     rebracket,
     unpack,
@@ -37,6 +42,8 @@ from posrep.transport import (
     transport,
 )
 from posrep.words import (
+    BraidMove,
+    MoveError,
     ReducedWord,
     apply_move,
     available_moves,
@@ -46,6 +53,9 @@ from posrep.words import (
     good_word,
     path_to_word_ending_in,
 )
+
+# the package's ``transport`` attribute is the function, so fetch the module
+transport_module = importlib.import_module("posrep.transport")
 
 TWO_Q = VLaurent.q_power(1) + VLaurent.q_power(-1)
 
@@ -294,11 +304,40 @@ def test_transport_there_and_back_is_exact(data):
     back, home = transport(mid, end, reversed(path), trace=back_trace)
     assert home.letters == start.letters
     assert back == op
-    # one trace step per move, every intermediate count within the budget
+    # one trace step per move, every intermediate count within the budget,
+    # and every traced word the word an apply_move replay reaches
     budget = term_budget()
-    for trace, moves in ((out_trace, path), (back_trace, path[::-1])):
+    for trace, moves, first in ((out_trace, path, start), (back_trace, path[::-1], end)):
         assert [move for move, _, _ in trace] == moves
         assert all(0 < n <= budget for _, _, n in trace)
+        replay = first
+        for move, traced, _ in trace:
+            replay = apply_move(replay, move)
+            assert traced == replay
+    assert word == end and home == start
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [BraidMove(1, "commute"), BraidMove(3, "braid"), BraidMove(11, "commute"),
+     BraidMove(-1, "braid"), BraidMove(2, "swap")],
+    ids=str,
+)
+def test_invalid_move_mid_path_raises_the_apply_move_error(bad):
+    datum = build_cartan("D", 4)
+    start = good_word(datum)
+    op = build_F(start, 2)
+    before = QOperator(dict(op.terms))
+    valid = sorted(available_moves(start))[:2]
+    word = start
+    for move in valid:
+        word = apply_move(word, move)
+    with pytest.raises(MoveError) as expected:
+        apply_move(word, bad)
+    with pytest.raises(MoveError) as raised:
+        transport(op, start, valid + [bad] + valid)
+    assert str(raised.value) == str(expected.value)
+    assert op == before
 
 
 @pytest.mark.parametrize("rank", [5, 6])
@@ -350,6 +389,49 @@ def test_pack_unpack_round_trip(parts, slot):
     assert _relabel(dict(terms), list(slot)) == {
         QExponent(moved(e.alpha), moved(e.gamma), e.ell, e.const): c for e, c in terms.items()
     }
+
+
+def _dense_relabel(terms: dict, slot: list[int]) -> dict:
+    """The relabel oracle: unpack every packed int to a dense row, permute
+    the row with itemgetter and pack it again."""
+    n = max([len(slot)] + [field_count(x) for key in terms for x in key[:2]])
+    take = itemgetter(*slot, *range(len(slot), n))
+    return {
+        QExponent(pack(take(unpack(a, n))), pack(take(unpack(g, n))), ell, const): coef
+        for (a, g, ell, const), coef in terms.items()
+    }
+
+
+@st.composite
+def relabel_cases(draw):
+    """A slot list of 2..120 slots and packed terms on a few more fields."""
+    size = draw(st.integers(2, 120))
+    slot = draw(st.one_of(st.just(list(range(size))), st.permutations(range(size))))
+    vecs = st.dictionaries(st.integers(0, size + 3), field_values, max_size=8)
+    parts = draw(st.lists(st.tuples(vecs, vecs, st.integers(-2, 2)), max_size=12))
+    terms = {exponent(a, g, (), c): VLaurent.v_power(c) for a, g, c in parts}
+    return list(slot), terms
+
+
+@settings(max_examples=100, deadline=None)
+@given(relabel_cases(), st.sampled_from([1, 2, 3, transport_module._RELABEL_BLOCK]))
+def test_relabel_matches_the_dense_oracle(case, block):
+    slot, terms = case
+    expected = _dense_relabel(terms, slot)
+    with mock.patch.object(transport_module, "_RELABEL_BLOCK", block):
+        assert _relabel(dict(terms), slot) == expected
+
+
+def test_relabel_crosses_a_block_boundary():
+    block = transport_module._RELABEL_BLOCK
+    slot = list(range(40))[::-1]
+    terms = {
+        exponent({k % 40: k - FIELD_MAX, 41: -FIELD_MAX}, {(7 * k) % 40: 1}, (), 0): VLaurent.one()
+        for k in range(block + block // 2)
+    }
+    assert len({x for key in terms for x in key[:2]}) > block
+    assert _relabel(dict(terms), slot) == _dense_relabel(terms, slot)
+    assert _relabel({}, slot) == {}
 
 
 def test_pack_grows_to_the_highest_index():

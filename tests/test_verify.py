@@ -96,9 +96,13 @@ def test_path_independence_same_word():
     assert path_independence(A3, w, w)["status"] == "pass"
 
 
-def test_path_independence_on_sampled_d4_words():
-    datum = build_cartan("D", 4)
+@pytest.mark.parametrize(
+    "family,rank,seed", [("D", 4, 5), ("E", 6, 6), ("E", 7, 7), ("E", 8, 8)],
+    ids=["D4", "E6", "E7", "E8"],
+)
+def test_path_independence_on_sampled_words(family, rank, seed):
+    datum = build_cartan(family, rank)
     base = good_word(datum)
-    for word in random_longest_words(datum, 3, seed=5):
+    for word in random_longest_words(datum, 3, seed=seed):
         assert word.letters != base.letters
         assert path_independence(datum, base, word)["status"] == "pass", word

@@ -117,6 +117,16 @@ def test_braid_path_rejects_junk():
         braid_path(ReducedWord(A3, (1, 2, 1)), ReducedWord(A3, (2, 3, 2)))
 
 
+def test_braid_path_rejects_a_target_that_is_not_reduced():
+    base = good_word(D4)
+    letters = list(base.letters)
+    letters[1] = letters[0]  # same length, but s_i s_i cancels
+    target = ReducedWord(D4, tuple(letters))
+    assert is_reduced(base) and not is_reduced(target)
+    with pytest.raises(NotReducedError, match=f"word {target} is not reduced"):
+        braid_path(base, target)
+
+
 def test_enumerate_a2_a3():
     assert len(enumerate_words(A2)) == 2
     words = enumerate_words(A3)

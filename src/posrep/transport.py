@@ -31,8 +31,17 @@ overflow rule in its module docstring), and inside a transport field k is
 read as slot k.  Terms are keyed by (alpha, gamma, ell, const) tuples.  A
 braid move reads its six frame fields by adding the bias and masking,
 groups the monomials on what is left, and adds the image fields back.
-Braid images are checked when they are computed: an entry that does not
-fit raises SlotOverflowError.
+Within one move each distinct (frame fields, coefficient) is decoded once,
+into a record that carries its local 6-tuple and coefficient; a group of
+one monomial is its record itself, and becomes a tuple of records only
+when a second member arrives.  The move runs as two drains: the monomials
+it touches are taken out of the term dict as they are read (the rest stay
+where they are), and then the groups are popped one by one, each writing
+its images before the next is read, so old keys and groups are freed as
+the move runs.  Images are memoised per pipeline result; one group's
+images never meet another's or an untouched monomial, so they are written
+without a merge.  Braid images are checked when they are computed: an
+entry that does not fit raises SlotOverflowError.
 
 Positions are restored once, after the last move, by a column copy.  The
 distinct packed ints are written as rows of biased 16-bit fields (the
@@ -244,38 +253,67 @@ def _braid_inplace(terms: dict, frame: tuple[int, int, int]) -> None:
     ``frame`` holds the slots of the move's positions (u, v, w).  Adding
     the bias of the fields up to the highest frame slot makes each frame
     field hold its value + SLOT_BIAS.  Monomials whose six frame fields are
-    all zero are fixed by the whole pipeline and are left untouched; the
-    others are grouped on their remainders (the packed ints minus their
-    biased frame fields), and each group's local 6-tuples go through the
-    cached pipeline.  Adding an image's biased fields to a remainder gives
-    the packed int of the image.
+    all zero are fixed by the whole pipeline and stay where they are; the
+    others are taken out of ``terms`` as they are read and grouped on their
+    remainders (the packed ints minus their biased frame fields).  Each
+    distinct (frame fields, coefficient) is decoded once, into a record
+    [(local 6-tuple, coefficient), image]; a group is its one record until
+    a second member makes it a tuple of records.  A singleton's image is
+    memoised on its record, and every image once per pipeline result.
+    Adding an image's biased fields to a remainder gives the packed int of
+    the image.
+
+    Images never meet an existing key: the images of distinct remainders
+    differ off the frame, and an image of a group without a zero local
+    tuple has none itself (conjugation fixes the ray through zero and the
+    relabel is invertible), so it misses every untouched monomial.  The
+    count check at the end guards that.
     """
     mask, bias = _FIELD_MASK, SLOT_BIAS
-    su, sv, sw = (SLOT_BITS * s for s in frame)
+    u, v, w = frame
+    su, sv, sw = SLOT_BITS * u, SLOT_BITS * v, SLOT_BITS * w
     frame_mask = (mask << su) | (mask << sv) | (mask << sw)
     frame_zero = (bias << su) | (bias << sv) | (bias << sw)
     read = field_bias(max(frame) + 1)
-    groups: dict[tuple, list] = {}
-    stale: list[tuple] = []
-    for key, coef in terms.items():
+    # (fa, fg, id(coef)) -> record; the record holds the coefficient, so
+    # the id is not reused while the record lives
+    records: dict[tuple, list] = {}
+    groups: dict[tuple, list | tuple] = {}  # remainder -> record(s)
+    keys = list(terms)
+    take = terms.pop
+    for i, key in enumerate(keys):
         a, g, ell, const = key
         fa = (a + read) & frame_mask
         fg = (g + read) & frame_mask
         if fa == frame_zero and fg == frame_zero:
             continue
-        loc = (
-            ((fa >> su) & mask) - bias, ((fa >> sv) & mask) - bias, ((fa >> sw) & mask) - bias,
-            ((fg >> su) & mask) - bias, ((fg >> sv) & mask) - bias, ((fg >> sw) & mask) - bias,
-        )
-        groups.setdefault((a - fa, g - fg, ell, const), []).append((loc, coef))
-        stale.append(key)
-    for key in stale:
-        del terms[key]
-    del stale  # frees the old keys before the images are written
-    written: dict[tuple, list] = {}  # local key -> packed frame fields of its image
-    for (a, g, ell, const), pairs in groups.items():
-        local = tuple(sorted(pairs))
-        image = written.get(local)
+        coef = take(key)
+        keys[i] = None  # the old key is freed once ``key`` moves on
+        rkey = (fa, fg, id(coef))
+        record = records.get(rkey)
+        if record is None:
+            loc = (
+                ((fa >> su) & mask) - bias, ((fa >> sv) & mask) - bias, ((fa >> sw) & mask) - bias,
+                ((fg >> su) & mask) - bias, ((fg >> sv) & mask) - bias, ((fg >> sw) & mask) - bias,
+            )
+            record = records[rkey] = [(loc, coef), None]
+        gkey = (a - fa, g - fg, ell, const)
+        group = groups.setdefault(gkey, record)
+        if group is not record:
+            groups[gkey] = (group, record) if group.__class__ is list else group + (record,)
+    del keys
+    size = len(terms)
+    # id of a pipeline result -> its image; results stay in _PIPELINE_CACHE
+    images: dict[int, list] = {}
+    while groups:
+        (a, g, ell, const), group = groups.popitem()
+        if group.__class__ is list:
+            image = group[1]
+            if image is None:
+                local = (group[0],)
+        else:
+            image = None
+            local = tuple(sorted([record[0] for record in group]))
         if image is None:
             result = _PIPELINE_CACHE.get(local)
             if result is None:
@@ -284,25 +322,23 @@ def _braid_inplace(terms: dict, frame: tuple[int, int, int]) -> None:
                     for value in loc:
                         check_entry(value, "from a braid move")
                 _PIPELINE_CACHE[local] = result
-            image = written[local] = [
-                (
-                    ((au + bias) << su) + ((av + bias) << sv) + ((aw + bias) << sw),
-                    ((gu + bias) << su) + ((gv + bias) << sv) + ((gw + bias) << sw),
-                    coef,
-                )
-                for (au, av, aw, gu, gv, gw), coef in result
-            ]
+            image = images.get(id(result))
+            if image is None:
+                image = images[id(result)] = [
+                    (
+                        ((au + bias) << su) + ((av + bias) << sv) + ((aw + bias) << sw),
+                        ((gu + bias) << su) + ((gv + bias) << sv) + ((gw + bias) << sw),
+                        coef,
+                    )
+                    for (au, av, aw, gu, gv, gw), coef in result
+                ]
+            if group.__class__ is list:
+                group[1] = image
         for da, dg, coef in image:
-            key = (a + da, g + dg, ell, const)
-            prev = terms.get(key)
-            if prev is None:
-                terms[key] = coef
-            else:
-                total = prev + coef
-                if total.coeffs:
-                    terms[key] = total
-                else:
-                    del terms[key]
+            terms[a + da, g + dg, ell, const] = coef
+        size += len(image)
+    if len(terms) != size:
+        raise RuntimeError(f"braid images met existing monomials at frame {frame}")
 
 
 def _apply(terms: dict, slot: list[int], move: BraidMove) -> None:

@@ -18,9 +18,11 @@ relation suite on the twisted generators and exits 2 when it fails; it
 then exits 0 iff its certificate passes.  ``tables --badword`` exits 1
 when the term budget aborts the blow-up run.
 
-Variable naming in all I/O: u<i>.<k>, p<i>.<k> for position data and L<i>
-for the parameters.  The bad-word experiment is bounded by
-POSREP_MAX_TERMS (default 5000000).
+Variable naming: text output writes u<i>.<k>, p<i>.<k> for position data
+and L<i> for the parameters.  JSON keys the u/p parts (``alpha``, ``gamma``,
+``u``, ``P``) by the position name <i>.<k> and the lambda parts (``ell``,
+``lambda``) by the node label, with rational strings ("-1/4") as values.
+The bad-word experiment is bounded by POSREP_MAX_TERMS (default 5000000).
 """
 
 from __future__ import annotations
@@ -28,9 +30,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
+from itertools import compress
+from operator import itemgetter, mod
 
 from . import moddouble, verify
-from .qtorus import QOperator, RebracketError, VLaurent, entries, rebracket, term_count
+from .qtorus import QOperator, RebracketError, entries, rebracket, term_count, unpack
 from .repbuild import build_rep, classical_render, operator_text, position_names
 from .rootdata import build_cartan, langlands_b_vectors
 from .transport import TermBudgetError, transport
@@ -46,53 +51,62 @@ from .words import (
 
 
 # ---------------------------------------------------------------------------
-# JSON serialization (labels u<i>.<k> / L<i>).
+# JSON serialization: u/p parts keyed by position name <i>.<k>, lambda parts
+# keyed by node label with rational-string values, every object's keys in
+# sorted order (the text ``dump_json`` writes for the same data).
 # ---------------------------------------------------------------------------
 
-def operator_to_json(op: QOperator, word: ReducedWord) -> dict:
-    names = position_names(word)
-    named: dict[int, dict] = {}
+_MONOMIAL = '{"alpha":%s,"coeff":%s,"const":%d,"ell":%s,"gamma":%s}'
+_BRACKET = '{"L":{"const":%d,"lambda":%s,"u":%s},"P":%s,"scalar":%s}'
 
-    def by_name(x: int) -> dict:
-        """{position name: value} of a packed u/p part, decoded once per part."""
-        out = named.get(x)
-        if out is None:
-            out = named[x] = {names[t]: c for t, c in entries(x)}
-        return out
 
-    monos = []
-    for expo, coeff in op.monomials():
-        monos.append(
-            {
-                "alpha": by_name(expo.alpha),
-                "gamma": by_name(expo.gamma),
-                "ell": {str(s): str(c) for s, c in expo.ell},
-                "const": expo.const,
-                "coeff": [[expo_v, c] for expo_v, c in _laurent_pairs(coeff)],
-            }
-        )
-    out = {"monomials": monos}
+def operator_to_json(op: QOperator, word: ReducedWord) -> str:
+    """The JSON text of ``op``: its monomials in the canonical order and,
+    when ``rebracket`` succeeds, its weight-shift terms.
+
+    Each distinct u/p part, lambda part and coefficient is encoded once.
+    """
+    part = cache(_part_encoder(word))
+    lam = cache(lambda ell: dump_json({str(s): str(c) for s, c in ell}))
+    coeff = cache(lambda c: dump_json([[c.val + k, a] for k, a in enumerate(c.coeffs) if a]))
+    monomials = ",".join(
+        [_MONOMIAL % (part(e.alpha), coeff(c), e.const, lam(e.ell), part(e.gamma))
+         for e, c in op.monomials()]
+    )
     try:
-        out["brackets"] = [bracket_to_json(t, by_name) for t in rebracket(op)]
+        brackets = ",".join(
+            [_BRACKET % (t.l_const, lam(t.l_ell), part(t.l_alpha), part(t.shift), coeff(t.scalar))
+             for t in rebracket(op)]
+        )
     except RebracketError:
-        pass
-    return out
+        return '{"monomials":[%s]}' % monomials
+    return '{"brackets":[%s],"monomials":[%s]}' % (brackets, monomials)
 
 
-def bracket_to_json(term, by_name) -> dict:
-    return {
-        "scalar": [[e, c] for e, c in _laurent_pairs(term.scalar)],
-        "L": {
-            "u": by_name(term.l_alpha),
-            "lambda": {str(s): str(c) for s, c in term.l_ell},
-            "const": term.l_const,
-        },
-        "P": by_name(term.shift),
-    }
+def _part_encoder(word: ReducedWord):
+    """An encoder of packed u/p parts over ``word`` as JSON objects.
 
+    Keys are position names in sorted string order ("3.10" before "3.2"),
+    so the fields are permuted into that order and the nonzero ones written.
+    """
+    names = position_names(word)
+    n = len(names)
+    order = sorted(range(n), key=names.__getitem__)
+    by_name = itemgetter(*order) if n > 1 else tuple
+    keys = [json.dumps(names[t]) + ":%d" for t in order]
 
-def _laurent_pairs(c: VLaurent) -> list[tuple[int, int]]:
-    return [(c.val + k, coef) for k, coef in enumerate(c.coeffs) if coef]
+    def encode(x: int) -> str:
+        try:
+            fields = by_name(unpack(x, n))
+        except OverflowError:
+            # unpack overflows exactly when a field at or past n is nonzero
+            t, value = next((t, v) for t, v in entries(x) if t >= n)
+            raise ValueError(
+                f"u/p entry {value} at position {t} lies past the {n} positions of the word"
+            ) from None
+        return "{%s}" % ",".join(map(mod, compress(keys, fields), compress(fields, fields)))
+
+    return encode
 
 
 def dump_json(data) -> str:
@@ -154,14 +168,10 @@ def cmd_construct(args) -> int:
     rep = build_rep(datum, word, args.lam)
     op = rep.generator(kind, label)
     if args.format == "json":
-        payload = {
-            "family": datum.family,
-            "rank": datum.rank,
-            "word": list(word.letters),
-            "generator": args.gen,
-            "operator": operator_to_json(op, word),
-        }
-        print(dump_json(payload))
+        # the payload's keys in sorted order, as dump_json writes them
+        head = dump_json({"family": datum.family, "generator": args.gen})
+        tail = dump_json({"rank": datum.rank, "word": list(word.letters)})
+        print(f'{head[:-1]},"operator":{operator_to_json(op, word)},{tail[1:]}')
     else:
         print(operator_text(op, word))
     return 0

@@ -1,11 +1,24 @@
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from posrep import moddouble
-from posrep.cli import main, operator_to_json, dump_json
-from posrep.qtorus import QOperator, bracket, expand_bracket, exponent
-from posrep.repbuild import build_rep, classical_render, operator_text
+from posrep.cli import main, operator_to_json
+from posrep.qtorus import (
+    SLOT_BIAS,
+    QOperator,
+    RebracketError,
+    VLaurent,
+    bracket,
+    entries,
+    expand_bracket,
+    exponent,
+    operator_from_brackets,
+    rebracket,
+)
+from posrep.repbuild import build_rep, classical_render, operator_text, position_names
 from posrep.rootdata import build_cartan
 from posrep.words import good_word
 
@@ -35,8 +48,10 @@ def test_construct_json_round_trip(capsys):
     datum = build_cartan("A", 2)
     word = good_word(datum)
     op = build_rep(datum, word).gens[1].E
-    # the command serializes the operator it builds, canonically
-    assert dump_json(operator_to_json(op, word)) == dump_json(payload["operator"])
+    # the command writes the text of the operator it builds, verbatim
+    text = operator_to_json(op, word)
+    assert json.loads(text) == payload["operator"]
+    assert f'"operator":{text},' in out
     assert payload["word"] == list(word.letters)
 
 
@@ -45,8 +60,130 @@ def test_non_bracket_operator_renders_raw_monomials():
     # an unpaired monomial: rebracket raises RebracketError
     op = QOperator.monomial(exponent({0: 1}, {0: -1})) + QOperator.monomial(exponent({2: 1}))
     assert operator_text(op, word) == "E^(pi b(u2.1)) + E^(pi b(u2.2 - 2p2.2))"
-    payload = operator_to_json(op, word)
-    assert "brackets" not in payload
+    assert json.loads(operator_to_json(op, word)) == {
+        "monomials": [
+            {"alpha": {"2.1": 1}, "coeff": [[0, 1]], "const": 0, "ell": {}, "gamma": {}},
+            {"alpha": {"2.2": 1}, "coeff": [[0, 1]], "const": 0, "ell": {}, "gamma": {"2.2": -1}},
+        ]
+    }
+
+
+@pytest.mark.parametrize("value", [2, -2])
+def test_entry_past_the_word_raises(value):
+    word = good_word(build_cartan("A", 2))
+    op = QOperator.monomial(exponent({0: 1}, {3: value}))
+    with pytest.raises(ValueError, match=f"u/p entry {value} at position 3 lies past the 3 positions"):
+        operator_to_json(op, word)
+
+
+# The dict-then-dump rendering that the direct encoder replaced, kept as the
+# oracle the encoder must match byte for byte.
+
+def oracle_operator_json(op: QOperator, word) -> str:
+    names = position_names(word)
+
+    def by_name(x: int) -> dict:
+        return {names[t]: c for t, c in entries(x)}
+
+    def pairs(c: VLaurent) -> list:
+        return [[c.val + k, a] for k, a in enumerate(c.coeffs) if a]
+
+    out = {
+        "monomials": [
+            {
+                "alpha": by_name(e.alpha),
+                "gamma": by_name(e.gamma),
+                "ell": {str(s): str(v) for s, v in e.ell},
+                "const": e.const,
+                "coeff": pairs(c),
+            }
+            for e, c in op.monomials()
+        ]
+    }
+    try:
+        out["brackets"] = [
+            {
+                "scalar": pairs(t.scalar),
+                "L": {"u": by_name(t.l_alpha), "lambda": {str(s): str(v) for s, v in t.l_ell},
+                      "const": t.l_const},
+                "P": by_name(t.shift),
+            }
+            for t in rebracket(op)
+        ]
+    except RebracketError:
+        pass
+    return json.dumps(out, sort_keys=True, separators=(",", ":"))
+
+
+# E6's good word has occurrences 1..10 of letter 3, so its position names
+# sort apart from its positions ("3.10" before "3.2").
+E6_WORD = good_word(build_cartan("E", 6))
+N_POS = len(E6_WORD.letters)
+
+entry = st.one_of(st.integers(-3, 3), st.sampled_from([SLOT_BIAS - 1, 1 - SLOT_BIAS, 10, -10])).filter(bool)
+parts = st.dictionaries(st.integers(0, N_POS - 1), entry, max_size=6)
+lambdas = st.dictionaries(
+    st.integers(0, 5),
+    st.one_of(st.integers(-3, 3), st.fractions(-2, 2, max_denominator=6)).filter(bool),
+    max_size=3,
+)
+consts = st.integers(-4, 4)
+coeffs = st.builds(  # several terms, with zero gaps
+    VLaurent, st.integers(-5, 5), st.lists(st.integers(-2, 2), min_size=1, max_size=5)
+).filter(bool)
+
+
+@st.composite
+def monomial_operators(draw) -> QOperator:
+    shared = draw(coeffs)
+    terms = {}
+    for alpha, gamma, ell, const, c in draw(st.lists(
+        st.tuples(parts, parts, lambdas, consts, st.one_of(st.none(), coeffs)), max_size=10
+    )):
+        terms[exponent(alpha, gamma, ell, const)] = shared if c is None else c
+    return QOperator(terms)
+
+
+@st.composite
+def bracket_operators(draw) -> QOperator:
+    shared = draw(coeffs)
+    terms = []
+    for l_alpha, l_ell, l_const, shift, c in draw(st.lists(
+        st.tuples(parts, lambdas, consts, parts, st.one_of(st.none(), coeffs)), max_size=8
+    )):
+        if l_alpha or l_ell or l_const:
+            terms.append(bracket(l_alpha, l_ell, l_const, shift, shared if c is None else c))
+    return operator_from_brackets(terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(monomial_operators(), bracket_operators()))
+def test_encoder_matches_dict_oracle(op):
+    assert operator_to_json(op, E6_WORD) == oracle_operator_json(op, E6_WORD)
+
+
+def test_encoder_oracle_cases():
+    """The cases the property test must reach, pinned."""
+    word = E6_WORD
+    names = position_names(word)
+    at = names.index
+    assert sorted(names) != names
+    gappy = VLaurent(-2, (1, 0, -3))
+    zero = QOperator()
+    raw = QOperator({
+        exponent({0: -2, 30: 5}, ell={1: Fraction(-1, 4)}, const=-3): gappy,
+        exponent({at("3.2"): -1, at("3.10"): 1, at("3.1"): 2}, {0: 1}): gappy,
+    })
+    bracketed = operator_from_brackets([
+        bracket({0: 1}, {3: Fraction(1, 2)}, 2, {at("3.10"): -1}, gappy),
+        bracket({5: -1}, (), -1, {}),
+    ])
+    for op, has_brackets in ((zero, True), (raw, False), (bracketed, True)):
+        text = operator_to_json(op, word)
+        assert text == oracle_operator_json(op, word)
+        assert ("brackets" in json.loads(text)) == has_brackets
+    assert operator_to_json(zero, word) == '{"brackets":[],"monomials":[]}'
+    assert '{"3.1":2,"3.10":1,"3.2":-1}' in operator_to_json(raw, word)
 
 
 @pytest.mark.parametrize("const,text", [(3, "u2.2 + 3"), (-3, "u2.2 - 3"), (1, "u2.2 + 1"), (-1, "u2.2 - 1")])

@@ -39,6 +39,20 @@ product, a power or a braid image with an entry out of range raises
 SlotOverflowError before any term is formed; nothing wraps into a
 neighbouring field.  The lambda part ``ell`` may hold Fractions, so it
 stays a sparse (label, value) tuple, and ``const`` stays an int.
+
+The pair kernel behind ``QOperator.__mul__`` and ``q_commutator`` sums
+coefficients with the same signed-linear rule.  One call first fixes its
+window [lo, hi) of v-powers, from the lowest and highest powers of the
+coefficients and the extremes of the commutation exponents, and a field
+width w one bit above the l1 bound (sum of |coefficients| over x) times
+(the same over y), which no field sum can exceed.  A coefficient sum then
+packs to sum_k c_k << (w * (k - lo)), the coefficient of v**k in field
+k - lo, and sums of packed ints stay exact.  Each distinct sum is decoded
+once, by adding the bias that holds 2**(w-1) in each of its hi - lo
+fields and masking every field out (``unpack``).  The window is a checked
+bound: when hi - lo exceeds MAX_COEFF_SPAN the call raises
+CoefficientSpanError before it packs anything.  VLaurent itself stays
+dense.
 """
 
 from __future__ import annotations
@@ -64,9 +78,9 @@ class RebracketError(ValueError):
 class VLaurent:
     """An integer Laurent polynomial in v, stored as valuation + dense coeffs.
 
-    >>> VLaurent.v_power(2) + VLaurent.v_power(-2)   # [2]_q
+    >>> VLaurent.q_power(1) + VLaurent.q_power(-1)   # [2]_q
     VLaurent('v^2 + v^-2')
-    >>> VLaurent.q_power(1) * VLaurent.v_power(-2)
+    >>> VLaurent.q_power(1) * VLaurent(-2, (1,))
     VLaurent('1')
     """
 
@@ -93,10 +107,6 @@ class VLaurent:
     @staticmethod
     def one() -> VLaurent:
         return VLaurent(0, (1,))
-
-    @staticmethod
-    def v_power(k: int, coef: int = 1) -> VLaurent:
-        return VLaurent(k, (coef,))
 
     @staticmethod
     def q_power(k: int, coef: int = 1) -> VLaurent:
@@ -198,12 +208,22 @@ class SlotOverflowError(ArithmeticError):
     """An exponent entry does not fit its packed field (|value| < SLOT_BIAS)."""
 
 
+MAX_COEFF_SPAN = 1 << 16
+
+
+class CoefficientSpanError(ArithmeticError):
+    """A product or q-commutator would spread its coefficients over more
+    than MAX_COEFF_SPAN powers of v."""
+
+
 @lru_cache(maxsize=512)
-def _layout(n: int, width: int = SLOT_BITS) -> tuple[struct.Struct, int]:
-    """The struct of n signed little-endian ``width``-bit fields, and the
-    bias that holds 2**(width-1) in each of the n fields."""
+def _layout(n: int, width: int = SLOT_BITS) -> tuple[struct.Struct | None, int]:
+    """The struct of n signed little-endian ``width``-bit fields (None for a
+    width with no struct code), and the bias that holds 2**(width-1) in
+    each of the n fields."""
     bias = ((1 << (width * n)) - 1) // ((1 << width) - 1) << (width - 1)
-    return struct.Struct(f"<{n}{_FIELD_CODES[width]}"), bias
+    code = _FIELD_CODES.get(width)
+    return (struct.Struct(f"<{n}{code}") if code else None), bias
 
 
 def field_bias(n: int) -> int:
@@ -246,10 +266,17 @@ def pack(row, width: int = SLOT_BITS) -> int:
 
 
 def unpack(x: int, n: int | None = None, width: int = SLOT_BITS) -> tuple[int, ...]:
-    """Fields 0..n-1 of a packed int (default: through its last nonzero field)."""
-    layout, bias = _layout(field_count(x) if n is None else n, width)
-    # x + bias holds value + 2**(width-1) in every field; flipping each
-    # field's top bit turns that into the two's-complement field
+    """Fields 0..n-1 of a packed int (default: through its last nonzero field).
+
+    Any ``width`` works; 16, 32 and 64 decode through ``struct``."""
+    if n is None:
+        n = field_count(x)
+    layout, bias = _layout(n, width)
+    if layout is None:
+        # x + bias holds value + 2**(width-1) in every field: mask each out
+        mask, half, x = (1 << width) - 1, 1 << (width - 1), x + bias
+        return tuple([((x >> shift) & mask) - half for shift in range(0, n * width, width)])
+    # flipping each field's top bit of x + bias gives the two's-complement field
     return layout.unpack(((x + bias) ^ bias).to_bytes(layout.size, "little"))
 
 
@@ -656,10 +683,19 @@ def _pair_sum(x: QOperator, y: QOperator, twist: int | None) -> QOperator:
     f(s) = v**s gives the product x*y (``twist`` None) and
     f(s) = v**s - v**(twist - s) the q-commutator.  Coefficients and
     central (lambda, constant) parts are interned per call, so each
-    coefficient of a pair and each central sum is formed once.
+    central sum is formed once.  Coefficients are summed as packed ints in
+    one window and field width per call (module docstring): each distinct
+    factor c1*c2*f(s) is packed once per (s, coefficient pair), a pair adds
+    its factor's int to its exponent's sum, and each distinct nonzero sum
+    is decoded once at the end.  A factor that packs to 0 (2*s == twist)
+    forms no term, so terms come out in the order of their first nonzero
+    pair.  SlotOverflowError and CoefficientSpanError are raised before any
+    term is formed.
     """
     tx, ty = _rows_of(x), _rows_of(y)
     _check_products(tx, ty)
+    if not (x.terms and y.terms):
+        return QOperator()
     coeffs: dict[VLaurent, int] = {}
     centrals: dict[tuple, int] = {}
 
@@ -679,35 +715,68 @@ def _pair_sum(x: QOperator, y: QOperator, twist: int | None) -> QOperator:
         for cy in {ce for _, _, ce, _ in ys}:
             ell2, k2 = central_of[cy]
             sums[cy] = (sparse_add(ell1, ell2), k1 + k2)
+
+    # the window [lo, hi) of v-powers and the field width
+    srows = list(_pairing_rows(tx, ty))
+    smin, smax = min(map(min, srows)), max(map(max, srows))
+    if twist is not None:
+        smin, smax = min(smin, twist - smax), max(smax, twist - smin)
+    l1 = [sum(map(abs, c.coeffs)) for c in coeff_of]
+
+    def bounds(terms: list[tuple]) -> tuple[int, int, int]:
+        # lowest power, highest power + 1, and the sum of |coefficients| over the terms
+        cos = [co for *_, co in terms]
+        used = [coeff_of[co] for co in set(cos)]
+        return (min(c.val for c in used), max(c.val + len(c.coeffs) for c in used),
+                sum(map(l1.__getitem__, cos)))
+
+    (xlo, xhi, xl1), (ylo, yhi, yl1) = bounds(xs), bounds(ys)
+    lo, hi = xlo + ylo + smin, xhi + yhi + smax - 1
+    span = hi - lo
+    if span > MAX_COEFF_SPAN:
+        raise CoefficientSpanError(
+            f"coefficients would span v^{lo}..v^{hi - 1}, more than {MAX_COEFF_SPAN} powers of v"
+        )
+    width = (xl1 * yl1).bit_length() + 1  # every |field sum| <= xl1 * yl1, plus a sign bit
+    packed = [sum(k << (width * i) for i, k in enumerate(c.coeffs)) for c in coeff_of]
+    vals = [c.val for c in coeff_of]
+
+    # c1*c2*v**p packs to packed[co1]*packed[co2] shifted to the field of
+    # v**(val1 + val2 + p), which is field val1 + val2 + p - lo
     if twist is None:
-        skip = None
-
-        def factor(c: VLaurent, s: int) -> VLaurent:
-            return c.shift(s)
+        def factor(co1: int, co2: int, s: int) -> int:
+            return packed[co1] * packed[co2] << width * (vals[co1] + vals[co2] - lo + s)
     else:
-        skip = twist // 2 if twist % 2 == 0 else None
-
-        def factor(c: VLaurent, s: int) -> VLaurent:
-            return c * (VLaurent.v_power(s) - VLaurent.v_power(twist - s))
+        def factor(co1: int, co2: int, s: int) -> int:
+            base = vals[co1] + vals[co2] - lo
+            return packed[co1] * packed[co2] * (
+                (1 << width * (base + s)) - (1 << width * (base + twist - s))
+            )
 
     memos: dict[int, dict] = {}
-    acc: dict[tuple, VLaurent] = {}
-    for (a1, g1, ce1, co1), srow in zip(xs, _pairing_rows(tx, ty)):
+    acc: dict[tuple, int] = {}
+    get = acc.get
+    for (a1, g1, ce1, co1), srow in zip(xs, srows):
         sums = central_sums[ce1]
         memo = memos.setdefault(co1, {})
-        c1 = coeff_of[co1]
         for (a2, g2, ce2, co2), s in zip(ys, srow):
-            if s == skip:
-                continue
-            c = memo.get((s, co2))
-            if c is None:
-                c = memo[(s, co2)] = factor(c1 * coeff_of[co2], s)
-            ell, const = sums[ce2]
-            key = (a1 + a2, g1 + g2, ell, const)
-            prev = acc.get(key)
-            acc[key] = c if prev is None else prev + c
+            f = memo.get((s, co2))
+            if f is None:
+                f = memo[(s, co2)] = factor(co1, co2, s)
+            if f:
+                ell, const = sums[ce2]
+                key = (a1 + a2, g1 + g2, ell, const)
+                acc[key] = get(key, 0) + f
+    decoded: dict[int, VLaurent] = {}  # one VLaurent per distinct nonzero sum
+    terms: dict[QExponent, VLaurent] = {}
     make = QExponent._make
-    return QOperator({make(key): c for key, c in acc.items()})
+    for key, total in acc.items():
+        if total:
+            c = decoded.get(total)
+            if c is None:
+                c = decoded[total] = VLaurent(lo, unpack(total, span, width))
+            terms[make(key)] = c
+    return QOperator(terms)
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,9 @@ All checks are exact (the coefficient ring is exact); none carries a
 numerical tolerance.  Criterion 7's blow-up word reconstruction depends on
 an unpublished completion choice; when the constructed word misses the
 recorded counts the criterion emits an open-question report instead of a
-hard failure (criteria 1-6 are the hard gate).  Set POSREP_LONG=1 to run
-the seven-figure blow-up case, the E8 relation suite and criteria 8-10 on
-E8.
+hard failure (criteria 1-6 are the hard gate).  The E8 relation suite
+runs here (3-4 s).  Set POSREP_LONG=1 to run the seven-figure blow-up
+case and criteria 8-10 on E8.
 """
 
 import os
@@ -69,7 +69,6 @@ def test_criterion_1_relation_suite():
     _ok("criterion 1 (relation suite)", f"{len(cases)} representations, all residues zero")
 
 
-@pytest.mark.skipif(not LONG, reason="E8 relation suite takes about 6 s; set POSREP_LONG=1")
 def test_criterion_1_e8_relation_suite():
     datum = build_cartan("E", 8)
     report = check_relations(build_rep(datum, good_word(datum)))

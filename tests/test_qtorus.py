@@ -1,11 +1,16 @@
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from posrep import verify
 from posrep.qtorus import (
+    MAX_COEFF_SPAN,
     SLOT_BIAS,
     SLOT_BITS,
+    CoefficientSpanError,
+    QExponent,
     QMonomial,
     QOperator,
     RebracketError,
@@ -25,6 +30,10 @@ from posrep.qtorus import (
     term_count,
     unpack,
 )
+from posrep.qtorus import _check_products, _pairing_rows, _rows_of, sparse_add
+from posrep.repbuild import build_rep
+from posrep.rootdata import build_cartan
+from posrep.words import good_word
 
 ONE = VLaurent.one()
 
@@ -41,22 +50,22 @@ def test_vlaurent_normalization():
     assert VLaurent(0, (0, 1, 0)) == VLaurent(1, (1,))
     assert VLaurent(3, ()) == VLaurent.zero()
     assert not VLaurent.zero()
-    assert VLaurent.q_power(1) == VLaurent.v_power(2)
+    assert VLaurent.q_power(1) == VLaurent(2, (1,))
 
 
 def test_vlaurent_arithmetic():
     two_q = VLaurent.q_power(1) + VLaurent.q_power(-1)
     assert two_q.fmt_q() == "q + q^-1"
-    assert (two_q * VLaurent.v_power(3)).val == 1
+    assert (two_q * VLaurent(3, (1,))).val == 1
     assert two_q - two_q == VLaurent.zero()
-    assert VLaurent.v_power(1) * VLaurent.v_power(-1) == ONE
+    assert VLaurent(1, (1,)) * VLaurent(-1, (1,)) == ONE
 
 
 @given(st.lists(st.tuples(st.integers(-4, 4), st.integers(-3, 3)), max_size=4),
        st.lists(st.tuples(st.integers(-4, 4), st.integers(-3, 3)), max_size=4))
 def test_vlaurent_mul_commutative(a, b):
-    pa = sum((VLaurent.v_power(e, c) for e, c in a), VLaurent.zero())
-    pb = sum((VLaurent.v_power(e, c) for e, c in b), VLaurent.zero())
+    pa = sum((VLaurent(e, (c,)) for e, c in a), VLaurent.zero())
+    pb = sum((VLaurent(e, (c,)) for e, c in b), VLaurent.zero())
     assert pa * pb == pb * pa
 
 
@@ -77,7 +86,7 @@ def test_commutation_exponent_basic():
 def test_mul_cocycle():
     # e^{pi b u} * e^{2 pi b p} = q^{1/2} e^{pi b(u + 2p)}
     out = mono(alpha={0: 1}) * mono(gamma={0: 1})
-    assert out == mono(alpha={0: 1}, gamma={0: 1}, coeff=VLaurent.v_power(1))
+    assert out == mono(alpha={0: 1}, gamma={0: 1}, coeff=VLaurent(1, (1,)))
 
 
 def test_identity_neutral():
@@ -128,7 +137,7 @@ def test_zero_and_cancellation():
 
 
 def test_sum_order_independent():
-    parts = [mono(alpha={0: 1}), mono(gamma={1: -1}), mono(alpha={0: 1}, coeff=VLaurent.v_power(2))]
+    parts = [mono(alpha={0: 1}), mono(gamma={1: -1}), mono(alpha={0: 1}, coeff=VLaurent(2, (1,)))]
     fwd = parts[0] + parts[1] + parts[2]
     rev = parts[2] + parts[1] + parts[0]
     assert fwd == rev
@@ -198,7 +207,7 @@ def test_pack_rejects_non_integer_entries(value):
 
 
 laurent = st.lists(st.tuples(st.integers(-4, 4), st.integers(-3, 3)), min_size=1, max_size=3).map(
-    lambda pairs: sum((VLaurent.v_power(e, c) for e, c in pairs), VLaurent.zero())
+    lambda pairs: sum((VLaurent(e, (c,)) for e, c in pairs), VLaurent.zero())
 )
 monomial = st.builds(
     lambda a, g, l, k, c: QMonomial(exponent(a, g, l, k), c),
@@ -257,9 +266,9 @@ def _oracle(xparts, yparts, twist):
         for a2, g2, l2, k2, c2 in yparts:
             ra1, rg1, ra2, rg2 = (_dense(d.items(), WIDTH) for d in (a1, g1, a2, g2))
             s = _pairing(ra1, rg1, ra2, rg2)
-            f = VLaurent.v_power(s)
+            f = VLaurent(s, (1,))
             if twist is not None:
-                f = f - VLaurent.v_power(twist - s)
+                f = f - VLaurent(twist - s, (1,))
             rows = [p + q for p, q in zip(ra1, ra2)], [p + q for p, q in zip(rg1, rg2)]
             ell = {j: l1.get(j, 0) + l2.get(j, 0) for j in {*l1, *l2}}
             out.append((rows, ell, k1 + k2, c1 * c2 * f))
@@ -313,6 +322,141 @@ def test_product_reaching_the_field_limit_raises_before_any_term():
 
 
 # ---------------------------------------------------------------------------
+# the packed coefficient sums against the kernel they replaced
+# ---------------------------------------------------------------------------
+
+def _pair_sum_oracle(x: QOperator, y: QOperator, twist: int | None) -> QOperator:
+    """The previous pair kernel: each pair adds a VLaurent to its exponent's sum."""
+    tx, ty = _rows_of(x), _rows_of(y)
+    _check_products(tx, ty)
+    coeffs: dict[VLaurent, int] = {}
+    centrals: dict[tuple, int] = {}
+
+    def intern(op: QOperator) -> list[tuple]:
+        return [
+            (e.alpha, e.gamma, centrals.setdefault((e.ell, e.const), len(centrals)),
+             coeffs.setdefault(c, len(coeffs)))
+            for e, c in op.terms.items()
+        ]
+
+    xs, ys = intern(x), intern(y)
+    coeff_of, central_of = list(coeffs), list(centrals)
+    central_sums: dict[int, list] = {}
+    for cx in {ce for _, _, ce, _ in xs}:
+        ell1, k1 = central_of[cx]
+        sums = central_sums[cx] = [None] * len(central_of)
+        for cy in {ce for _, _, ce, _ in ys}:
+            ell2, k2 = central_of[cy]
+            sums[cy] = (sparse_add(ell1, ell2), k1 + k2)
+    if twist is None:
+        skip = None
+
+        def factor(c: VLaurent, s: int) -> VLaurent:
+            return c.shift(s)
+    else:
+        skip = twist // 2 if twist % 2 == 0 else None
+
+        def factor(c: VLaurent, s: int) -> VLaurent:
+            return c * (VLaurent(s, (1,)) - VLaurent(twist - s, (1,)))
+
+    memos: dict[int, dict] = {}
+    acc: dict[tuple, VLaurent] = {}
+    for (a1, g1, ce1, co1), srow in zip(xs, _pairing_rows(tx, ty)):
+        sums = central_sums[ce1]
+        memo = memos.setdefault(co1, {})
+        c1 = coeff_of[co1]
+        for (a2, g2, ce2, co2), s in zip(ys, srow):
+            if s == skip:
+                continue
+            c = memo.get((s, co2))
+            if c is None:
+                c = memo[(s, co2)] = factor(c1 * coeff_of[co2], s)
+            ell, const = sums[ce2]
+            key = (a1 + a2, g1 + g2, ell, const)
+            prev = acc.get(key)
+            acc[key] = c if prev is None else prev + c
+    make = QExponent._make
+    return QOperator({make(key): c for key, c in acc.items()})
+
+
+def _assert_same(out: QOperator, expected: QOperator):
+    # equal terms, listed in the same insertion order
+    assert out.terms == expected.terms
+    assert list(out.terms) == list(expected.terms)
+
+
+BIG = 1 << 40
+big_laurent = st.lists(
+    st.tuples(st.integers(-5, 5), st.one_of(st.integers(-3, 3), st.integers(-BIG, BIG),
+                                             st.sampled_from([BIG, -BIG]))),
+    min_size=1, max_size=4,
+).map(lambda pairs: sum((VLaurent(e, (c,)) for e, c in pairs), VLaurent.zero()))
+oracle_monomial = st.builds(
+    lambda a, g, l, k, c: QMonomial(exponent(a, g, l, k), c),
+    small_vec, small_vec, st.dictionaries(st.integers(1, 2), st.sampled_from([-1, 1, Fraction(1, 2)]),
+                                          max_size=2),
+    st.integers(-1, 1), big_laurent,
+)
+oracle_operator = st.lists(oracle_monomial, max_size=6).map(QOperator.from_monomials)
+
+
+@settings(max_examples=100, deadline=None)
+@given(oracle_operator, st.one_of(oracle_operator, st.none()), st.integers(-7, 7))
+def test_pair_kernel_matches_the_vlaurent_oracle(x, y, t):
+    # y None: y is x, so x*x collapses pairs and [x, x]_0 cancels to zero
+    y = x if y is None else y
+    _assert_same(x * y, _pair_sum_oracle(x, y, None))
+    _assert_same(q_commutator(x, y, t), _pair_sum_oracle(x, y, t))
+
+
+def test_pair_kernel_cancellation_and_wide_fields():
+    x = (mono(alpha={0: 1}, coeff=VLaurent(0, (BIG, -3, BIG)))
+         + mono(gamma={0: 1}, coeff=VLaurent(2, (-BIG,)))
+         + mono(alpha={1: 1}, gamma={0: -1}, coeff=VLaurent(-1, (7,))))
+    assert q_commutator(x, x).is_zero()  # every key sums to an exact zero
+    _assert_same(q_commutator(x, x), _pair_sum_oracle(x, x, 0))
+    for t in (-3, -2, 0, 1, 2):
+        _assert_same(q_commutator(x, x, t), _pair_sum_oracle(x, x, t))
+    _assert_same(x * x, _pair_sum_oracle(x, x, None))
+    zero = QOperator.zero()
+    for a, b in ((x, zero), (zero, x), (zero, zero)):
+        assert (a * b).is_zero() and q_commutator(a, b, 2).is_zero()
+
+
+def test_pair_kernel_replays_the_e6_relation_suite(monkeypatch):
+    datum = build_cartan("E", 6)
+    rep = build_rep(datum, good_word(datum))
+    calls = []
+
+    def replay(x, y, t=0):
+        out = q_commutator(x, y, t)
+        _assert_same(out, _pair_sum_oracle(x, y, t))
+        calls.append(len(out))
+        return out
+
+    monkeypatch.setattr(verify, "q_commutator", replay)
+    assert verify.check_relations(rep)["status"] == "pass"
+    # per node: master and 2 * 6 K-relations; 30 e_f, 15 K_K, 2 * 10
+    # non-adjacent pairs, and 10 ordered adjacent pairs * 2 Serre * 2 calls
+    assert len(calls) == 6 * 13 + 30 + 15 + 20 + 40 and any(calls)
+
+
+def test_coefficient_span_is_checked_before_any_term():
+    # a u- and a p-entry near 2**15 at one position: s is about 10**9
+    x, y = mono(alpha={0: FIELD_MAX}), mono(gamma={0: FIELD_MAX})
+    s = FIELD_MAX * FIELD_MAX
+    assert s > 10**9
+    start = time.perf_counter()
+    with pytest.raises(CoefficientSpanError, match=f"more than {MAX_COEFF_SPAN} powers of v"):
+        q_commutator(x, y)
+    with pytest.raises(CoefficientSpanError):
+        (x + mono(alpha={1: 1})) * (y + mono(gamma={1: 1}))  # s spans 0 .. 10**9
+    assert time.perf_counter() - start < 1.0
+    # one pair has a one-power window, however large s is
+    assert x * y == mono(alpha={0: FIELD_MAX}, gamma={0: FIELD_MAX}, coeff=VLaurent(s, (1,)))
+
+
+# ---------------------------------------------------------------------------
 # brackets
 # ---------------------------------------------------------------------------
 
@@ -325,8 +469,8 @@ def test_expand_simple_bracket():
 def test_expand_central_bracket():
     # [2 lam] e(0) -> v * Lam^2 + v^-1 * Lam^-2
     op = expand_bracket(bracket(l_ell={1: 2}))
-    assert op == mono(ell={1: 2}, coeff=VLaurent.v_power(1)) + mono(
-        ell={1: -2}, coeff=VLaurent.v_power(-1)
+    assert op == mono(ell={1: 2}, coeff=VLaurent(1, (1,))) + mono(
+        ell={1: -2}, coeff=VLaurent(-1, (1,))
     )
 
 

@@ -384,7 +384,7 @@ def test_pack_unpack_round_trip(parts, slot):
     for a, g, c in parts:
         e = exponent(a, g, (), c)
         assert (dict(entries(e.alpha)), dict(entries(e.gamma))) == (a, g)
-    terms = {exponent(a, g, (), c): VLaurent.v_power(c) for a, g, c in parts}
+    terms = {exponent(a, g, (), c): VLaurent(c, (1,)) for a, g, c in parts}
     assert _relabel(dict(terms), list(range(N_SLOTS))) == terms
     # under a slot permutation, position p reads the field of slot[p]
     position = {s: p for p, s in enumerate(slot)}
@@ -415,7 +415,7 @@ def relabel_cases(draw):
     slot = draw(st.one_of(st.just(list(range(size))), st.permutations(range(size))))
     vecs = st.dictionaries(st.integers(0, size + 3), field_values, max_size=8)
     parts = draw(st.lists(st.tuples(vecs, vecs, st.integers(-2, 2)), max_size=12))
-    terms = {exponent(a, g, (), c): VLaurent.v_power(c) for a, g, c in parts}
+    terms = {exponent(a, g, (), c): VLaurent(c, (1,)) for a, g, c in parts}
     return list(slot), terms
 
 
@@ -537,7 +537,7 @@ def _local_groups() -> list[tuple]:
 CANCELLING = (((-1, 0, -1, -1, 1, 0), VLaurent.one()), ((0, -1, 0, 0, 1, -1), -VLaurent.one()))
 LOCAL_GROUPS = _local_groups() + [CANCELLING]
 UNTOUCHED = (((0,) * 6, VLaurent.one()),)
-SCALES = [VLaurent.one(), -VLaurent.one(), VLaurent.v_power(-2), TWO_Q, VLaurent.v_power(1, 3)]
+SCALES = [VLaurent.one(), -VLaurent.one(), VLaurent(-2, (1,)), TWO_Q, VLaurent(1, (3,))]
 
 
 @st.composite

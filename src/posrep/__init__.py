@@ -16,6 +16,7 @@ from .qtorus import (
     bracket,
     commutation_exponent,
     expand_bracket,
+    nested_q_commutator,
     operator_from_brackets,
     q_commutator,
     rebracket,
@@ -75,6 +76,7 @@ __all__ = [
     "bracket",
     "commutation_exponent",
     "expand_bracket",
+    "nested_q_commutator",
     "operator_from_brackets",
     "q_commutator",
     "rebracket",

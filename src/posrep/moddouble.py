@@ -32,6 +32,7 @@ from .qtorus import (
     QOperator,
     VLaurent,
     entries,
+    nested_q_commutator,
     pairing_matrix,
     q_commutator,
     rebracket,
@@ -113,11 +114,10 @@ def check_modified_relations(mrep: ModifiedRep) -> dict:
             if i != j:
                 check("Eb_Fb", i, j, q_commutator(eb_i, fb_j))
             if datum.adjacent(i, j):
-                # the E-chain closes with the inverse twist of the F-chain
-                inner_e = q_commutator(eb_j, eb_i, 4 * eps)
-                check("modified_serre_e", i, j, q_commutator(inner_e, eb_i))
-                inner_f = q_commutator(fb_j, fb_i, -4 * eps)
-                check("modified_serre_f", i, j, q_commutator(inner_f, fb_i))
+                # [[y, x]_s, x]_0 = v^s [x, [x, y]_-s]_0, with s = 4*eps for the
+                # E-chain and the inverse twist for the F-chain
+                check("modified_serre_e", i, j, nested_q_commutator(eb_i, eb_j, -4 * eps, 0))
+                check("modified_serre_f", i, j, nested_q_commutator(fb_i, fb_j, 4 * eps, 0))
     return {
         "check": "modified_relations",
         "status": "pass" if not failures else "fail",

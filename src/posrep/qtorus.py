@@ -53,6 +53,20 @@ fields and masking every field out (``unpack``).  The window is a checked
 bound: when hi - lo exceeds MAX_COEFF_SPAN the call raises
 CoefficientSpanError before it packs anything.  VLaurent itself stays
 dense.
+
+The nested kernel ``nested_q_commutator`` sums [x, [x, y]_s]_t without
+forming [x, y]_s.  Since the commutation exponent of m_a with m(e_b + e_c)
+is s_ab + s_ac, monomials m_a, m_b of x and m_c of y add
+c_a*c_b*c_c*g(a, b, c) * m(e_a + e_b + e_c), with
+
+    g(a, b, c) = (v**s_bc - v**(s - s_bc)) * (v**(s_ab + s_ac) - v**(t - s_ab - s_ac)).
+
+The sum runs over unordered pairs a <= b of x's monomials, with the
+factor g(a, b, c) + g(b, a, c) for a != b and g(a, a, c) for a == b.  g
+has two positive and two negative powers of v, so no coefficient of g
+exceeds 2 in size and one ordered triple adds at most
+2*l1(c_a)*l1(c_b)*l1(c_c) to a field: the width is one bit above
+2 * l1(x)**2 * l1(y), with l1(x) the sum of |coefficients| over x.
 """
 
 from __future__ import annotations
@@ -61,7 +75,7 @@ import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress
+from itertools import compress, zip_longest
 from operator import mul
 from typing import Iterable, NamedTuple
 
@@ -475,15 +489,15 @@ def _pairing_rows(tx: _Rows, ty: _Rows):
         yield unpack(total, m, width)
 
 
-def _check_products(tx: _Rows, ty: _Rows) -> None:
-    """SlotOverflowError when the sum of some x- and y-exponent has an
-    entry outside its field.  Exact: it compares column extremes, and only
-    when the two bounds allow an overflow at all."""
-    if tx.bound + ty.bound < SLOT_BIAS:
+def _check_products(tx: _Rows, ty: _Rows, nx: int = 1) -> None:
+    """SlotOverflowError when the sum of ``nx`` x-exponents and one
+    y-exponent has an entry outside its field.  Exact: it compares column
+    extremes, and only when the bounds allow an overflow at all."""
+    if nx * tx.bound + ty.bound < SLOT_BIAS:
         return
     for xrows, yrows in ((tx.alpha, ty.alpha), (tx.gamma, ty.gamma)):
-        for k, (xc, yc) in enumerate(zip(zip(*xrows), zip(*yrows))):
-            for value in (max(xc) + max(yc), min(xc) + min(yc)):
+        for k, (xc, yc) in enumerate(zip_longest(zip(*xrows), zip(*yrows), fillvalue=(0,))):
+            for value in (nx * max(xc) + max(yc), nx * min(xc) + min(yc)):
                 check_entry(value, f"at position {k} of a product")
 
 
@@ -677,69 +691,108 @@ def q_commutator(x: QOperator, y: QOperator, v_twist: int = 0) -> QOperator:
     return _pair_sum(x, y, v_twist)
 
 
+class _Sums:
+    """Per-call state that the pair and nested kernels share.
+
+    The terms of x and y are interned: each distinct coefficient and
+    central (lambda, constant) part gets an id, so each coefficient is
+    packed once and each central sum is formed once.  A kernel sums packed
+    coefficients under the key (alpha, gamma, central id); ``window`` fixes
+    the v-power window and the field width (module docstring), and
+    ``decode`` reads each distinct nonzero sum once.
+    """
+
+    def __init__(self, x: QOperator, y: QOperator):
+        coeffs: dict[VLaurent, int] = {}
+        self.centrals: dict[tuple, int] = {}
+        centrals = self.centrals
+        self.terms = [
+            [(e.alpha, e.gamma, centrals.setdefault((e.ell, e.const), len(centrals)),
+              coeffs.setdefault(c, len(coeffs)))
+             for e, c in op.terms.items()]
+            for op in (x, y)
+        ]
+        self.ids = [{ce for _, _, ce, _ in terms} for terms in self.terms]
+        self.coeff_of = list(coeffs)
+
+    def central_sums(self, lefts, rights) -> dict[int, dict[int, int]]:
+        """{l: {r: id of central l + central r}} over the ids given."""
+        centrals = self.centrals
+        part_of = list(centrals)
+        table: dict[int, dict[int, int]] = {}
+        for cl in lefts:
+            ell1, k1 = part_of[cl]
+            row = table[cl] = {}
+            for cr in rights:
+                ell2, k2 = part_of[cr]
+                row[cr] = centrals.setdefault((sparse_add(ell1, ell2), k1 + k2), len(centrals))
+        return table
+
+    def window(self, nx: int, plo: int, phi: int, factor_max: int) -> None:
+        """Fix the window of v-powers of nx x-coefficients times one
+        y-coefficient times a factor with powers in [plo, phi], and a field
+        width for |field sum| <= factor_max * l1(x)**nx * l1(y), where
+        factor_max bounds the factor's coefficients; CoefficientSpanError
+        when the window is wider than MAX_COEFF_SPAN."""
+        l1 = [sum(map(abs, c.coeffs)) for c in self.coeff_of]
+
+        def bounds(terms: list[tuple]) -> tuple[int, int, int]:
+            # lowest power, highest power, and the sum of |coefficients| over the terms
+            cos = [co for *_, co in terms]
+            used = [self.coeff_of[co] for co in set(cos)]
+            return (min(c.val for c in used), max(c.val + len(c.coeffs) - 1 for c in used),
+                    sum(map(l1.__getitem__, cos)))
+
+        (xlo, xhi, xl1), (ylo, yhi, yl1) = map(bounds, self.terms)
+        lo, hi = nx * xlo + ylo + plo, nx * xhi + yhi + phi + 1
+        if hi - lo > MAX_COEFF_SPAN:
+            raise CoefficientSpanError(
+                f"coefficients would span v^{lo}..v^{hi - 1}, more than {MAX_COEFF_SPAN} powers of v"
+            )
+        self.lo, self.span = lo, hi - lo
+        self.width = width = (factor_max * xl1**nx * yl1).bit_length() + 1  # plus a sign bit
+        self.packed = [sum(k << (width * i) for i, k in enumerate(c.coeffs)) for c in self.coeff_of]
+        self.vals = [c.val for c in self.coeff_of]
+
+    def decode(self, acc: dict[tuple, int]) -> QOperator:
+        """The operator of the packed sums, in key order; zero sums form no term."""
+        part_of = list(self.centrals)
+        decoded: dict[int, VLaurent] = {}  # one VLaurent per distinct nonzero sum
+        terms: dict[QExponent, VLaurent] = {}
+        for (alpha, gamma, ce), total in acc.items():
+            if total:
+                c = decoded.get(total)
+                if c is None:
+                    c = decoded[total] = VLaurent(self.lo, unpack(total, self.span, self.width))
+                terms[QExponent(alpha, gamma, *part_of[ce])] = c
+        return QOperator(terms)
+
+
 def _pair_sum(x: QOperator, y: QOperator, twist: int | None) -> QOperator:
     """Sum of c1*c2*f(s) * m(e1 + e2) over the monomial pairs of x and y.
 
     f(s) = v**s gives the product x*y (``twist`` None) and
-    f(s) = v**s - v**(twist - s) the q-commutator.  Coefficients and
-    central (lambda, constant) parts are interned per call, so each
-    central sum is formed once.  Coefficients are summed as packed ints in
-    one window and field width per call (module docstring): each distinct
-    factor c1*c2*f(s) is packed once per (s, coefficient pair), a pair adds
-    its factor's int to its exponent's sum, and each distinct nonzero sum
-    is decoded once at the end.  A factor that packs to 0 (2*s == twist)
-    forms no term, so terms come out in the order of their first nonzero
-    pair.  SlotOverflowError and CoefficientSpanError are raised before any
-    term is formed.
+    f(s) = v**s - v**(twist - s) the q-commutator.  Each distinct factor
+    c1*c2*f(s) is packed once per (s, coefficient pair), a pair adds its
+    factor's int to its exponent's sum, and each distinct nonzero sum is
+    decoded once at the end (``_Sums``).  A factor that packs to 0
+    (2*s == twist) forms no term, so terms come out in the order of their
+    first nonzero pair.  SlotOverflowError and CoefficientSpanError are
+    raised before any term is formed.
     """
-    tx, ty = _rows_of(x), _rows_of(y)
-    _check_products(tx, ty)
     if not (x.terms and y.terms):
         return QOperator()
-    coeffs: dict[VLaurent, int] = {}
-    centrals: dict[tuple, int] = {}
-
-    def intern(op: QOperator) -> list[tuple]:
-        return [
-            (e.alpha, e.gamma, centrals.setdefault((e.ell, e.const), len(centrals)),
-             coeffs.setdefault(c, len(coeffs)))
-            for e, c in op.terms.items()
-        ]
-
-    xs, ys = intern(x), intern(y)
-    coeff_of, central_of = list(coeffs), list(centrals)
-    central_sums: dict[int, list] = {}
-    for cx in {ce for _, _, ce, _ in xs}:
-        ell1, k1 = central_of[cx]
-        sums = central_sums[cx] = [None] * len(central_of)
-        for cy in {ce for _, _, ce, _ in ys}:
-            ell2, k2 = central_of[cy]
-            sums[cy] = (sparse_add(ell1, ell2), k1 + k2)
-
-    # the window [lo, hi) of v-powers and the field width
+    tx, ty = _rows_of(x), _rows_of(y)
+    _check_products(tx, ty)
+    sums = _Sums(x, y)
+    xs, ys = sums.terms
+    central_sums = sums.central_sums(*sums.ids)
     srows = list(_pairing_rows(tx, ty))
     smin, smax = min(map(min, srows)), max(map(max, srows))
     if twist is not None:
         smin, smax = min(smin, twist - smax), max(smax, twist - smin)
-    l1 = [sum(map(abs, c.coeffs)) for c in coeff_of]
-
-    def bounds(terms: list[tuple]) -> tuple[int, int, int]:
-        # lowest power, highest power + 1, and the sum of |coefficients| over the terms
-        cos = [co for *_, co in terms]
-        used = [coeff_of[co] for co in set(cos)]
-        return (min(c.val for c in used), max(c.val + len(c.coeffs) for c in used),
-                sum(map(l1.__getitem__, cos)))
-
-    (xlo, xhi, xl1), (ylo, yhi, yl1) = bounds(xs), bounds(ys)
-    lo, hi = xlo + ylo + smin, xhi + yhi + smax - 1
-    span = hi - lo
-    if span > MAX_COEFF_SPAN:
-        raise CoefficientSpanError(
-            f"coefficients would span v^{lo}..v^{hi - 1}, more than {MAX_COEFF_SPAN} powers of v"
-        )
-    width = (xl1 * yl1).bit_length() + 1  # every |field sum| <= xl1 * yl1, plus a sign bit
-    packed = [sum(k << (width * i) for i, k in enumerate(c.coeffs)) for c in coeff_of]
-    vals = [c.val for c in coeff_of]
+    sums.window(1, smin, smax, 1)
+    packed, vals, width, lo = sums.packed, sums.vals, sums.width, sums.lo
 
     # c1*c2*v**p packs to packed[co1]*packed[co2] shifted to the field of
     # v**(val1 + val2 + p), which is field val1 + val2 + p - lo
@@ -757,26 +810,79 @@ def _pair_sum(x: QOperator, y: QOperator, twist: int | None) -> QOperator:
     acc: dict[tuple, int] = {}
     get = acc.get
     for (a1, g1, ce1, co1), srow in zip(xs, srows):
-        sums = central_sums[ce1]
+        ces = central_sums[ce1]
         memo = memos.setdefault(co1, {})
         for (a2, g2, ce2, co2), s in zip(ys, srow):
             f = memo.get((s, co2))
             if f is None:
                 f = memo[(s, co2)] = factor(co1, co2, s)
             if f:
-                ell, const = sums[ce2]
-                key = (a1 + a2, g1 + g2, ell, const)
+                key = (a1 + a2, g1 + g2, ces[ce2])
                 acc[key] = get(key, 0) + f
-    decoded: dict[int, VLaurent] = {}  # one VLaurent per distinct nonzero sum
-    terms: dict[QExponent, VLaurent] = {}
-    make = QExponent._make
-    for key, total in acc.items():
-        if total:
-            c = decoded.get(total)
-            if c is None:
-                c = decoded[total] = VLaurent(lo, unpack(total, span, width))
-            terms[make(key)] = c
-    return QOperator(terms)
+    return sums.decode(acc)
+
+
+def nested_q_commutator(x: QOperator, y: QOperator, s: int, t: int) -> QOperator:
+    """[x, [x, y]_s]_t in one pass over the unordered pairs a <= b of x's
+    monomials and the monomials c of y, without forming [x, y]_s (the
+    triple sum is in the module docstring).
+
+    Each distinct factor is packed once per (s_ab, a's and b's
+    coefficients, a == b) and (s_ac, s_bc, c's coefficient).
+    SlotOverflowError (an entry of some x+y or x+x+y exponent leaves its
+    field) and CoefficientSpanError are raised before any term is formed,
+    so the call raises wherever the nested q_commutator calls raise.
+    """
+    if not (x.terms and y.terms):
+        return QOperator()
+    tx, ty = _rows_of(x), _rows_of(y)
+    _check_products(tx, ty)
+    sums = _Sums(x, y)
+    xs, ys = sums.terms
+    xids, yids = sums.ids
+    ab_sums = sums.central_sums(xids, xids)
+    abc_sums = sums.central_sums({ce for row in ab_sums.values() for ce in row.values()}, yids)
+    ab_rows = list(_pairing_rows(tx, tx))
+    ac_rows = list(_pairing_rows(tx, ty))
+    # the powers of g are u + w, u + t - w, s - u + w and s + t - u - w,
+    # with u = s_bc and w = s_ab + s_ac
+    ulo, uhi = min(map(min, ac_rows)), max(map(max, ac_rows))
+    wlo, whi = ulo + min(map(min, ab_rows)), uhi + max(map(max, ab_rows))
+    plo = min(ulo + wlo, ulo + t - whi, s - uhi + wlo, s + t - uhi - whi)
+    phi = max(uhi + whi, uhi + t - wlo, s - ulo + whi, s + t - ulo - wlo)
+    sums.window(2, plo, phi, 2)  # no coefficient of g exceeds 2
+    _check_products(tx, ty, 2)
+    packed, vals, width, lo = sums.packed, sums.vals, sums.width, sums.lo
+
+    def factor(sab: int, coa: int, cob: int, diagonal: bool, sac: int, sbc: int, coc: int) -> int:
+        base = vals[coa] + vals[cob] + vals[coc] - lo
+
+        def g(u: int, w: int) -> int:
+            return ((1 << width * (base + u + w)) - (1 << width * (base + u + t - w))
+                    - (1 << width * (base + s - u + w)) + (1 << width * (base + s + t - u - w)))
+
+        p = g(sbc, sab + sac) if diagonal else g(sbc, sab + sac) + g(sac, sbc - sab)
+        return packed[coa] * packed[cob] * packed[coc] * p
+
+    memos: dict[tuple, dict] = {}
+    acc: dict[tuple, int] = {}
+    get = acc.get
+    for a, ((a1, g1, cea, coa), ab_row, ac_row) in enumerate(zip(xs, ab_rows, ac_rows)):
+        ces_a = ab_sums[cea]
+        for b in range(a, len(xs)):
+            a2, g2, ceb, cob = xs[b]
+            sab, diagonal = ab_row[b], a == b
+            memo = memos.setdefault((sab, coa, cob, diagonal), {})
+            ces = abc_sums[ces_a[ceb]]
+            alpha, gamma = a1 + a2, g1 + g2
+            for (a3, g3, cec, coc), sac, sbc in zip(ys, ac_row, ac_rows[b]):
+                f = memo.get((sac, sbc, coc))
+                if f is None:
+                    f = memo[(sac, sbc, coc)] = factor(sab, coa, cob, diagonal, sac, sbc, coc)
+                if f:
+                    key = (alpha + a3, gamma + g3, ces[cec])
+                    acc[key] = get(key, 0) + f
+    return sums.decode(acc)
 
 
 # ---------------------------------------------------------------------------

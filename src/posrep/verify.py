@@ -7,7 +7,7 @@ CLI can emit them as JSON.
 
 from __future__ import annotations
 
-from .qtorus import QOperator, VLaurent, pairing_matrix, q_commutator
+from .qtorus import QOperator, VLaurent, nested_q_commutator, pairing_matrix, q_commutator
 from .repbuild import Representation, build_rep, operator_text
 from .words import ReducedWord, braid_path
 from .transport import transport
@@ -37,7 +37,8 @@ def check_relations(rep: Representation) -> dict:
 
     Every relation is evaluated as a q-commutator [x, y]_t = x y - v^t y x;
     Serre is the nested form [e_i, [e_i, e_j]_2]_-2, which expands to the
-    same element as the three-product sum above.
+    same element as the three-product sum above and is summed in one pass
+    (``nested_q_commutator``).
     """
     datum = rep.datum
     failures: list[dict] = []
@@ -65,8 +66,8 @@ def check_relations(rep: Representation) -> dict:
                     check("e_e", i, j, q_commutator(e_i, e_j))
                     check("f_f", i, j, q_commutator(f_i, f_j))
             if datum.adjacent(i, j):
-                check("serre_e", i, j, q_commutator(e_i, q_commutator(e_i, e_j, 2), -2))
-                check("serre_f", i, j, q_commutator(f_i, q_commutator(f_i, f_j, 2), -2))
+                check("serre_e", i, j, nested_q_commutator(e_i, e_j, 2, -2))
+                check("serre_f", i, j, nested_q_commutator(f_i, f_j, 2, -2))
     return {"check": "relations", "status": "pass" if not failures else "fail", "witnesses": failures}
 
 

@@ -21,6 +21,7 @@ from posrep.qtorus import (
     expand_bracket,
     entries,
     exponent,
+    nested_q_commutator,
     operator_from_brackets,
     pack,
     pack_entries,
@@ -426,7 +427,7 @@ def test_pair_kernel_cancellation_and_wide_fields():
 def test_pair_kernel_replays_the_e6_relation_suite(monkeypatch):
     datum = build_cartan("E", 6)
     rep = build_rep(datum, good_word(datum))
-    calls = []
+    calls, nested_calls = [], []
 
     def replay(x, y, t=0):
         out = q_commutator(x, y, t)
@@ -434,11 +435,19 @@ def test_pair_kernel_replays_the_e6_relation_suite(monkeypatch):
         calls.append(len(out))
         return out
 
+    def replay_nested(x, y, s, t):
+        out = nested_q_commutator(x, y, s, t)
+        assert out.terms == _pair_sum_oracle(x, _pair_sum_oracle(x, y, s), t).terms
+        nested_calls.append(len(x) * len(y))
+        return out
+
     monkeypatch.setattr(verify, "q_commutator", replay)
+    monkeypatch.setattr(verify, "nested_q_commutator", replay_nested)
     assert verify.check_relations(rep)["status"] == "pass"
     # per node: master and 2 * 6 K-relations; 30 e_f, 15 K_K, 2 * 10
-    # non-adjacent pairs, and 10 ordered adjacent pairs * 2 Serre * 2 calls
-    assert len(calls) == 6 * 13 + 30 + 15 + 20 + 40 and any(calls)
+    # non-adjacent pairs; and 10 ordered adjacent pairs * 2 Serre relations
+    assert len(calls) == 6 * 13 + 30 + 15 + 20 == 143 and any(calls)
+    assert len(nested_calls) == 20 and all(nested_calls)
 
 
 def test_coefficient_span_is_checked_before_any_term():
@@ -454,6 +463,68 @@ def test_coefficient_span_is_checked_before_any_term():
     assert time.perf_counter() - start < 1.0
     # one pair has a one-power window, however large s is
     assert x * y == mono(alpha={0: FIELD_MAX}, gamma={0: FIELD_MAX}, coeff=VLaurent(s, (1,)))
+
+
+# ---------------------------------------------------------------------------
+# the nested kernel against nested q-commutators
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=100, deadline=None)
+@given(oracle_operator, st.one_of(oracle_operator, st.none()), st.integers(-7, 7), st.integers(-7, 7))
+def test_nested_kernel_matches_nested_q_commutators(x, y, s, t):
+    # y None: y is x; terms may come out in another order, so compare dicts
+    y = x if y is None else y
+    assert nested_q_commutator(x, y, s, t).terms == q_commutator(x, q_commutator(x, y, s), t).terms
+
+
+def test_nested_kernel_zero_operands_and_cancellation():
+    x = (mono(alpha={0: 1}, coeff=VLaurent(0, (BIG, -3, BIG)))
+         + mono(gamma={0: 1}, coeff=VLaurent(2, (-BIG,)))
+         + mono(alpha={1: 1}, gamma={0: -1}, coeff=VLaurent(-1, (7,))))
+    zero = QOperator.zero()
+    for a, b in ((x, zero), (zero, x), (zero, zero)):
+        assert nested_q_commutator(a, b, 2, -2).is_zero()
+    assert nested_q_commutator(x, x, 0, 3).is_zero()  # [x, x]_0 = 0
+    for s, t in ((2, -2), (-4, 0), (1, 1), (0, 0)):
+        assert nested_q_commutator(x, x, s, t).terms == q_commutator(x, q_commutator(x, x, s), t).terms
+    # a field reaches the width bound: 2 * BIG**3 at v**0
+    x, y = mono(alpha={0: 1}, coeff=VLaurent(0, (BIG,))), mono(alpha={1: 1}, coeff=VLaurent(0, (BIG,)))
+    out = nested_q_commutator(x, y, 2, -2)
+    assert out.terms == q_commutator(x, q_commutator(x, y, 2), -2).terms
+    assert out.single_monomial().coeff == VLaurent(-2, (-BIG**3, 0, 2 * BIG**3, 0, -BIG**3))
+
+
+def test_nested_kernel_checks_fields_before_any_term():
+    # x+y fits (20001), x+x+y does not (40001): every s = 0, and a nested
+    # [x, [x, y]_0] would be zero, but the check still comes first
+    x, y = mono(alpha={1: 20000}), mono(alpha={1: 1})
+    with pytest.raises(SlotOverflowError, match="entry 40001 at position 1 of a product"):
+        nested_q_commutator(x, y, 0, 0)
+    # past y's last position, x+x alone overflows
+    with pytest.raises(SlotOverflowError, match="entry -40000 at position 3 of a product"):
+        nested_q_commutator(mono(gamma={3: -20000}), mono(alpha={0: 1}), 2, -2)
+    # x+y leaves its field: that check comes first, as in the inner
+    # q-commutator, and before the window (s is about 10**9 here)
+    x = mono(alpha={1: FIELD_MAX}, gamma={0: FIELD_MAX})
+    with pytest.raises(SlotOverflowError, match=f"entry {SLOT_BIAS} at position 1 of a product"):
+        nested_q_commutator(x, mono(alpha={0: FIELD_MAX, 1: 1}), 2, -2)
+    with pytest.raises(SlotOverflowError, match=f"entry {SLOT_BIAS} at position 1"):
+        q_commutator(x, mono(alpha={0: FIELD_MAX, 1: 1}), 2)
+    # x+x+y one short of the limit does not wrap
+    x, y = mono(alpha={0: 1, 1: FIELD_MAX // 2}), mono(alpha={1: 1}, gamma={0: 1})
+    out = nested_q_commutator(x, y, 0, 0)
+    assert out.terms == q_commutator(x, q_commutator(x, y)).terms
+    assert [entries(e.alpha) for e in out.terms] == [((0, 2), (1, FIELD_MAX))]
+
+
+def test_nested_kernel_checks_the_span_before_any_term():
+    x, y = mono(alpha={0: FIELD_MAX}), mono(gamma={0: FIELD_MAX})
+    start = time.perf_counter()
+    with pytest.raises(CoefficientSpanError, match=f"more than {MAX_COEFF_SPAN} powers of v"):
+        nested_q_commutator(x, y, 0, 0)
+    with pytest.raises(CoefficientSpanError):
+        q_commutator(x, y)  # the inner call of the nested form
+    assert time.perf_counter() - start < 1.0
 
 
 # ---------------------------------------------------------------------------

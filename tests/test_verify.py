@@ -1,7 +1,8 @@
 import pytest
 
-from posrep.qtorus import QOperator, VLaurent
-from posrep.repbuild import GeneratorTriple, Representation, build_rep
+from posrep.moddouble import build_modified, check_modified_relations
+from posrep.qtorus import QOperator, VLaurent, nested_q_commutator, q_commutator
+from posrep.repbuild import GeneratorTriple, Representation, build_rep, operator_text
 from posrep.rootdata import build_cartan
 from posrep.verify import check_relations, path_independence, q2_chain_certificate
 from posrep.words import ReducedWord, enumerate_words, good_word, random_longest_words
@@ -59,6 +60,49 @@ def test_corrupted_rep_detected():
         gens[label] = GeneratorTriple(broken, rep.gens[label].F, rep.gens[label].K)
         report = check_relations(Representation(rep.datum, rep.word, rep.lam_mode, gens))
         assert report == {"check": "relations", "status": "fail", "witnesses": pinned}
+
+
+def _serre_broken_d4() -> Representation:
+    # E_2 gains the inverse of E_0's first monomial; shifting, negating or
+    # dropping the first monomial of any E_i leaves every Serre residue zero
+    datum = build_cartan("D", 4)
+    rep = build_rep(datum, good_word(datum))
+    first = rep.gens[0].E.monomials()[0].expo
+    gens = dict(rep.gens)
+    gens[2] = GeneratorTriple(gens[2].E + QOperator.monomial(first.inverse()), gens[2].F, gens[2].K)
+    return Representation(rep.datum, rep.word, rep.lam_mode, gens)
+
+
+SERRE_WITNESSES = {(0, 2): 55, (1, 2): 55, (2, 0): 70, (2, 1): 70, (2, 3): 14, (3, 2): 3}
+MODIFIED_SERRE_WITNESSES = {(0, 2): 55, (1, 2): 55, (2, 0): 45, (2, 1): 45, (2, 3): 10, (3, 2): 3}
+
+
+def test_serre_relation_failure_is_reported():
+    rep = _serre_broken_d4()
+    report = check_relations(rep)
+    assert report["status"] == "fail"
+    serre = [w for w in report["witnesses"] if w["relation"] == "serre_e"]
+    assert {(w["i"], w["j"]): w["monomials"] for w in serre} == SERRE_WITNESSES
+    for w in serre:
+        e_i, e_j = rep.gens[w["i"]].E, rep.gens[w["j"]].E
+        nested = q_commutator(e_i, q_commutator(e_i, e_j, 2), -2)
+        assert nested_q_commutator(e_i, e_j, 2, -2) == nested
+        assert w["residue"] == operator_text(nested, rep.word)
+
+
+def test_modified_serre_relation_failure_is_reported():
+    mrep = build_modified(_serre_broken_d4())
+    report = check_modified_relations(mrep)
+    assert report["status"] == "fail"
+    serre = [w for w in report["witnesses"] if w["relation"] == "modified_serre_e"]
+    assert {(w["i"], w["j"]): w["monomials"] for w in serre} == MODIFIED_SERRE_WITNESSES
+    for w in serre:
+        eb_i, eb_j = mrep.gens[w["i"]].E, mrep.gens[w["j"]].E
+        s = 4 * mrep.epsilon(w["i"])
+        # [[y, x]_s, x]_0 = v^s [x, [x, y]_-s]_0
+        nested = q_commutator(q_commutator(eb_j, eb_i, s), eb_i)
+        assert nested_q_commutator(eb_i, eb_j, -s, 0).scale_v(s) == nested
+        assert len(nested) == w["monomials"]
 
 
 def test_q2_chain_small():

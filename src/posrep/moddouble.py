@@ -17,10 +17,16 @@ The b <-> 1/b cross-copy is never materialized: a monomial of one copy
 commutes with a monomial of the other iff their commutation exponent is
 even, so parity of the integer exponent data is exactly the checkable
 content of the modular-double statements.
+
+Both parity certificates share one odd-pair scanner, ``_odd_pairs``: a
+bit-sliced XOR over per-position parity columns that computes exact
+exponents only for the pairs it finds.  The q-tori rank comes from
+``rootdata.integer_echelon`` on the sparse u/p rows of the generators.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -40,9 +46,8 @@ from .qtorus import (
     sparse_add,
     sparse_neg,
     sparse_scale,
-    unpack,
 )
-from .rootdata import CartanDatum, integer_row_reduce, langlands_b_vectors
+from .rootdata import CartanDatum, integer_echelon, langlands_b_vectors
 from .repbuild import GeneratorTriple, Representation, build_rep, f_brackets
 from .words import word_starting_with
 
@@ -139,14 +144,47 @@ def _generator_monomials(gens: dict) -> list[tuple[str, QExponent]]:
 
 
 def _odd_pairs(monos: list[tuple[str, QExponent]]) -> list[dict]:
-    """Every pair of generator monomials whose commutation exponent is odd."""
+    """Every pair of generator monomials whose commutation exponent is odd.
+
+    Bit-sliced over the monomials: per position k, ``u_odd[k]`` marks the
+    monomials with an odd u-entry at k and ``p_odd[k]`` those with an odd
+    p-entry.  Modulo 2 the exponent of (a, b) is the sum over k of
+    u_a[k] p_b[k] + p_a[k] u_b[k], so a's odd partners are the XOR of the
+    p-columns at a's odd u-entries and the u-columns at its odd p-entries.
+    Exact exponents are computed only for the monomials that have a
+    partner past themselves, one pairing row each.
+    """
     expos = [expo for _, expo in monos]
-    return [
-        {"pair": [monos[a][0], monos[b][0]], "exponent": s}
-        for a, row in enumerate(pairing_matrix(expos, expos))
-        for b, s in enumerate(row[a + 1:], a + 1)
-        if s % 2
+    odd = [
+        ([k for k, x in entries(e.alpha) if x & 1], [k for k, x in entries(e.gamma) if x & 1])
+        for e in expos
     ]
+    u_odd: dict[int, int] = defaultdict(int)
+    p_odd: dict[int, int] = defaultdict(int)
+    for m, (us, ps) in enumerate(odd):
+        for k in us:
+            u_odd[k] |= 1 << m
+        for k in ps:
+            p_odd[k] |= 1 << m
+    partners = {}
+    for a, (us, ps) in enumerate(odd):
+        mask = 0
+        for k in us:
+            mask ^= p_odd[k]
+        for k in ps:
+            mask ^= u_odd[k]
+        if mask >> (a + 1):
+            partners[a] = mask >> (a + 1) << (a + 1)
+    if not partners:
+        return []
+    rows = pairing_matrix([expos[a] for a in partners], expos)
+    witnesses = []
+    for (a, mask), row in zip(partners.items(), rows):
+        while mask:
+            b = (mask & -mask).bit_length() - 1
+            mask &= mask - 1
+            witnesses.append({"pair": [monos[a][0], monos[b][0]], "exponent": row[b]})
+    return witnesses
 
 
 def cross_parity_certificate(rep: ModifiedRep | Representation) -> dict:
@@ -176,8 +214,11 @@ def qtori_certificate(mrep: ModifiedRep) -> dict:
     monos = _generator_monomials(mrep.gens)
     odd = _odd_pairs(monos)
     n_pos = len(mrep.base.word.letters)
-    rows = [list(unpack(expo.alpha, n_pos) + unpack(expo.gamma, n_pos)) for _, expo in monos]
-    rank = len(integer_row_reduce(rows)[1])
+    rows = [
+        {**dict(entries(expo.alpha)), **{n_pos + k: x for k, x in entries(expo.gamma)}}
+        for _, expo in monos
+    ]
+    rank = len(integer_echelon(rows)[1])
     ok = not odd and rank == 2 * n_pos
     return {
         "check": "qtori",
@@ -382,8 +423,10 @@ def normalize_lambda(rep: Representation) -> NormalizationResult:
 
     for t in range(n):
         w_alpha, w_ell = weights[t]
-        assert dict(w_alpha).get(t) == 1
-        assert all(pos <= t for pos, _ in w_alpha)
+        if dict(w_alpha).get(t) != 1:
+            raise ArithmeticError(f"the F-weight at position {t} has no unit entry there")
+        if any(pos > t for pos, _ in w_alpha):
+            raise ArithmeticError(f"the F-weight at position {t} reaches past it")
         ell = shifted_ell(w_alpha, w_ell)
         beta = sum(c for _, c in ell) - 1
         if not (beta == int(beta) and beta > 0):

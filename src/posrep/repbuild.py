@@ -104,7 +104,8 @@ def build_E(word: ReducedWord, i: int) -> QOperator:
     moves, end_word = path_to_word_ending_in(word, i)
     op = build_E_rightmost(end_word, i)
     op, back = transport(op, end_word, reversed(moves))
-    assert back.letters == word.letters
+    if back.letters != word.letters:
+        raise ValueError(f"the path back from {end_word} ends at {back}, not at {word}")
     return op
 
 
@@ -115,7 +116,8 @@ def build_rep(datum: CartanDatum, word: ReducedWord, lam_mode: str = "formal") -
     for i in datum.labels:
         gens[i] = GeneratorTriple(build_E(word, i), build_F(word, i), build_K(word, i))
         k = gens[i].K
-        assert len(k) == 1 and k.single_monomial().coeff.is_unit_monomial()
+        if len(k) != 1 or not k.single_monomial().coeff.is_unit_monomial():
+            raise ArithmeticError(f"K{i} is not one monomial with a unit coefficient")
     rep = Representation(datum, word, "formal", gens)
     if lam_mode == "normalized":
         from .moddouble import normalize_lambda

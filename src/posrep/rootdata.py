@@ -10,6 +10,11 @@ Roots are integer coordinate vectors over the simple roots (ordered by
 label).  Weyl group elements are stored as the tuple of images of the
 simple roots, which makes descent tests and length computations cheap at
 rank <= 8.
+
+``integer_echelon`` is the package's one exact linear-algebra routine: a
+sparse fraction-free forward elimination over Z.  It gives the q-tori
+lattice rank (598 x 240 on the E8 catalog word) and, with a rational
+back-substitution, the inverse Cartan matrix.
 """
 
 from __future__ import annotations
@@ -114,7 +119,8 @@ def build_cartan(family: str, rank: int, flip_bipartition: bool = False) -> Cart
         tuple((i, color[i]) for i in labels),
     )
     for i, j in edges:
-        assert abs(color[i] - color[j]) == 1
+        if abs(color[i] - color[j]) != 1:
+            raise ValueError(f"nodes {i} and {j} of {family}_{rank} share a colour")
     return datum
 
 
@@ -158,55 +164,80 @@ def positive_root_count(datum: CartanDatum) -> int:
     return len(positive_roots(datum))
 
 
-def integer_row_reduce(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free Gauss-Jordan elimination over the integers.
+def integer_echelon(rows) -> tuple[list[dict[int, int]], list[int]]:
+    """Sparse fraction-free forward elimination over the integers.
 
-    Returns ``(reduced, pivots)``: ``reduced[r]`` is nonzero at column
-    ``pivots[r]`` and every other reduced row is zero there; rows that
-    reduce to zero are dropped, so ``len(pivots)`` is the rank over Q.
-    Each row is divided by the gcd of its entries after every step, which
-    keeps the integers small without leaving Z.
+    ``rows`` are ``{column: value}`` dicts.  Returns ``(echelon, pivots)``:
+    ``echelon[r]`` has leading (lowest) column ``pivots[r]``, the pivots
+    increase strictly, and every row of the input is a rational
+    combination of the echelon rows, so ``len(pivots)`` is the rank over Q.
+
+    Rows are taken sparsest first, which keeps fill-in low.  A row whose
+    leading column already has a pivot row is reduced against it: both
+    are scaled by the gcd of the two leading entries, and the difference
+    is divided by the gcd of its own entries, so the integers stay small
+    without leaving Z.  Elimination stops once the rank equals the number
+    of columns that occur.
     """
-
-    def primitive(row: list[int]) -> list[int]:
-        g = gcd(*row)
-        return row if g <= 1 else [x // g for x in row]
-
-    rows = [primitive(list(row)) for row in rows if any(row)]
-    cols = len(rows[0]) if rows else 0
-    pivots: list[int] = []
-    for c in range(cols):
-        r = len(pivots)
-        piv = next((k for k in range(r, len(rows)) if rows[k][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        prow = rows[r]
-        p = prow[c]
-        for k, row in enumerate(rows):
-            f = row[c]
-            if k != r and f:
-                rows[k] = primitive([p * x - f * y for x, y in zip(row, prow)])
-        pivots.append(c)
-    return rows[: len(pivots)], pivots
+    rows = [{c: x for c, x in row.items() if x} for row in rows]  # working copies
+    ncols = len(set().union(*rows))
+    by_lead: dict[int, dict[int, int]] = {}  # pivot column -> its row, leading entry > 0
+    for row in sorted(rows, key=len):
+        while row:
+            lead = min(row)
+            prow = by_lead.get(lead)
+            if prow is None:
+                g = gcd(*row.values())
+                g = -g if row[lead] < 0 else g
+                by_lead[lead] = row if g == 1 else {c: x // g for c, x in row.items()}
+                break
+            a, p = row[lead], prow[lead]
+            g = gcd(a, p)
+            a, p = a // g, p // g
+            if p != 1:
+                for c in row:
+                    row[c] *= p
+            for c, y in prow.items():
+                x = row.get(c, 0) - a * y
+                if x:
+                    row[c] = x
+                else:
+                    del row[c]
+            g = gcd(*row.values())
+            if g > 1:
+                row = {c: x // g for c, x in row.items()}
+        if len(by_lead) == ncols:
+            break
+    pivots = sorted(by_lead)
+    return [by_lead[c] for c in pivots], pivots
 
 
 def langlands_b_vectors(datum: CartanDatum) -> list[tuple[Fraction, ...]]:
     """Columns b^k of the inverse Cartan matrix, as exact rationals.
 
-    Each b^k solves A b = e_k; the defining equation is re-verified before
+    The echelon form [U | L] of [A | I] has U upper triangular (A is
+    invertible), and b^k is column k of U^-1 L, found by back-substitution.
+    Each b^k must solve A b = e_k; the equation is re-verified before
     returning.
     """
     n = datum.rank
     a = datum.cartan_matrix()
-    aug = [list(a[i]) + [1 if i == j else 0 for j in range(n)] for i in range(n)]
-    reduced, _ = integer_row_reduce(aug)  # A is invertible: pivot i sits in column i
+    aug = [{**{j: x for j, x in enumerate(a[i]) if x}, n + i: 1} for i in range(n)]
+    echelon, _ = integer_echelon(aug)  # A is invertible: pivot i sits in column i
+    x: list[list[Fraction]] = [[]] * n  # row i of A^-1
+    for i in range(n - 1, -1, -1):
+        row = echelon[i]
+        x[i] = [
+            (row.get(n + k, 0) - sum(row.get(j, 0) * x[j][k] for j in range(i + 1, n)))
+            / Fraction(row[i])
+            for k in range(n)
+        ]
     out = []
     for k in range(n):
-        b = tuple(Fraction(reduced[i][n + k], reduced[i][i]) for i in range(n))
+        b = tuple(x[i][k] for i in range(n))
         for i in range(n):
-            check = sum(a[i][j] * b[j] for j in range(n))
-            assert check == (1 if i == k else 0)
+            if sum(a[i][j] * b[j] for j in range(n)) != (1 if i == k else 0):
+                raise ArithmeticError(f"b^{k} does not solve A b = e_{k} at row {i}")
         out.append(b)
     return out
 

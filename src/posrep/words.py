@@ -362,7 +362,8 @@ def braid_path(src: ReducedWord, dst: ReducedWord) -> list[BraidMove]:
     moves: list[BraidMove] = []
     for t in range(len(letters)):
         _force_first(src.datum, letters, t, dst.letters[t], moves)
-    assert tuple(letters) == dst.letters
+    if tuple(letters) != dst.letters:
+        raise ValueError(f"the move path from {src} ends at {tuple(letters)}, not at {dst}")
     return moves
 
 

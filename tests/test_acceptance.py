@@ -5,10 +5,12 @@ numerical tolerance.  Criterion 7's blow-up word reconstruction depends on
 an unpublished completion choice; when the constructed word misses the
 recorded counts the criterion emits an open-question report instead of a
 hard failure (criteria 1-6 are the hard gate).  The E8 relation suite
-(about 0.5 s) and criteria 8-10 on E8 (about 2 s, most of it the q-tori
-certificate) run here.  Set POSREP_LONG=1 to run criterion 7 on E7 (about
-100 s); criterion 7 on E8 is skipped until its bad word fits the term
-budget.
+(about 0.5 s) and criteria 8-10 on D8, E7 and E8 (about 0.7 s; the q-tori
+certificate on E8 went from about 1.5 s to 0.12-0.16 s with the sparse
+elimination) run here.  Set POSREP_LONG=1 to run criterion 7 on E7: it
+shares one build of the E7 bad word (about 100 s, the ``e7_bad_word_e3``
+fixture) with the bad-word gate in ``tests/test_transport.py``; criterion 7
+on E8 is skipped until its bad word fits the term budget.
 """
 
 import os
@@ -176,10 +178,9 @@ def test_criterion_6_path_independence():
     _ok("criterion 6 (path independence)", "all 16 A3 words, two paths + loops")
 
 
-def _criterion_7(rank: int, expected: int):
-    datum = build_cartan("E", rank)
-    word = bad_word(datum)
-    observed = term_count(build_E(word, 3))
+def _criterion_7(rank: int, op, expected: int):
+    word = bad_word(build_cartan("E", rank))
+    observed = term_count(op)
     if observed != expected:
         report = (
             f"OPEN QUESTION criterion 7: reconstructed blow-up word {word} "
@@ -191,12 +192,12 @@ def _criterion_7(rank: int, expected: int):
 
 
 def test_criterion_7_bad_word_e6():
-    _criterion_7(6, 1043)
+    _criterion_7(6, build_E(bad_word(build_cartan("E", 6)), 3), 1043)
 
 
 @pytest.mark.skipif(not LONG, reason="the E7 bad word takes about 100 s; set POSREP_LONG=1")
-def test_criterion_7_bad_word_e7():
-    _criterion_7(7, 77565)
+def test_criterion_7_bad_word_e7(e7_bad_word_e3):
+    _criterion_7(7, e7_bad_word_e3, 77565)
 
 
 @pytest.mark.skip(reason="the E8 bad word raises TermBudgetError at step 911 of its move path; "

@@ -12,6 +12,9 @@ Stdlib-only AST scans of ``src/posrep/*.py``:
 
 So a helper that only the tests reach fails here: either the package uses
 it, or it is exported as API, or it goes.
+
+A third scan finds every ``assert`` statement in the package: ``python -O``
+strips them, so a correctness guard must be an explicit raise.
 """
 
 import ast
@@ -134,3 +137,18 @@ def test_all_lists_exactly_the_imported_names():
     ]
     assert posrep.__all__ == imported
     assert [name for name in posrep.__all__ if isinstance(getattr(posrep, name), ModuleType)] == []
+
+
+def asserts(source: str) -> list[int]:
+    """Line numbers of the ``assert`` statements in ``source``."""
+    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert)]
+
+
+def test_no_assert_in_the_package():
+    found = {str(p.relative_to(PACKAGE)): asserts(p.read_text()) for p in sorted(PACKAGE.rglob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_scan_flags_an_assert():
+    assert asserts("def f(x):\n    if x:\n        assert x > 0, x\n    return x\n") == [3]
+    assert asserts("x = 1\n") == []

@@ -1,11 +1,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from posrep.moddouble import (
     ModifiedRep,
     ModifiedTriple,
+    _generator_monomials,
     _k_power,
+    _odd_pairs,
     build_modified,
     check_modified_relations,
     commutant_check,
@@ -18,10 +21,23 @@ from posrep.moddouble import (
     verify_weyl_pattern,
     weyl_reflect_lambda,
 )
-from posrep.qtorus import SLOT_BIAS, QOperator, SlotOverflowError, VLaurent, entries, exponent, sparse
+from posrep.qtorus import (
+    SLOT_BIAS,
+    SLOT_BITS,
+    QOperator,
+    SlotOverflowError,
+    VLaurent,
+    commutation_exponent,
+    entries,
+    exponent,
+    pairing_matrix,
+    sparse,
+    unpack,
+)
 from posrep.repbuild import build_rep
 from posrep.rootdata import build_cartan
 from posrep.words import ReducedWord, good_word
+from test_rootdata import _row_reduce_oracle
 
 
 def rep_for(family, rank, flip=False):
@@ -102,6 +118,59 @@ def test_unmodified_odd_witness_a2():
     assert report["witnesses"][0]["exponent"] % 2 == 1
 
 
+def _odd_pairs_oracle(monos):
+    """The full pairing matrix, scanned for odd entries above the diagonal
+    (the package's former scanner)."""
+    expos = [expo for _, expo in monos]
+    return [
+        {"pair": [monos[a][0], monos[b][0]], "exponent": s}
+        for a, row in enumerate(pairing_matrix(expos, expos))
+        for b, s in enumerate(row[a + 1:], a + 1)
+        if s % 2
+    ]
+
+
+family_parts = st.dictionaries(st.integers(0, 6), st.integers(-40, 40), max_size=5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from("EFK"), family_parts, family_parts), max_size=24))
+def test_odd_pairs_match_the_dense_oracle(family):
+    monos = [(f"{kind}{m}", exponent(alpha, gamma)) for m, (kind, alpha, gamma) in enumerate(family)]
+    assert _odd_pairs(monos) == _odd_pairs_oracle(monos)
+
+
+@pytest.mark.parametrize("family,rank,count", [("A", 2, 28), ("D", 4, 340), ("E", 6, 2544)])
+def test_odd_pairs_match_the_oracle_on_unmodified_reps(family, rank, count):
+    monos = _generator_monomials(rep_for(family, rank).gens)
+    witnesses = _odd_pairs(monos)
+    assert witnesses == _odd_pairs_oracle(monos)
+    assert len(witnesses) == count
+
+
+def test_cross_parity_names_an_odd_u_entry():
+    # one u-entry of K2 made odd in the modified D4 family: the certificate
+    # names exactly the pairs with K2 whose exponent is odd, with that exponent
+    mrep = build_modified(rep_for("D", 4))
+    e, f, k = mrep.gens[2]
+    expo = k.single_monomial().expo
+    pos = next(p for p, x in enumerate(unpack(expo.alpha, 12)) if x % 2 == 0)
+    odd_k = QOperator.monomial(expo._replace(alpha=expo.alpha + (1 << (SLOT_BITS * pos))))
+    gens = {**mrep.gens, 2: ModifiedTriple(e, f, odd_k)}
+    report = cross_parity_certificate(ModifiedRep(mrep.base, gens))
+    assert report["status"] == "fail"
+    monos = _generator_monomials(gens)
+    expected = [
+        {"pair": [monos[a][0], monos[b][0]], "exponent": s}
+        for a in range(len(monos))
+        for b in range(a + 1, len(monos))
+        if "K2" in (monos[a][0], monos[b][0])
+        for s in [commutation_exponent(monos[a][1], monos[b][1])]
+        if s % 2
+    ]
+    assert report["witnesses"] == expected != []
+
+
 def test_unmodified_a1_has_no_odd_witness():
     assert cross_parity_certificate(rep_for("A", 1))["status"] == "pass"
 
@@ -128,6 +197,16 @@ def test_qtori_fails_below_full_rank():
     report = qtori_certificate(partial)
     assert not report["witnesses"]
     assert (report["rank"], report["full_rank"]) == (5, 6)
+    assert report["status"] == "fail"
+
+    # without label 3's triple (the trivalent node) the E6 family spans 67 of 72
+    mrep = build_modified(rep_for("E", 6))
+    partial = ModifiedRep(mrep.base, {i: t for i, t in mrep.gens.items() if i != 3})
+    rows = [unpack(e.alpha, 36) + unpack(e.gamma, 36) for _, e in _generator_monomials(partial.gens)]
+    oracle_rank = len(_row_reduce_oracle(rows)[1])
+    report = qtori_certificate(partial)
+    assert not report["witnesses"]
+    assert (report["rank"], report["full_rank"]) == (oracle_rank, 72) == (67, 72)
     assert report["status"] == "fail"
 
 

@@ -1,12 +1,14 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from posrep.rootdata import (
     UnsupportedTypeError,
     build_cartan,
-    integer_row_reduce,
+    integer_echelon,
     langlands_b_vectors,
     positive_root_count,
     positive_roots,
@@ -108,15 +110,103 @@ def test_b_vectors_defining_equation(family, rank):
             assert sum(a[i][j] * b[j] for j in range(rank)) == (1 if i == k else 0)
 
 
-def test_integer_row_reduce():
-    reduced, pivots = integer_row_reduce([[2, 4, 6], [0, 0, 0], [1, 2, 3], [0, 3, 3], [1, -1, 0]])
-    assert pivots == [0, 1]
-    for r, c in enumerate(pivots):
-        assert reduced[r][c] != 0
-        assert all(row[c] == 0 for k, row in enumerate(reduced) if k != r)
-    assert reduced == [[1, 0, 1], [0, 1, 1]]
-    assert integer_row_reduce([]) == ([], [])
-    assert integer_row_reduce([[0, 0]]) == ([], [])
+def _row_reduce_oracle(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """Dense fraction-free Gauss-Jordan elimination (the package's former
+    rank routine): ``len(pivots)`` is the rank over Q."""
+
+    def primitive(row: list[int]) -> list[int]:
+        g = gcd(*row)
+        return row if g <= 1 else [x // g for x in row]
+
+    rows = [primitive(list(row)) for row in rows if any(row)]
+    cols = len(rows[0]) if rows else 0
+    pivots: list[int] = []
+    for c in range(cols):
+        r = len(pivots)
+        piv = next((k for k in range(r, len(rows)) if rows[k][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        prow = rows[r]
+        p = prow[c]
+        for k, row in enumerate(rows):
+            f = row[c]
+            if k != r and f:
+                rows[k] = primitive([p * x - f * y for x, y in zip(row, prow)])
+        pivots.append(c)
+    return rows[: len(pivots)], pivots
+
+
+def _sparse(row) -> dict[int, int]:
+    return {c: x for c, x in enumerate(row) if x}
+
+
+def _residue(row: dict, echelon: list[dict], pivots: list[int]) -> dict:
+    """``row`` reduced in Q against the echelon rows, pivot by pivot."""
+    row = {c: Fraction(x) for c, x in row.items()}
+    for prow, c in zip(echelon, pivots):
+        f = Fraction(row.get(c, 0), prow[c])
+        for k, y in prow.items():
+            row[k] = row.get(k, 0) - f * y
+    return {c: x for c, x in row.items() if x}
+
+
+def _check_echelon(rows: list[list[int]]) -> list[int]:
+    echelon, pivots = integer_echelon([_sparse(row) for row in rows])
+    assert len(pivots) == len(_row_reduce_oracle(rows)[1])
+    assert all(a < b for a, b in zip(pivots, pivots[1:]))
+    for prow, c in zip(echelon, pivots):
+        assert min(prow) == c and prow[c] > 0 and 0 not in prow.values()
+        assert gcd(*prow.values()) == 1
+    for row in rows:
+        assert _residue(_sparse(row), echelon, pivots) == {}
+    return pivots
+
+
+def test_integer_echelon():
+    rows = [[2, 4, 6], [0, 0, 0], [1, 2, 3], [0, 3, 3], [1, -1, 0]]
+    assert _check_echelon(rows) == [0, 1]
+    echelon, _ = integer_echelon([_sparse(row) for row in rows])
+    assert echelon == [{0: 1, 1: -1}, {1: 1, 2: 1}]  # sparsest row first
+    assert integer_echelon([]) == ([], [])
+    assert integer_echelon([{0: 0, 1: 0}]) == ([], [])
+    # a negative leading entry is made positive; the input dicts are not touched
+    row = {3: -4, 5: 6}
+    assert integer_echelon([row]) == ([{3: 2, 5: -3}], [3])
+    assert row == {3: -4, 5: 6}
+    # full column rank after two rows: the rest are spanned
+    assert _check_echelon([[1, 0], [0, 1], [5, 7], [0, 0], [-3, 2]]) == [0, 1]
+
+
+# small entries (zeros among them) twice as often as large ones of either sign
+matrix_entries = st.one_of(
+    st.integers(-3, 3), st.integers(-3, 3), st.integers(-(10**12), 10**12),
+)
+
+
+@st.composite
+def integer_matrices(draw):
+    """Tall or wide integer matrices with zero, duplicated and dependent rows."""
+    cols = draw(st.integers(1, 9))
+    rows = draw(st.lists(st.lists(matrix_entries, min_size=cols, max_size=cols), max_size=10))
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["zero", "copy", "combination"]))
+        if kind == "zero" or not rows:
+            extra = [0] * cols
+        elif kind == "copy":
+            extra = list(draw(st.sampled_from(rows)))
+        else:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            s, t = draw(st.integers(-5, 5)), draw(st.integers(-5, 5))
+            extra = [s * x + t * y for x, y in zip(a, b)]
+        rows.insert(draw(st.integers(0, len(rows))), extra)
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_matrices())
+def test_integer_echelon_matches_the_dense_oracle(rows):
+    _check_echelon(rows)
 
 
 def test_longest_element_length():

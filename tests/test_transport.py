@@ -655,13 +655,13 @@ def test_overflow_exits_2_through_the_cli(capsys, monkeypatch):
 
 @pytest.mark.skipif(os.environ.get("POSREP_LONG") != "1",
                     reason="the E7 bad word takes about 2 minutes and 0.4 GB; set POSREP_LONG=1")
-def test_e7_bad_word_under_default_budget(monkeypatch):
-    monkeypatch.delenv("POSREP_MAX_TERMS", raising=False)
-    op = build_E(bad_word(build_cartan("E", 7)), 3)
+def test_e7_bad_word_under_default_budget(e7_bad_word_e3):
+    op = e7_bad_word_e3
     terms = rebracket(op)
     assert len(op) == 2 * len(terms)
     # the greedy bad word; criterion 7 records 77565 for another word
     assert len(terms) == 160957
     # ru_maxrss (KiB on Linux) is the peak of the whole process, so this
-    # gate means what it says only when the test runs in its own process
+    # gate means what it says only in a process that builds nothing larger;
+    # the other user of the fixture (criterion 7 on E7) holds no more
     assert resource.getrusage(resource.RUSAGE_SELF).ru_maxrss < 500 * 1024

@@ -9,14 +9,16 @@ Subcommands
     normalize-lambda lambda-removing substitution report
     classical        finite-difference rendering of a generator
 
-Exit codes: 2 when a ValueError or ArithmeticError ends the command (the
+Exit codes: 2 when a ValueError, an ArithmeticError or a term-budget abort
+("operator grew to <n> monomials at step <k> ...") ends the command (the
 message goes to stderr), 1 when a requested check fails, 0 otherwise.
 ``verify`` exits 0 iff the relation suite passes and the q^2-chain
 certificate of every E_i and F_i is either ``pass`` or ``no_chain`` with
 all commutation exponents even.  ``commutant`` first runs the modified
 relation suite on the twisted generators and exits 2 when it fails; it
 then exits 0 iff its certificate passes.  ``tables --badword`` exits 1
-when the term budget aborts the blow-up run.
+when the term budget aborts the blow-up run.  ``construct --lam formal``
+builds only the requested generator.
 
 Variable naming: text output writes u<i>.<k>, p<i>.<k> for position data
 and L<i> for the parameters.  JSON keys the u/p parts (``alpha``, ``gamma``,
@@ -34,7 +36,7 @@ from functools import cache
 from itertools import compress
 from operator import itemgetter, mod
 
-from . import moddouble, verify
+from . import moddouble, repbuild, verify
 from .qtorus import QOperator, RebracketError, entries, rebracket, term_count, unpack
 from .repbuild import build_rep, classical_render, operator_text, position_names
 from .rootdata import build_cartan, langlands_b_vectors
@@ -164,14 +166,14 @@ def _parse_gen(datum, spec: str) -> tuple[str, int]:
 def cmd_construct(args) -> int:
     datum = build_cartan(args.family, args.rank)
     kind, label = _parse_gen(datum, args.gen)
-    word = _resolve_word(datum, args.word)
-    rep = build_rep(datum, word, args.lam)
-    op = rep.generator(kind, label)
+    word = _resolve_word(datum, args.word)  # a checked longest word
+    op = (getattr(repbuild, f"build_{kind}")(word, label) if args.lam == "formal"
+          else build_rep(datum, word, args.lam).generator(kind, label))
     if args.format == "json":
-        # the payload's keys in sorted order, as dump_json writes them
+        # sorted keys, as dump_json writes them; print writes the pieces in turn
         head = dump_json({"family": datum.family, "generator": args.gen})
         tail = dump_json({"rank": datum.rank, "word": list(word.letters)})
-        print(f'{head[:-1]},"operator":{operator_to_json(op, word)},{tail[1:]}')
+        print(f'{head[:-1]},"operator":', operator_to_json(op, word), f",{tail[1:]}", sep="")
     else:
         print(operator_text(op, word))
     return 0
@@ -193,13 +195,11 @@ def cmd_tables(args) -> int:
 
 
 def _badword_report(datum) -> int:
-    from .repbuild import build_E
-
     word = bad_word(datum)
     target = 2 if datum.family == "D" else 3
     print(f"bad word: {word}")
     try:
-        op = build_E(word, target)
+        op = repbuild.build_E(word, target)
     except TermBudgetError as exc:
         print(f"aborted: {exc}")
         return 1
@@ -330,7 +330,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, TermBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -4,9 +4,10 @@ For a reduced word of the longest element:
 
 * ``E_i`` is the single weight-shift term [u_i^1] e(-p_i^1) on a word
   ending in ``i``, transported to the requested word move by move;
-* ``F_i`` is the occurrence sum with weights accumulated from the letters
-  lying between consecutive occurrences of ``i`` (the leftmost segment
-  extends to the start of the word);
+* ``F_i`` is the sum of [W_k - 2 lam_i] e(p_i^k) over the occurrences i.k
+  of ``i``, with W_k the suffix sum u_t - 2 (u_i^k + u_i^(k+1) + ...) + the
+  u of each letter adjacent to i left of t, the position of i.k.  Every
+  position enters once, so W_k has entries in {-2, -1, 0, 1} and W_k.e_t = -1;
 * ``K_i`` is the single monomial exp(-pi*b*(sum_k a(i, r(k)) u_k + 2 lam_i)).
 
 All generators are stored in the rescaled convention, in which the master
@@ -19,15 +20,13 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .qtorus import (
+    SLOT_BITS,
     BracketTerm,
+    QExponent,
     QOperator,
     RebracketError,
     VLaurent,
-    bracket,
-    expand_bracket,
     entries,
-    exponent,
-    operator_from_brackets,
     rebracket,
 )
 from .rootdata import CartanDatum
@@ -36,7 +35,6 @@ from .words import (
     ReducedWord,
     check_longest,
     lusztig_labels,
-    occurrence_positions,
     path_to_word_ending_in,
 )
 
@@ -63,40 +61,45 @@ class Representation:
 
 
 def build_E_rightmost(word: ReducedWord, i: int) -> QOperator:
-    """[u_i^1] e(-p_i^1) on a word whose last letter is i."""
+    """[u_i^1] e(-p_i^1) on a word ending in i; L.P = -1, so both coefficients are 1."""
     if word.letters[-1] != i:
         raise ValueError(f"word does not end in {i}: {word}")
-    last = len(word.letters) - 1
-    return expand_bracket(bracket(l_alpha={last: 1}, shift={last: -1}))
+    unit, one = 1 << (SLOT_BITS * (len(word.letters) - 1)), VLaurent.one()
+    return QOperator({QExponent(unit, -unit, (), 0): one, QExponent(-unit, -unit, (), 0): one})
 
 
 def f_brackets(word: ReducedWord, i: int) -> list[BracketTerm]:
-    """The weight-shift terms of F_i, one per occurrence of i."""
-    letters = word.letters
-    pos = occurrence_positions(word, i)  # pos[k-1] is the position of i.k
-    n = len(pos)
-    datum = word.datum
-    out = []
-    for k in range(1, n + 1):
-        alpha = {pos[k - 1]: 1}
-        for l in range(k, n + 1):
-            alpha[pos[l - 1]] = alpha.get(pos[l - 1], 0) - 2
-            left = pos[l] if l < n else -1
-            for t in range(left + 1, pos[l - 1]):
-                if datum.adjacent(letters[t], i):
-                    alpha[t] = alpha.get(t, 0) + 1
-        out.append(bracket(l_alpha=alpha, l_ell={i: -2}, shift={pos[k - 1]: 1}))
+    """F_i's brackets, i.1 (the rightmost) first, from one left-to-right pass."""
+    adjacent, one, ell = word.datum.adjacent, VLaurent.one(), ((i, -2),)
+    suffix, out = 0, []
+    for t, j in enumerate(word.letters):
+        unit = 1 << (SLOT_BITS * t)
+        if j == i:
+            suffix -= 2 * unit
+            out.append(BracketTerm(one, suffix + unit, ell, 0, unit))
+        elif adjacent(j, i):
+            suffix += unit
+    out.reverse()
     return out
 
 
 def build_F(word: ReducedWord, i: int) -> QOperator:
-    return operator_from_brackets(f_brackets(word, i))
+    """F_i monomial by monomial; W.e_t = -1 gives every monomial coefficient 1."""
+    one, plus, minus = VLaurent.one(), ((i, -2),), ((i, 2),)
+    terms = {}
+    for term in f_brackets(word, i):
+        terms[QExponent(term.l_alpha, term.shift, plus, 0)] = one
+        terms[QExponent(-term.l_alpha, term.shift, minus, 0)] = one
+    return QOperator(terms)
 
 
 def build_K(word: ReducedWord, i: int) -> QOperator:
-    datum = word.datum
-    alpha = {t: -datum.a(i, j) for t, j in enumerate(word.letters) if datum.a(i, j)}
-    return QOperator.monomial(exponent(alpha, ell={i: -2}))
+    a = word.datum.a
+    alpha = sum(-a(i, j) << (SLOT_BITS * t) for t, j in enumerate(word.letters))
+    k = QOperator.monomial(QExponent(alpha, 0, ((i, -2),), 0))
+    if len(k) != 1 or not k.single_monomial().coeff.is_unit_monomial():
+        raise ArithmeticError(f"K{i} is not one monomial with a unit coefficient")
+    return k
 
 
 def build_E(word: ReducedWord, i: int) -> QOperator:
@@ -112,12 +115,8 @@ def build_E(word: ReducedWord, i: int) -> QOperator:
 def build_rep(datum: CartanDatum, word: ReducedWord, lam_mode: str = "formal") -> Representation:
     """Assemble the full family of generator actions on ``word``."""
     check_longest(word)
-    gens = {}
-    for i in datum.labels:
-        gens[i] = GeneratorTriple(build_E(word, i), build_F(word, i), build_K(word, i))
-        k = gens[i].K
-        if len(k) != 1 or not k.single_monomial().coeff.is_unit_monomial():
-            raise ArithmeticError(f"K{i} is not one monomial with a unit coefficient")
+    gens = {i: GeneratorTriple(build_E(word, i), build_F(word, i), build_K(word, i))
+            for i in datum.labels}
     rep = Representation(datum, word, "formal", gens)
     if lam_mode == "normalized":
         from .moddouble import normalize_lambda

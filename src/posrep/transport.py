@@ -43,12 +43,12 @@ images never meet another's or an untouched monomial, so they are written
 without a merge.  Braid images are checked when they are computed: an
 entry that does not fit raises SlotOverflowError.
 
-Positions are restored once, after the last move, by a column copy.  The
-distinct packed ints are written as rows of biased 16-bit fields (the
-bytes of x + B_n), and position p of every row is filled from the column
-of slot[p] by one strided copy; fields past the slot list stay where they
-are.  Each row is read back and the bias removed.  Rows go through in
-blocks of a fixed size, so the buffer stays small on large operators.
+The input is written in the slot order the path ends at, so the output
+needs no relabel: the path's commutation swaps turn the identity list
+into ``end``, the moves start from the inverse of ``end``, and field q of
+the input takes its field end[q].  That is one column copy of the input's
+distinct packed ints, written as rows of biased 16-bit fields (the bytes
+of x + B_n) in blocks of a fixed size; fields past the slot list stay.
 
 The word is tracked as a plain letter list: each move is checked against
 the letters (the checks and MoveError messages of ``words.apply_move``)
@@ -374,34 +374,36 @@ def _permute_fields(xs: list[int], n: int, copies: list[tuple[int, int]]) -> lis
 
 
 def _relabel(terms: dict, slot: list[int]) -> dict:
-    """Exponents in position coordinates, draining ``terms``.
-
-    Position p reads the field of slot[p]; fields past the slot list stay
-    where they are.  The distinct packed ints are permuted together, in
-    blocks of _RELABEL_BLOCK, so the buffer stays bounded.
-    """
+    """A copy of ``terms`` whose field p reads field slot[p] in every u/p
+    int; distinct ints are permuted in blocks of _RELABEL_BLOCK."""
     copies = [(p, q) for p, q in enumerate(slot) if p != q]
-    moved: dict[int, int] = {}
-    if copies:
-        moved = dict.fromkeys(x for key in terms for x in key[:2])
-        n = max(len(slot), field_count(max(map(abs, moved), default=0)))
-        distinct = iter(moved)  # values are replaced in place; no key changes
-        while block := list(islice(distinct, _RELABEL_BLOCK)):
-            moved.update(zip(block, _permute_fields(block, n, copies)))
-    out: dict[QExponent, VLaurent] = {}
-    while terms:
-        (a, g, ell, const), coef = terms.popitem()
-        if moved:
-            a, g = moved[a], moved[g]
-        out[QExponent(a, g, ell, const)] = coef
-    return out
+    moved = dict.fromkeys(x for key in terms for x in key[:2])
+    n = max(len(slot), field_count(max(map(abs, moved), default=0)))
+    distinct = iter(moved)  # values are replaced in place; no key changes
+    while block := list(islice(distinct, _RELABEL_BLOCK)):
+        moved.update(zip(block, _permute_fields(block, n, copies)))
+    return {(moved[a], moved[g], ell, const): coef for (a, g, ell, const), coef in terms.items()}
+
+
+def _start(op: QOperator, n: int, path: list) -> tuple[dict, list[int]]:
+    """``op``'s terms in slots and the slot list ``path`` turns into the
+    identity; a swap out of range is left to the move check at its step."""
+    end = list(range(n))
+    for p, kind in path:
+        if kind == "commute" and 0 <= p < n - 1:
+            end[p], end[p + 1] = end[p + 1], end[p]
+    return _relabel(op.terms, end), sorted(range(n), key=end.__getitem__)
+
+
+def _operator(terms: dict) -> QOperator:
+    """The operator of position-coordinate ``terms``."""
+    return QOperator({QExponent._make(key): coef for key, coef in terms.items()})
 
 
 def _one_move(op: QOperator, move: BraidMove) -> QOperator:
-    terms = dict(op.terms)
-    slot = list(range(move.pos + 3))
+    terms, slot = _start(op, move.pos + 3, [move])
     _apply(terms, slot, move)
-    return QOperator(_relabel(terms, slot))
+    return _operator(terms)
 
 
 def braid_conjugate(op: QOperator, pos: int) -> QOperator:
@@ -428,10 +430,10 @@ def transport(
     budget (default from POSREP_MAX_TERMS).
     """
     budget = term_budget() if max_terms is None else max_terms
-    terms = dict(op.terms)
+    path = list(path)
     datum = word.datum
     letters = list(word.letters)
-    slot = list(range(len(letters)))
+    terms, slot = _start(op, len(letters), path)
     for step, move in enumerate(path):
         _check_move(datum, letters, move)
         _apply_move_letters(letters, move)
@@ -440,7 +442,7 @@ def transport(
             trace.append((move, ReducedWord(datum, tuple(letters)), len(terms)))
         if len(terms) > budget:
             raise TermBudgetError(len(terms), step, move, budget)
-    return QOperator(_relabel(terms, slot)), ReducedWord(datum, tuple(letters))
+    return _operator(terms), ReducedWord(datum, tuple(letters))
 
 
 def format_trace(trace: list) -> str:

@@ -18,9 +18,9 @@ from posrep.qtorus import (
     operator_from_brackets,
     rebracket,
 )
-from posrep.repbuild import build_rep, classical_render, operator_text, position_names
+from posrep.repbuild import build_F, build_K, build_rep, classical_render, operator_text, position_names
 from posrep.rootdata import build_cartan
-from posrep.words import good_word
+from posrep.words import bad_word, good_word
 
 
 def run_cli(capsys, *argv):
@@ -303,3 +303,45 @@ def test_bad_term_budget_exits_2(capsys, monkeypatch, value):
     err = capsys.readouterr().err
     assert code == 2
     assert err == f"error: POSREP_MAX_TERMS must be a positive integer, got {value!r}\n"
+
+
+def test_budget_abort_exits_2_with_its_message(capsys, monkeypatch):
+    monkeypatch.setenv("POSREP_MAX_TERMS", "50")
+    code = main(["construct", "E", "6", "--word", "bad", "--gen", "E3"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: operator grew to 54 monomials at step 47 (braid@21; budget 50)\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    ["verify E 6 --word bad", "transport E 6 --from bad --to good --gen F1",
+     "commutant E 6", "classical E 6 --word bad --gen F1",
+     "construct E 6 --word bad --gen F1 --lam normalized"],
+)
+def test_budget_abort_exits_2_from_every_subcommand(capsys, monkeypatch, argv):
+    monkeypatch.setenv("POSREP_MAX_TERMS", "1")
+    code = main(argv.split())
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: operator grew to ") and " at step " in err
+
+
+def test_badword_table_reports_an_abort_and_exits_1(capsys, monkeypatch):
+    monkeypatch.setenv("POSREP_MAX_TERMS", "50")
+    code, out = run_cli(capsys, "tables", "E", "6", "--badword")
+    assert code == 1
+    assert out.splitlines()[-1] == "aborted: operator grew to 54 monomials at step 47 (braid@21; budget 50)"
+
+
+@pytest.mark.parametrize("gen", ["F3", "K3"])
+def test_explicit_generators_print_on_the_e8_bad_word_under_a_small_budget(capsys, monkeypatch, gen):
+    # F_i and K_i need no transport, so construct builds them alone
+    monkeypatch.setenv("POSREP_MAX_TERMS", "50")
+    code, out = run_cli(capsys, "construct", "E", "8", "--word", "bad", "--gen", gen, "--format", "json")
+    assert code == 0
+    word = bad_word(build_cartan("E", 8))
+    op = {"F": build_F, "K": build_K}[gen[0]](word, 3)
+    payload = json.loads(out)
+    assert payload["word"] == list(word.letters)
+    assert payload["operator"] == json.loads(operator_to_json(op, word))

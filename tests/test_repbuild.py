@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from posrep.qtorus import (
@@ -6,6 +8,7 @@ from posrep.qtorus import (
     bracket,
     entries,
     expand_bracket,
+    exponent,
     operator_from_brackets,
     rebracket,
     term_count,
@@ -17,10 +20,19 @@ from posrep.repbuild import (
     build_K,
     build_rep,
     classical_render,
+    f_brackets,
     operator_text,
 )
 from posrep.rootdata import build_cartan
-from posrep.words import ReducedWord, good_word
+from posrep.words import (
+    ReducedWord,
+    apply_move,
+    available_moves,
+    bad_word,
+    check_longest,
+    good_word,
+    occurrence_positions,
+)
 
 A1 = build_cartan("A", 1)
 A2 = build_cartan("A", 2)
@@ -68,8 +80,6 @@ def test_a1_master_relation_by_hand():
     k = build_K(W1, 1)
     lhs = e * f - f * e
     q_minus = VLaurent.q_power(1) - VLaurent.q_power(-1)
-    from posrep.qtorus import exponent
-
     k_inv = QOperator.monomial(exponent({0: 2}, {}, {1: 2}))
     assert lhs == (k_inv - k).scale(q_minus)
 
@@ -120,3 +130,75 @@ def test_classical_render():
     assert classical_render(QOperator.zero(), word) == ""
     f_text = classical_render(build_F(W1, 1), W1)
     assert f_text == "(1 - u1.1 - 2L1) f(u1.1 - 1)"
+
+
+# ---------------------------------------------------------------------------
+# The packed one-pass builders against the O(n*N) builders they replaced.
+# ---------------------------------------------------------------------------
+
+def _f_brackets_oracle(word, i):
+    """F_i's brackets, segment by segment: the weight of i.k holds u at
+    i.k, -2u at each of i.k, ..., i.n and +u at each letter adjacent to i
+    between consecutive occurrences, from i.k to the start of the word."""
+    letters = word.letters
+    pos = occurrence_positions(word, i)  # pos[k-1] is the position of i.k
+    n = len(pos)
+    datum = word.datum
+    out = []
+    for k in range(1, n + 1):
+        alpha = {pos[k - 1]: 1}
+        for l in range(k, n + 1):
+            alpha[pos[l - 1]] = alpha.get(pos[l - 1], 0) - 2
+            left = pos[l] if l < n else -1
+            for t in range(left + 1, pos[l - 1]):
+                if datum.adjacent(letters[t], i):
+                    alpha[t] = alpha.get(t, 0) + 1
+        out.append(bracket(l_alpha=alpha, l_ell={i: -2}, shift={pos[k - 1]: 1}))
+    return out
+
+
+def _build_K_oracle(word, i):
+    datum = word.datum
+    alpha = {t: -datum.a(i, j) for t, j in enumerate(word.letters) if datum.a(i, j)}
+    return QOperator.monomial(exponent(alpha, ell={i: -2}))
+
+
+def _walk(word, rng, moves=40):
+    for _ in range(moves):
+        word = apply_move(word, rng.choice(sorted(available_moves(word))))
+    return word
+
+
+ORACLE_TYPES = (
+    [("A", r) for r in range(2, 7)] + [("D", r) for r in range(4, 9)] + [("E", r) for r in (6, 7, 8)]
+)
+
+
+def _oracle_words():
+    rng = random.Random(1401)
+    for family, rank in ORACLE_TYPES:
+        datum = build_cartan(family, rank)
+        word = good_word(datum)
+        yield f"{family}{rank}.good", word
+        for k in range(2):
+            word = _walk(word, rng)
+            yield f"{family}{rank}.walk{k}", word
+    for family, rank in (("E", 6), ("D", 5), ("D", 8)):
+        yield f"{family}{rank}.bad", bad_word(build_cartan(family, rank))
+
+
+ORACLE_WORDS = dict(_oracle_words())
+
+
+@pytest.mark.parametrize("word", ORACLE_WORDS.values(), ids=ORACLE_WORDS.keys())
+def test_packed_builders_match_the_oracles(word):
+    check_longest(word)
+    for i in word.datum.labels:
+        terms = f_brackets(word, i)
+        oracle = _f_brackets_oracle(word, i)
+        assert terms == oracle
+        assert build_F(word, i) == operator_from_brackets(oracle)
+        assert build_K(word, i) == _build_K_oracle(word, i)
+        for term in terms:
+            assert all(-2 <= c <= 1 for _, c in entries(term.l_alpha))
+            assert dict(entries(term.l_alpha))[entries(term.shift)[0][0]] == -1

@@ -1,6 +1,7 @@
 import importlib
 import itertools
 import os
+import random
 import resource
 from operator import itemgetter
 from unittest import mock
@@ -665,3 +666,79 @@ def test_e7_bad_word_under_default_budget(e7_bad_word_e3):
     # gate means what it says only in a process that builds nothing larger;
     # the other user of the fixture (criterion 7 on E7) holds no more
     assert resource.getrusage(resource.RUSAGE_SELF).ru_maxrss < 500 * 1024
+
+
+# ---------------------------------------------------------------------------
+# The slot start: transport writes its input in the slot order the path
+# ends at, so the moves finish on the identity slot list.
+# ---------------------------------------------------------------------------
+
+def _mixed_path(word: ReducedWord, rng, length: int) -> list[BraidMove]:
+    """A random path of ``length`` moves that holds both kinds."""
+    path = []
+    for _ in range(length):
+        move = rng.choice(sorted(available_moves(word)))
+        path.append(move)
+        word = apply_move(word, move)
+    assert {move.kind for move in path} == {"commute", "braid"}
+    return path
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [BraidMove(11, "commute"), BraidMove(10**6, "commute"), BraidMove(-3, "commute"),
+     BraidMove(0, "commute"), BraidMove(0, "braid")],
+    ids=str,
+)
+def test_invalid_move_late_in_a_path_raises_at_its_step(bad):
+    # 20 valid moves of both kinds, then the bad one, then more: the move
+    # check raises the apply_move message at the bad move's step, after the
+    # trace has recorded every step before it
+    datum = build_cartan("D", 4)
+    start = good_word(datum)
+    rng = random.Random(3)
+    valid = _mixed_path(start, rng, 20)
+    word = start
+    for move in valid:
+        word = apply_move(word, move)
+    with pytest.raises(MoveError) as expected:
+        apply_move(word, bad)
+    tail = _mixed_path(word, rng, 5) if bad.kind == "braid" else valid[:5]
+    op = build_E(start, 2)
+    before = QOperator(dict(op.terms))
+    trace: list = []
+    with pytest.raises(MoveError) as raised:
+        transport(op, start, iter(valid + [bad] + tail), trace=trace)
+    assert str(raised.value) == str(expected.value)
+    assert [move for move, _, _ in trace] == valid
+    assert op == before
+
+
+def test_fields_past_the_word_stay_where_they_are():
+    datum = build_cartan("D", 4)
+    start = good_word(datum)
+    n = len(start)
+    path = _mixed_path(start, random.Random(4), 30)
+    extra_a, extra_g = pack_entries({n: 3, n + 2: -5}), pack_entries({n + 1: 7})
+    for build in (build_E, build_F, build_K):
+        op = build(start, 2)
+        lifted = QOperator({e._replace(alpha=e.alpha + extra_a, gamma=e.gamma + extra_g): c
+                            for e, c in op.terms.items()})
+        out, _ = transport(op, start, path)
+        lifted_out, _ = transport(lifted, start, path)
+        assert lifted_out == QOperator({e._replace(alpha=e.alpha + extra_a, gamma=e.gamma + extra_g): c
+                                        for e, c in out.terms.items()})
+
+
+@pytest.mark.parametrize("family,rank,seed", [("D", 5, 5), ("E", 6, 6), ("E", 7, 7)])
+def test_transport_equals_the_step_by_step_composition(family, rank, seed):
+    datum = build_cartan(family, rank)
+    rng = random.Random(seed)
+    start = good_word(datum)
+    path = _mixed_path(start, rng, 60)
+    for i in datum.labels[:3]:
+        for build in (build_E, build_F, build_K):
+            op = build(start, i)
+            out, end = transport(op, start, path)
+            assert out == _fold(op, path)
+            assert out == build(end, i)

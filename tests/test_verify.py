@@ -1,11 +1,20 @@
+import importlib
+
 import pytest
 
 from posrep.moddouble import build_modified, check_modified_relations
-from posrep.qtorus import QOperator, VLaurent, nested_q_commutator, q_commutator
-from posrep.repbuild import GeneratorTriple, Representation, build_rep, operator_text
+from posrep.qtorus import (
+    QOperator,
+    VLaurent,
+    bracket,
+    nested_q_commutator,
+    operator_from_brackets,
+    q_commutator,
+)
+from posrep.repbuild import GeneratorTriple, Representation, build_F, build_rep, operator_text
 from posrep.rootdata import build_cartan
 from posrep.verify import check_relations, path_independence, q2_chain_certificate
-from posrep.words import ReducedWord, enumerate_words, good_word, random_longest_words
+from posrep.words import ReducedWord, braid_path, enumerate_words, good_word, random_longest_words
 
 A1 = build_cartan("A", 1)
 A2 = build_cartan("A", 2)
@@ -150,3 +159,79 @@ def test_path_independence_on_sampled_words(family, rank, seed):
     for word in random_longest_words(datum, 3, seed=seed):
         assert word.letters != base.letters
         assert path_independence(datum, base, word)["status"] == "pass", word
+
+
+# ---------------------------------------------------------------------------
+# Negative controls: path_independence reports a corrupted generator or a
+# corrupted braid move.
+# ---------------------------------------------------------------------------
+
+verify_module = importlib.import_module("posrep.verify")
+transport_module = importlib.import_module("posrep.transport")
+D4 = build_cartan("D", 4)
+
+
+def _f_right_to_left(word: ReducedWord, i: int) -> QOperator:
+    """A wrong F_i: the suffix sums of its weights taken from the right
+    end of the word instead of the left."""
+    adjacent = word.datum.adjacent
+    weight: dict[int, int] = {}
+    terms = []
+    for t in range(len(word.letters) - 1, -1, -1):
+        j = word.letters[t]
+        if j == i:
+            weight[t] = -2
+            terms.append(bracket(l_alpha={**weight, t: -1}, l_ell={i: -2}, shift={t: 1}))
+        elif adjacent(j, i):
+            weight[t] = 1
+    return operator_from_brackets(terms)
+
+
+def test_path_independence_fails_on_a_corrupted_f(monkeypatch):
+    base = good_word(D4)
+    (target,) = random_longest_words(D4, 1, seed=5)
+    label = next(i for i in D4.labels if _f_right_to_left(target, i) != build_F(target, i))
+
+    def build_with_a_wrong_f(datum, word, lam_mode="formal"):
+        rep = build_rep(datum, word, lam_mode)
+        if word.letters != target.letters:
+            return rep
+        gens = dict(rep.gens)
+        gens[label] = gens[label]._replace(F=_f_right_to_left(word, label))
+        return Representation(rep.datum, rep.word, rep.lam_mode, gens)
+
+    monkeypatch.setattr(verify_module, "build_rep", build_with_a_wrong_f)
+    report = path_independence(D4, base, target)
+    assert report["status"] == "fail"
+    assert [(w["generator"], w["kind"]) for w in report["witnesses"]] == [(f"F{label}", "vs_direct")]
+
+
+def test_path_independence_fails_on_a_corrupted_braid_move(monkeypatch):
+    # the first braid move of the first transport multiplies its whole
+    # image by q; every other move is exact
+    base = good_word(D4)
+    (target,) = random_longest_words(D4, 1, seed=5)
+    assert any(move.kind == "braid" for move in braid_path(base, target))
+    kernel, inner = transport_module._braid_inplace, verify_module.transport
+    state = {"transports": 0, "armed": False}
+
+    def scaled_once(terms, frame):
+        kernel(terms, frame)
+        if state["armed"]:
+            state["armed"] = False
+            for key, coef in terms.items():
+                terms[key] = coef.shift(2)
+
+    def arm_the_first(op, word, path, *args):
+        state["transports"] += 1
+        state["armed"] = state["transports"] == 1
+        return inner(op, word, path, *args)
+
+    monkeypatch.setattr(transport_module, "_braid_inplace", scaled_once)
+    monkeypatch.setattr(verify_module, "transport", arm_the_first)
+    report = path_independence(D4, base, target)
+    assert report["status"] == "fail"
+    first = f"E{D4.labels[0]}"
+    kinds = {w["kind"] for w in report["witnesses"]}
+    assert {w["generator"] for w in report["witnesses"]} == {first}
+    assert kinds and kinds <= {"two_paths", "vs_direct"}

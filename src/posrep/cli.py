@@ -58,8 +58,10 @@ from .words import (
 # sorted order (the text ``dump_json`` writes for the same data).
 # ---------------------------------------------------------------------------
 
-_MONOMIAL = '{"alpha":%s,"coeff":%s,"const":%d,"ell":%s,"gamma":%s}'
-_BRACKET = '{"L":{"const":%d,"lambda":%s,"u":%s},"P":%s,"scalar":%s}'
+# an exponent has no constant term: both templates write a literal 0 for
+# it, kept so that the format stays stable
+_MONOMIAL = '{"alpha":%s,"coeff":%s,"const":0,"ell":%s,"gamma":%s}'
+_BRACKET = '{"L":{"const":0,"lambda":%s,"u":%s},"P":%s,"scalar":%s}'
 
 
 def operator_to_json(op: QOperator, word: ReducedWord) -> str:
@@ -72,12 +74,12 @@ def operator_to_json(op: QOperator, word: ReducedWord) -> str:
     lam = cache(lambda ell: dump_json({str(s): str(c) for s, c in ell}))
     coeff = cache(lambda c: dump_json([[c.val + k, a] for k, a in enumerate(c.coeffs) if a]))
     monomials = ",".join(
-        [_MONOMIAL % (part(e.alpha), coeff(c), e.const, lam(e.ell), part(e.gamma))
+        [_MONOMIAL % (part(e.alpha), coeff(c), lam(e.ell), part(e.gamma))
          for e, c in op.monomials()]
     )
     try:
         brackets = ",".join(
-            [_BRACKET % (t.l_const, lam(t.l_ell), part(t.l_alpha), part(t.shift), coeff(t.scalar))
+            [_BRACKET % (lam(t.l_ell), part(t.l_alpha), part(t.shift), coeff(t.scalar))
              for t in rebracket(op)]
         )
     except RebracketError:

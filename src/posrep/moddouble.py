@@ -252,7 +252,7 @@ def commutant_check(datum: CartanDatum, mrep: ModifiedRep) -> dict:
     labels = datum.labels
     monos = _generator_monomials(mrep.gens)
     # plain[j][m]: the u-part of Kbar_j against the p-part of monomial m
-    kbars = [QExponent(mrep.gens[j].K.single_monomial().expo.alpha, 0, (), 0) for j in labels]
+    kbars = [QExponent(mrep.gens[j].K.single_monomial().expo.alpha, 0, ()) for j in labels]
     plain = pairing_matrix(kbars, [expo for _, expo in monos])
     results = []
     all_even = True

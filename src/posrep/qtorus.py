@@ -2,13 +2,14 @@
 
 Everything in this engine is a finite sum of monomials
 
-    c * exp(pi*b*(alpha.u + 2*gamma.p + ell.lam + const)),
+    c * exp(pi*b*(alpha.u + 2*gamma.p + ell.lam)),
 
 where ``u`` and ``p`` are coordinate/momentum variables indexed by word
-positions with [p_k, u_k] = 1/(2*pi*i), ``lam`` are central parameters
-indexed by node labels, and ``const`` is a central integer slot.  The
+positions with [p_k, u_k] = 1/(2*pi*i) and ``lam`` are central parameters
+indexed by node labels, so an exponent is (alpha, gamma, ell).  The
 coefficient ``c`` lives in the ring of integer Laurent polynomials in
-``v`` with v**2 = q; this keeps every identity in the package exact.
+``v`` with v**2 = q; this keeps every identity in the package exact, and
+a scalar factor never needs a constant term in the exponent.
 
 Multiplying two monomials adds exponents and picks up the cocycle
 q**(s/2) = v**s with
@@ -38,7 +39,7 @@ satisfies |alpha_k| < SLOT_BIAS.  ``pack`` checks its input, and a
 product, a power or a braid image with an entry out of range raises
 SlotOverflowError before any term is formed; nothing wraps into a
 neighbouring field.  The lambda part ``ell`` may hold Fractions, so it
-stays a sparse (label, value) tuple, and ``const`` stays an int.
+stays a sparse (label, value) tuple, normalized by ``sparse``.
 
 The pair kernel behind ``QOperator.__mul__`` and ``q_commutator`` sums
 coefficients with the same signed-linear rule.  One call first fixes its
@@ -340,33 +341,10 @@ def sparse(entries: dict | Iterable) -> SparseVec:
 
 
 def sparse_add(a: SparseVec, b: SparseVec) -> SparseVec:
-    if not a:
-        return b
-    if not b:
-        return a
-    out = []
-    ia = ib = 0
-    na, nb = len(a), len(b)
-    while ia < na and ib < nb:
-        ka, va = a[ia]
-        kb, vb = b[ib]
-        if ka < kb:
-            out.append(a[ia])
-            ia += 1
-        elif kb < ka:
-            out.append(b[ib])
-            ib += 1
-        else:
-            v = va + vb
-            if v.__class__ is Fraction and v.denominator == 1:
-                v = int(v)
-            if v != 0:
-                out.append((ka, v))
-            ia += 1
-            ib += 1
-    out.extend(a[ia:])
-    out.extend(b[ib:])
-    return tuple(out)
+    total = dict(a)
+    for k, v in b:
+        total[k] = total.get(k, 0) + v
+    return sparse(total)
 
 
 def sparse_neg(a: SparseVec) -> SparseVec:
@@ -374,16 +352,7 @@ def sparse_neg(a: SparseVec) -> SparseVec:
 
 
 def sparse_scale(a: SparseVec, c) -> SparseVec:
-    if c == 0:
-        return ()
-    out = []
-    for k, v in a:
-        value = c * v
-        if value.__class__ is Fraction and value.denominator == 1:
-            value = int(value)
-        if value != 0:
-            out.append((k, value))
-    return tuple(out)
+    return sparse({k: c * v for k, v in a})
 
 
 # ---------------------------------------------------------------------------
@@ -392,15 +361,14 @@ def sparse_scale(a: SparseVec, c) -> SparseVec:
 
 class QExponent(NamedTuple):
     """Exponent data of one monomial: packed u-part, packed p-part,
-    lambda-part, constant."""
+    lambda-part."""
 
     alpha: int
     gamma: int
     ell: SparseVec
-    const: int
 
     def inverse(self) -> QExponent:
-        return QExponent(-self.alpha, -self.gamma, sparse_neg(self.ell), -self.const)
+        return QExponent(-self.alpha, -self.gamma, sparse_neg(self.ell))
 
     def power(self, n: int) -> QExponent:
         """The exponent of the n-th power; SlotOverflowError if an entry
@@ -408,15 +376,15 @@ class QExponent(NamedTuple):
         for x in (self.alpha, self.gamma):
             k, value = max(enumerate(unpack(x)), key=lambda kv: abs(kv[1]))
             check_entry(n * value, f"at position {k} of a power")
-        return QExponent(n * self.alpha, n * self.gamma, sparse_scale(self.ell, n), n * self.const)
+        return QExponent(n * self.alpha, n * self.gamma, sparse_scale(self.ell, n))
 
 
-EXP_ONE = QExponent(0, 0, (), 0)
+EXP_ONE = QExponent(0, 0, ())
 
 
-def exponent(alpha=(), gamma=(), ell=(), const=0) -> QExponent:
+def exponent(alpha=(), gamma=(), ell=()) -> QExponent:
     """An exponent from {position: value} u- and p-parts and a {label: value} lambda part."""
-    return QExponent(pack_entries(alpha), pack_entries(gamma), sparse(dict(ell)), const)
+    return QExponent(pack_entries(alpha), pack_entries(gamma), sparse(ell))
 
 
 class _Rows:
@@ -507,36 +475,18 @@ def pairing_matrix(xs, ys) -> list[tuple[int, ...]]:
 
 
 def commutation_exponent(e1: QExponent, e2: QExponent) -> int:
-    """s with m1*m2 = q**s * m2*m1; the lambda and constant slots are central."""
+    """s with m1*m2 = q**s * m2*m1; the lambda part is central."""
     return pairing_matrix((e1,), (e2,))[0][0]
 
 
-class _EntryOrder(dict):
-    """Lambda entry (k, v) -> its code in the dense lexicographic order.
-
-    Two sparse vectors compare as dense ones (missing entries 0) when each
-    becomes its sequence of entry codes closed by ``_PART_END``: at the
-    first index where they differ, a negative entry (0, k, v) sorts below
-    an absent one and a positive entry (2, -k, v) above it.  The codes are
-    built once per sort and shared by every exponent that holds the entry.
-    """
-
-    def __missing__(self, entry: tuple) -> tuple:
-        k, v = entry
-        code = self[entry] = (0, k, v) if v < 0 else (2, -k, v)
-        return code
-
-
-_PART_END = (1,)
-
-
 def canonical_order(exponents: Iterable[QExponent]) -> tuple[QExponent, ...]:
-    """Exponents sorted by (alpha, gamma, ell) as dense vectors, then const.
+    """Exponents sorted by (alpha, gamma, ell) as dense vectors.
 
     The order only fixes the order in which monomials and brackets are
     listed and printed.  A u- or p-part sorts by its biased fields written
     big-endian, position 0 first: over a common field count, byte order is
-    dense lexicographic order.
+    dense lexicographic order.  A lambda part sorts as its dense vector
+    over the labels that occur in any of the exponents.
     """
     exps = list(exponents)
     n = max((field_count(x) for e in exps for x in (e.alpha, e.gamma)), default=0)
@@ -554,10 +504,14 @@ def canonical_order(exponents: Iterable[QExponent]) -> tuple[QExponent, ...]:
             key = keys[x] = bytes(swapped)
         return key
 
-    code = _EntryOrder().__getitem__
+    ells = dict.fromkeys(e.ell for e in exps)
+    labels = sorted({k for ell in ells for k, _ in ell})
+    for ell in ells:
+        row = dict(ell)
+        ells[ell] = tuple([row.get(k, 0) for k in labels])
 
     def key(e: QExponent) -> tuple:
-        return (fields(e.alpha), fields(e.gamma), *map(code, e.ell), _PART_END, e.const)
+        return fields(e.alpha), fields(e.gamma), ells[e.ell]
 
     return tuple(sorted(exps, key=key))
 
@@ -589,10 +543,6 @@ class QOperator:
         self._rows: _Rows | None = None
 
     # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def zero() -> QOperator:
-        return QOperator()
 
     @staticmethod
     def one() -> QOperator:
@@ -695,9 +645,9 @@ class _Sums:
     """Per-call state that the pair and nested kernels share.
 
     The terms of x and y are interned: each distinct coefficient and
-    central (lambda, constant) part gets an id, so each coefficient is
-    packed once and each central sum is formed once.  A kernel sums packed
-    coefficients under the key (alpha, gamma, central id); ``window`` fixes
+    central lambda part gets an id, so each coefficient is packed once and
+    each lambda sum is formed once.  A kernel sums packed coefficients
+    under the key (alpha, gamma, lambda id); ``window`` fixes
     the v-power window and the field width (module docstring), and
     ``decode`` reads each distinct nonzero sum once.
     """
@@ -707,7 +657,7 @@ class _Sums:
         self.centrals: dict[tuple, int] = {}
         centrals = self.centrals
         self.terms = [
-            [(e.alpha, e.gamma, centrals.setdefault((e.ell, e.const), len(centrals)),
+            [(e.alpha, e.gamma, centrals.setdefault(e.ell, len(centrals)),
               coeffs.setdefault(c, len(coeffs)))
              for e, c in op.terms.items()]
             for op in (x, y)
@@ -716,16 +666,14 @@ class _Sums:
         self.coeff_of = list(coeffs)
 
     def central_sums(self, lefts, rights) -> dict[int, dict[int, int]]:
-        """{l: {r: id of central l + central r}} over the ids given."""
+        """{l: {r: id of lambda part l + lambda part r}} over the ids given."""
         centrals = self.centrals
         part_of = list(centrals)
         table: dict[int, dict[int, int]] = {}
         for cl in lefts:
-            ell1, k1 = part_of[cl]
             row = table[cl] = {}
             for cr in rights:
-                ell2, k2 = part_of[cr]
-                row[cr] = centrals.setdefault((sparse_add(ell1, ell2), k1 + k2), len(centrals))
+                row[cr] = centrals.setdefault(sparse_add(part_of[cl], part_of[cr]), len(centrals))
         return table
 
     def window(self, nx: int, plo: int, phi: int, factor_max: int) -> None:
@@ -764,7 +712,7 @@ class _Sums:
                 c = decoded.get(total)
                 if c is None:
                     c = decoded[total] = VLaurent(self.lo, unpack(total, self.span, self.width))
-                terms[QExponent(alpha, gamma, *part_of[ce])] = c
+                terms[QExponent(alpha, gamma, part_of[ce])] = c
         return QOperator(terms)
 
 
@@ -895,31 +843,26 @@ class BracketTerm(NamedTuple):
     scalar: VLaurent
     l_alpha: int        # packed u-coefficients of L (integers)
     l_ell: SparseVec    # lambda-coefficients of L (rationals)
-    l_const: int
     shift: int          # packed P
 
-    def weight(self) -> tuple[int, SparseVec, int]:
-        """The bracket content as-is: (u-part, lambda-part, constant) of L."""
-        return (self.l_alpha, self.l_ell, self.l_const)
 
-
-def bracket(l_alpha=(), l_ell=(), l_const=0, shift=(), scalar: VLaurent | None = None) -> BracketTerm:
+def bracket(l_alpha=(), l_ell=(), shift=(), scalar: VLaurent | None = None) -> BracketTerm:
     term = BracketTerm(
         scalar if scalar is not None else VLaurent.one(),
-        pack_entries(l_alpha), sparse(dict(l_ell)), l_const, pack_entries(shift),
+        pack_entries(l_alpha), sparse(l_ell), pack_entries(shift),
     )
-    if not (term.l_alpha or term.l_ell or term.l_const):
+    if not (term.l_alpha or term.l_ell):
         raise ValueError("bracket linear form must not be identically zero")
     return term
 
 
 def expand_bracket(term: BracketTerm) -> QOperator:
     """Expand scalar*[L]e(P) into its two monomials."""
-    if not (term.l_alpha or term.l_ell or term.l_const):
+    if not (term.l_alpha or term.l_ell):
         raise ValueError("bracket linear form must not be identically zero")
     s = _dot(term.l_alpha, term.shift)
-    plus = QExponent(term.l_alpha, term.shift, term.l_ell, term.l_const)
-    minus = QExponent(-term.l_alpha, term.shift, sparse_neg(term.l_ell), -term.l_const)
+    plus = QExponent(term.l_alpha, term.shift, term.l_ell)
+    minus = QExponent(-term.l_alpha, term.shift, sparse_neg(term.l_ell))
     return QOperator.from_monomials(
         ((plus, term.scalar.shift(1 + s)), (minus, term.scalar.shift(-1 - s)))
     )
@@ -933,31 +876,38 @@ def rebracket(op: QOperator) -> list[BracketTerm]:
     """Decompose a canonical operator into weight-shift terms.
 
     Monomials are matched in pairs with equal momentum shift and opposite
-    (u, lambda, const) parts; the orientation of each pair is fixed by the
+    (u, lambda) parts; the orientation of each pair is fixed by the
     coefficient ratio v**(2*(1+s)).  Raises RebracketError when a monomial
-    has no partner or no orientation is consistent.
+    has no partner or no orientation is consistent; the message names the
+    monomial by its nonzero (position, value) u- and p-entries and its
+    lambda part.
     """
     remaining = dict(op.terms)
     out: list[BracketTerm] = []
     for e in op.exponents():
         if e not in remaining:
             continue
-        partner = QExponent(-e.alpha, e.gamma, sparse_neg(e.ell), -e.const)
+        partner = QExponent(-e.alpha, e.gamma, sparse_neg(e.ell))
         if partner == e:
-            raise RebracketError(f"monomial with zero weight part: {e!r}")
+            raise RebracketError(f"monomial with zero weight part: {_monomial_name(e)}")
         c1 = remaining.pop(e)
         c2 = remaining.pop(partner, None)
         if c2 is None:
-            raise RebracketError(f"unpaired monomial: {e!r}")
+            raise RebracketError(f"unpaired monomial: {_monomial_name(e)}")
         s = _dot(e.alpha, e.gamma)
         if c1 == c2.shift(2 * (1 + s)):
             plus, scalar = e, c1.shift(-1 - s)
         elif c2 == c1.shift(2 * (1 - s)):
             plus, scalar = partner, c2.shift(-1 + s)
         else:
-            raise RebracketError(f"no bracket orientation fits the pair at {e!r}")
-        out.append(BracketTerm(scalar, plus.alpha, plus.ell, plus.const, plus.gamma))
+            raise RebracketError(f"no bracket orientation fits the pair at {_monomial_name(e)}")
+        out.append(BracketTerm(scalar, plus.alpha, plus.ell, plus.gamma))
     return out
+
+
+def _monomial_name(e: QExponent) -> str:
+    # packed ints of long words pass the int-to-str digit limit; entries do not
+    return f"u {entries(e.alpha)}, p {entries(e.gamma)}, lambda {e.ell}"
 
 
 def term_count(op: QOperator) -> int:

@@ -65,7 +65,7 @@ def build_E_rightmost(word: ReducedWord, i: int) -> QOperator:
     if word.letters[-1] != i:
         raise ValueError(f"word does not end in {i}: {word}")
     unit, one = 1 << (SLOT_BITS * (len(word.letters) - 1)), VLaurent.one()
-    return QOperator({QExponent(unit, -unit, (), 0): one, QExponent(-unit, -unit, (), 0): one})
+    return QOperator({QExponent(unit, -unit, ()): one, QExponent(-unit, -unit, ()): one})
 
 
 def f_brackets(word: ReducedWord, i: int) -> list[BracketTerm]:
@@ -76,7 +76,7 @@ def f_brackets(word: ReducedWord, i: int) -> list[BracketTerm]:
         unit = 1 << (SLOT_BITS * t)
         if j == i:
             suffix -= 2 * unit
-            out.append(BracketTerm(one, suffix + unit, ell, 0, unit))
+            out.append(BracketTerm(one, suffix + unit, ell, unit))
         elif adjacent(j, i):
             suffix += unit
     out.reverse()
@@ -88,15 +88,15 @@ def build_F(word: ReducedWord, i: int) -> QOperator:
     one, plus, minus = VLaurent.one(), ((i, -2),), ((i, 2),)
     terms = {}
     for term in f_brackets(word, i):
-        terms[QExponent(term.l_alpha, term.shift, plus, 0)] = one
-        terms[QExponent(-term.l_alpha, term.shift, minus, 0)] = one
+        terms[QExponent(term.l_alpha, term.shift, plus)] = one
+        terms[QExponent(-term.l_alpha, term.shift, minus)] = one
     return QOperator(terms)
 
 
 def build_K(word: ReducedWord, i: int) -> QOperator:
     a = word.datum.a
     alpha = sum(-a(i, j) << (SLOT_BITS * t) for t, j in enumerate(word.letters))
-    k = QOperator.monomial(QExponent(alpha, 0, ((i, -2),), 0))
+    k = QOperator.monomial(QExponent(alpha, 0, ((i, -2),)))
     if len(k) != 1 or not k.single_monomial().coeff.is_unit_monomial():
         raise ArithmeticError(f"K{i} is not one monomial with a unit coefficient")
     return k
@@ -161,17 +161,16 @@ def _weight_form(term: BracketTerm, names: list[str]) -> list:
 
 
 def bracket_text(term: BracketTerm, names: list[str]) -> str:
-    body = _linear_form_text(_weight_form(term, names) + [("", term.l_const)])
+    body = _linear_form_text(_weight_form(term, names))
     shift = _linear_form_text((f"p{names[t]}", c) for t, c in entries(term.shift))
     return f"{_scalar_head(term.scalar)}[{body}] e({shift})"
 
 
 def monomial_text(expo, coeff: VLaurent, names: list[str]) -> str:
-    # ordered by index first, then u, p, L and the constant
+    # ordered by index first, then u, p and L
     form = [((t, 0), f"u{names[t]}", c) for t, c in entries(expo.alpha)]
     form += [((t, 1), f"p{names[t]}", 2 * c) for t, c in entries(expo.gamma)]
     form += [((s, 2), f"L{s}", c) for s, c in expo.ell]
-    form.append(((0, 3), "", expo.const))
     body = _linear_form_text((name, c) for _, name, c in sorted(form, key=lambda x: x[0]))
     return f"{_scalar_head(coeff)}E^(pi b({body}))"
 
@@ -201,7 +200,7 @@ def classical_render(op: QOperator, word: ReducedWord) -> str:
     names = position_names(word)
     lines = []
     for term in rebracket(op):
-        weight = _linear_form_text([("", 1 + term.l_const)] + _weight_form(term, names))
+        weight = _linear_form_text([("", 1)] + _weight_form(term, names))
         args = [f"u{names[t]} {'-' if c > 0 else '+'} {abs(c)}" for t, c in entries(term.shift)]
         lines.append(f"{_scalar_head(term.scalar)}({weight}) f({', '.join(args)})")
     return " + ".join(lines)

@@ -26,9 +26,10 @@ a commutation move swaps two entries of that list and touches no
 exponent, and a braid move at t runs on the slots of positions t, t+1,
 t+2, wherever they lie.
 
-Exponents keep the packed u/p ints of ``qtorus`` (field layout, bias and
-overflow rule in its module docstring), and inside a transport field k is
-read as slot k.  Terms are keyed by (alpha, gamma, ell, const) tuples.  A
+An exponent is (alpha, gamma, ell): the packed u/p ints of ``qtorus``
+(field layout, bias and overflow rule in its module docstring), inside a
+transport read with field k as slot k, and the lambda part, which no move
+touches.  Terms are keyed by (alpha, gamma, ell) tuples.  A
 braid move reads its six frame fields by adding the bias and masking,
 groups the monomials on what is left, and adds the image fields back.
 Within one move each distinct (frame fields, coefficient) is decoded once,
@@ -282,7 +283,7 @@ def _braid_inplace(terms: dict, frame: tuple[int, int, int]) -> None:
     keys = list(terms)
     take = terms.pop
     for i, key in enumerate(keys):
-        a, g, ell, const = key
+        a, g, ell = key
         fa = (a + read) & frame_mask
         fg = (g + read) & frame_mask
         if fa == frame_zero and fg == frame_zero:
@@ -297,7 +298,7 @@ def _braid_inplace(terms: dict, frame: tuple[int, int, int]) -> None:
                 ((fg >> su) & mask) - bias, ((fg >> sv) & mask) - bias, ((fg >> sw) & mask) - bias,
             )
             record = records[rkey] = [(loc, coef), None]
-        gkey = (a - fa, g - fg, ell, const)
+        gkey = (a - fa, g - fg, ell)
         group = groups.setdefault(gkey, record)
         if group is not record:
             groups[gkey] = (group, record) if group.__class__ is list else group + (record,)
@@ -306,7 +307,7 @@ def _braid_inplace(terms: dict, frame: tuple[int, int, int]) -> None:
     # id of a pipeline result -> its image; results stay in _PIPELINE_CACHE
     images: dict[int, list] = {}
     while groups:
-        (a, g, ell, const), group = groups.popitem()
+        (a, g, ell), group = groups.popitem()
         if group.__class__ is list:
             image = group[1]
             if image is None:
@@ -335,7 +336,7 @@ def _braid_inplace(terms: dict, frame: tuple[int, int, int]) -> None:
             if group.__class__ is list:
                 group[1] = image
         for da, dg, coef in image:
-            terms[a + da, g + dg, ell, const] = coef
+            terms[a + da, g + dg, ell] = coef
         size += len(image)
     if len(terms) != size:
         raise RuntimeError(f"braid images met existing monomials at frame {frame}")
@@ -382,7 +383,7 @@ def _relabel(terms: dict, slot: list[int]) -> dict:
     distinct = iter(moved)  # values are replaced in place; no key changes
     while block := list(islice(distinct, _RELABEL_BLOCK)):
         moved.update(zip(block, _permute_fields(block, n, copies)))
-    return {(moved[a], moved[g], ell, const): coef for (a, g, ell, const), coef in terms.items()}
+    return {(moved[a], moved[g], ell): coef for (a, g, ell), coef in terms.items()}
 
 
 def _start(op: QOperator, n: int, path: list) -> tuple[dict, list[int]]:

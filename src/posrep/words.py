@@ -177,21 +177,44 @@ def enumerate_words(datum: CartanDatum) -> list[ReducedWord]:
     return [ReducedWord(datum, l) for l in sorted(seen)]
 
 
+MAX_FRUITLESS_WALKS = 1000
+
+
 def random_longest_words(datum: CartanDatum, count: int, seed: int = 0, walk: int = 60) -> list[ReducedWord]:
-    """Distinct reduced words of the longest element via random move walks."""
+    """Distinct reduced words of the longest element via random move walks.
+
+    Each walk starts at the good word, which is never returned.  Raises
+    ValueError when a word admits no move, and when MAX_FRUITLESS_WALKS
+    walks in a row end on words already found (on A_2, for one, every
+    walk of even length ends on the good word).
+    """
     import random
 
     rng = random.Random(seed)
     words = []
     seen = {good_word(datum).letters}
+    fruitless = 0
     while len(words) < count:
         w = good_word(datum)
         for _ in range(walk):
             moves = available_moves(w)
+            if not moves:
+                raise ValueError(
+                    f"no move applies to the word {w} of {datum.family}_{datum.rank};"
+                    f" found {len(words)} of {count} words"
+                )
             w = apply_move(w, rng.choice(moves))
         if w.letters not in seen:
             seen.add(w.letters)
             words.append(w)
+            fruitless = 0
+        else:
+            fruitless += 1
+            if fruitless == MAX_FRUITLESS_WALKS:
+                raise ValueError(
+                    f"{fruitless} walks in a row found no new word of {datum.family}_{datum.rank};"
+                    f" found {len(words)} of {count} words"
+                )
     return words
 
 
@@ -309,33 +332,41 @@ def _force_first(datum, letters: list[int], start: int, target: int, moves: list
     Precondition: target is a left descent of the element of
     letters[start:], which holds whenever some reduced word of that
     element begins with target.
+
+    With j = letters[start] != target, the moves first make
+    letters[start + 1] == target; then a commute at start when j and
+    target commute, and otherwise moves that make letters[start + 2] == j
+    and a braid at start.  That recursion runs on an explicit stack, so
+    its depth is not bounded by the interpreter's: a call waiting for its
+    commute-or-braid step is (start, j, target), and one waiting for its
+    braid is (~start, j, target).
     """
     j = letters[start]
     if j == target:
         return
-    _force_first(datum, letters, start + 1, target, moves)
-    if not datum.adjacent(j, target):
-        move = BraidMove(start, "commute")
-    else:
-        _force_first(datum, letters, start + 2, j, moves)
-        move = BraidMove(start, "braid")
-    _apply_move_letters(letters, move)
-    moves.append(move)
-
-
-def _force_last(datum, letters: list[int], end: int, target: int, moves: list[BraidMove]) -> None:
-    """Mirror of _force_first: make letters[end-1] == target."""
-    j = letters[end - 1]
-    if j == target:
-        return
-    _force_last(datum, letters, end - 1, target, moves)
-    if not datum.adjacent(j, target):
-        move = BraidMove(end - 2, "commute")
-    else:
-        _force_last(datum, letters, end - 2, j, moves)
-        move = BraidMove(end - 3, "braid")
-    _apply_move_letters(letters, move)
-    moves.append(move)
+    adjacent = datum.adjacent
+    stack = []
+    while True:
+        while j != target:
+            stack.append((start, j, target))
+            start += 1
+            j = letters[start]
+        while stack:
+            p, j, t = stack.pop()
+            if p < 0:
+                p = ~p
+                letters[p : p + 3] = t, j, t
+                moves.append(BraidMove(p, "braid"))
+            elif not adjacent(j, t):
+                letters[p], letters[p + 1] = t, j
+                moves.append(BraidMove(p, "commute"))
+            else:
+                stack.append((~p, j, t))
+                start, target = p + 2, j
+                j = letters[start]
+                break
+        else:
+            return
 
 
 def braid_path(src: ReducedWord, dst: ReducedWord) -> list[BraidMove]:
@@ -360,8 +391,9 @@ def braid_path(src: ReducedWord, dst: ReducedWord) -> list[BraidMove]:
         raise ValueError("words represent different group elements")
     letters = list(src.letters)
     moves: list[BraidMove] = []
-    for t in range(len(letters)):
-        _force_first(src.datum, letters, t, dst.letters[t], moves)
+    for t, target in enumerate(dst.letters):
+        if letters[t] != target:
+            _force_first(src.datum, letters, t, target, moves)
     if tuple(letters) != dst.letters:
         raise ValueError(f"the move path from {src} ends at {tuple(letters)}, not at {dst}")
     return moves
@@ -371,9 +403,13 @@ def path_to_word_ending_in(word: ReducedWord, i: int) -> tuple[list[BraidMove], 
     """Moves from ``word`` to some reduced word ending in ``i``.
 
     Replaying the returned moves in reverse transforms the end word back
-    into ``word`` (every move is its own inverse).
+    into ``word`` (every move is its own inverse).  The moves are those that
+    bring ``i`` to the front of the reversed word, mirrored: a commute at p
+    becomes one at n - 2 - p and a braid at p one at n - 3 - p.
     """
-    letters = list(word.letters)
-    moves: list[BraidMove] = []
-    _force_last(word.datum, letters, len(letters), i, moves)
-    return moves, ReducedWord(word.datum, tuple(letters))
+    letters = list(reversed(word.letters))
+    mirrored: list[BraidMove] = []
+    _force_first(word.datum, letters, 0, i, mirrored)
+    n = len(letters)
+    moves = [BraidMove(n - 2 - p if kind == "commute" else n - 3 - p, kind) for p, kind in mirrored]
+    return moves, ReducedWord(word.datum, tuple(reversed(letters)))

@@ -13,12 +13,11 @@ from posrep.qtorus import (
     VLaurent,
     bracket,
     entries,
-    expand_bracket,
     exponent,
     operator_from_brackets,
     rebracket,
 )
-from posrep.repbuild import build_F, build_K, build_rep, classical_render, operator_text, position_names
+from posrep.repbuild import build_F, build_K, build_rep, operator_text, position_names
 from posrep.rootdata import build_cartan
 from posrep.words import bad_word, good_word
 
@@ -94,7 +93,7 @@ def oracle_operator_json(op: QOperator, word) -> str:
                 "alpha": by_name(e.alpha),
                 "gamma": by_name(e.gamma),
                 "ell": {str(s): str(v) for s, v in e.ell},
-                "const": e.const,
+                "const": 0,
                 "coeff": pairs(c),
             }
             for e, c in op.monomials()
@@ -105,7 +104,7 @@ def oracle_operator_json(op: QOperator, word) -> str:
             {
                 "scalar": pairs(t.scalar),
                 "L": {"u": by_name(t.l_alpha), "lambda": {str(s): str(v) for s, v in t.l_ell},
-                      "const": t.l_const},
+                      "const": 0},
                 "P": by_name(t.shift),
             }
             for t in rebracket(op)
@@ -127,7 +126,6 @@ lambdas = st.dictionaries(
     st.one_of(st.integers(-3, 3), st.fractions(-2, 2, max_denominator=6)).filter(bool),
     max_size=3,
 )
-consts = st.integers(-4, 4)
 coeffs = st.builds(  # several terms, with zero gaps
     VLaurent, st.integers(-5, 5), st.lists(st.integers(-2, 2), min_size=1, max_size=5)
 ).filter(bool)
@@ -137,10 +135,10 @@ coeffs = st.builds(  # several terms, with zero gaps
 def monomial_operators(draw) -> QOperator:
     shared = draw(coeffs)
     terms = {}
-    for alpha, gamma, ell, const, c in draw(st.lists(
-        st.tuples(parts, parts, lambdas, consts, st.one_of(st.none(), coeffs)), max_size=10
+    for alpha, gamma, ell, c in draw(st.lists(
+        st.tuples(parts, parts, lambdas, st.one_of(st.none(), coeffs)), max_size=10
     )):
-        terms[exponent(alpha, gamma, ell, const)] = shared if c is None else c
+        terms[exponent(alpha, gamma, ell)] = shared if c is None else c
     return QOperator(terms)
 
 
@@ -148,11 +146,11 @@ def monomial_operators(draw) -> QOperator:
 def bracket_operators(draw) -> QOperator:
     shared = draw(coeffs)
     terms = []
-    for l_alpha, l_ell, l_const, shift, c in draw(st.lists(
-        st.tuples(parts, lambdas, consts, parts, st.one_of(st.none(), coeffs)), max_size=8
+    for l_alpha, l_ell, shift, c in draw(st.lists(
+        st.tuples(parts, lambdas, parts, st.one_of(st.none(), coeffs)), max_size=8
     )):
-        if l_alpha or l_ell or l_const:
-            terms.append(bracket(l_alpha, l_ell, l_const, shift, shared if c is None else c))
+        if l_alpha or l_ell:
+            terms.append(bracket(l_alpha, l_ell, shift, shared if c is None else c))
     return operator_from_brackets(terms)
 
 
@@ -171,12 +169,12 @@ def test_encoder_oracle_cases():
     gappy = VLaurent(-2, (1, 0, -3))
     zero = QOperator()
     raw = QOperator({
-        exponent({0: -2, 30: 5}, ell={1: Fraction(-1, 4)}, const=-3): gappy,
+        exponent({0: -2, 30: 5}, ell={1: Fraction(-1, 4)}): gappy,
         exponent({at("3.2"): -1, at("3.10"): 1, at("3.1"): 2}, {0: 1}): gappy,
     })
     bracketed = operator_from_brackets([
-        bracket({0: 1}, {3: Fraction(1, 2)}, 2, {at("3.10"): -1}, gappy),
-        bracket({5: -1}, (), -1, {}),
+        bracket({0: 1}, {3: Fraction(1, 2)}, {at("3.10"): -1}, gappy),
+        bracket({5: -1}, (), {}),
     ])
     for op, has_brackets in ((zero, True), (raw, False), (bracketed, True)):
         text = operator_to_json(op, word)
@@ -184,23 +182,6 @@ def test_encoder_oracle_cases():
         assert ("brackets" in json.loads(text)) == has_brackets
     assert operator_to_json(zero, word) == '{"brackets":[],"monomials":[]}'
     assert '{"3.1":2,"3.10":1,"3.2":-1}' in operator_to_json(raw, word)
-
-
-@pytest.mark.parametrize("const,text", [(3, "u2.2 + 3"), (-3, "u2.2 - 3"), (1, "u2.2 + 1"), (-1, "u2.2 - 1")])
-def test_monomial_constant_renders_as_its_value(const, text):
-    word = good_word(build_cartan("A", 2))
-    op = QOperator.monomial(exponent({0: 1}, const=const))
-    assert operator_text(op, word) == f"E^(pi b({text}))"
-    assert operator_text(QOperator.monomial(exponent(const=const)), word) == f"E^(pi b({const}))"
-
-
-def test_bracket_constant_renders_as_its_value():
-    word = good_word(build_cartan("A", 2))
-    op = expand_bracket(bracket(l_alpha={0: 1}, l_const=2, shift={0: 1}))
-    assert operator_text(op, word) == "[u2.2 + 2] e(p2.2)"
-    assert classical_render(op, word) == "(3 + u2.2) f(u2.2 - 1)"
-    op = expand_bracket(bracket(l_alpha={0: 1}, l_const=-3, shift={0: 1}))
-    assert classical_render(op, word) == "(-2 + u2.2) f(u2.2 - 1)"
 
 
 def test_invalid_word_rejected(capsys):
@@ -345,3 +326,18 @@ def test_explicit_generators_print_on_the_e8_bad_word_under_a_small_budget(capsy
     payload = json.loads(out)
     assert payload["word"] == list(word.letters)
     assert payload["operator"] == json.loads(operator_to_json(op, word))
+
+
+def test_construct_on_a_word_past_the_recursion_limit(capsys):
+    # A46's longest word has 1081 letters; E1 is built on a word ending in
+    # 1 and moved back along a path found without recursion
+    code, out = run_cli(capsys, "construct", "A", "46", "--gen", "E1")
+    assert code == 0 and out.startswith("[u46.46] e(")
+
+
+def test_construct_k_past_the_int_digit_limit(capsys):
+    # D33's longest word has 1056 letters, so K1's packed u-part has more
+    # digits than int-to-str conversion allows; rebracket's error message
+    # must not convert it, and K1 prints as one monomial
+    code, out = run_cli(capsys, "construct", "D", "33", "--gen", "K1")
+    assert code == 0 and out.count("E^(pi b(") == 1

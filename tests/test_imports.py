@@ -5,10 +5,12 @@ Stdlib-only AST scans of ``src/posrep/*.py``:
 
 * an imported name must occur in the module as a name or as the base of an
   attribute access, or else be re-exported by ``__init__`` from that module;
-* a module-level function or class and a method of such a class must be
-  referenced, as a name or as an attribute, somewhere in the package
-  outside its own definition.  Dunder names and the names ``__init__``
-  imports (the public exports) are exempt; private names are not.
+* a module-level function or class must be referenced, as a name or as
+  an attribute, and a method of such a class as an attribute (``x.name``),
+  somewhere in the package outside its own definition; a local variable
+  that shares a method's name does not count.  Dunder names and the names
+  ``__init__`` imports (the public exports) are exempt; private names are
+  not.
 
 So a helper that only the tests reach fails here: either the package uses
 it, or it is exported as API, or it goes.
@@ -79,27 +81,33 @@ def definitions(tree: ast.Module):
                 yield from ((f"{node.name}.{m.name}", m) for m in node.body if isinstance(m, FUNCS))
 
 
-def references(node: ast.AST) -> Counter:
-    """How often each name occurs under ``node`` as a name or an attribute."""
+def references(node: ast.AST, kinds=(ast.Name, ast.Attribute)) -> Counter:
+    """How often each name occurs under ``node`` as one of ``kinds``: a
+    name, an attribute, or both."""
     return Counter(
         n.id if isinstance(n, ast.Name) else n.attr
         for n in ast.walk(node)
-        if isinstance(n, (ast.Name, ast.Attribute))
+        if isinstance(n, kinds)
     )
 
 
 def unreferenced(sources: dict[str, str], exported: set[str] = frozenset()) -> list[str]:
-    """``module.name`` of every definition that nothing outside it references."""
+    """``module.name`` of every definition that nothing outside it references;
+    a method counts only references as an attribute."""
     trees = {module: ast.parse(text) for module, text in sources.items()}
-    total = sum((references(tree) for tree in trees.values()), Counter())
-    return [
-        f"{module}.{qualname}"
-        for module, tree in trees.items()
-        for qualname, node in definitions(tree)
-        if not (node.name.startswith("__") and node.name.endswith("__"))
-        and node.name not in exported
-        and total[node.name] == references(node)[node.name]
-    ]
+    total = {
+        kinds: sum((references(tree, kinds) for tree in trees.values()), Counter())
+        for kinds in ((ast.Name, ast.Attribute), ast.Attribute)
+    }
+    out = []
+    for module, tree in trees.items():
+        for qualname, node in definitions(tree):
+            if node.name.startswith("__") and node.name.endswith("__") or node.name in exported:
+                continue
+            kinds = ast.Attribute if "." in qualname else (ast.Name, ast.Attribute)
+            if total[kinds][node.name] == references(node, kinds)[node.name]:
+                out.append(f"{module}.{qualname}")
+    return out
 
 
 def test_every_definition_is_referenced():
@@ -119,11 +127,17 @@ def test_scan_flags_an_unreferenced_definition():
             "    def __init__(self):\n        self.used()\n"
             "    def used(self):\n        pass\n"
             "    def unused(self):\n        return self.unused\n"
+            "    def shadowed(self):\n        pass\n"
         ),
-        "b": "from .a import Box\nBox()\n",
+        # a local variable named like a method does not reference it
+        "b": "from .a import Box\nBox()\ndef run():\n    shadowed = 1\n    return shadowed\nrun()\n",
     }
-    assert unreferenced(sources, {"exported"}) == ["a.uncalled", "a.recursive", "a.Box.unused"]
-    assert unreferenced(sources) == ["a.uncalled", "a.recursive", "a.exported", "a.Box.unused"]
+    assert unreferenced(sources, {"exported"}) == [
+        "a.uncalled", "a.recursive", "a.Box.unused", "a.Box.shadowed"
+    ]
+    assert unreferenced(sources) == [
+        "a.uncalled", "a.recursive", "a.exported", "a.Box.unused", "a.Box.shadowed"
+    ]
 
 
 def test_all_lists_exactly_the_imported_names():

@@ -31,7 +31,7 @@ from posrep.qtorus import (
     term_count,
     unpack,
 )
-from posrep.qtorus import _check_products, _pairing_rows, _rows_of, sparse_add
+from posrep.qtorus import _check_products, _pairing_rows, _rows_of, sparse, sparse_add, sparse_neg, sparse_scale
 from posrep.repbuild import build_rep
 from posrep.rootdata import build_cartan
 from posrep.words import good_word
@@ -39,8 +39,8 @@ from posrep.words import good_word
 ONE = VLaurent.one()
 
 
-def mono(alpha=(), gamma=(), ell=(), const=0, coeff=None):
-    return QOperator.monomial(exponent(dict(alpha), dict(gamma), dict(ell), const), coeff)
+def mono(alpha=(), gamma=(), ell=(), coeff=None):
+    return QOperator.monomial(exponent(dict(alpha), dict(gamma), dict(ell)), coeff)
 
 
 # ---------------------------------------------------------------------------
@@ -68,6 +68,41 @@ def test_vlaurent_mul_commutative(a, b):
     pa = sum((VLaurent(e, (c,)) for e, c in a), VLaurent.zero())
     pb = sum((VLaurent(e, (c,)) for e, c in b), VLaurent.zero())
     assert pa * pb == pb * pa
+
+
+# ---------------------------------------------------------------------------
+# lambda parts against a dense dict oracle
+# ---------------------------------------------------------------------------
+
+lam_values = st.one_of(
+    st.integers(-3, 3), st.sampled_from([Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2), Fraction(-5, 4)])
+)
+lam_dicts = st.dictionaries(st.integers(0, 6), lam_values, max_size=5)
+
+
+def _assert_sparse(vec, expected: dict):
+    # the nonzero entries, labels sorted, integral values as ints
+    assert vec == tuple(sorted((k, v) for k, v in expected.items() if v != 0))
+    assert all(v.__class__ is int for _, v in vec if Fraction(v).denominator == 1)
+
+
+@given(lam_dicts, lam_dicts, st.booleans(), lam_values)
+def test_sparse_helpers_match_a_dense_oracle(a, b, cancel, c):
+    if cancel:  # b cancels a at its even labels, so those sums drop out
+        b.update({k: -v for k, v in a.items() if k % 2 == 0})
+    sa, sb = sparse(a), sparse(b)
+    _assert_sparse(sa, a)
+    _assert_sparse(sparse_add(sa, sb), {k: a.get(k, 0) + b.get(k, 0) for k in {*a, *b}})
+    _assert_sparse(sparse_neg(sa), {k: -v for k, v in a.items()})
+    _assert_sparse(sparse_scale(sa, c), {k: c * v for k, v in a.items()})
+
+
+def test_sparse_sums_that_cancel_or_become_integral():
+    half = sparse({1: Fraction(1, 2), 2: Fraction(1, 2)})
+    assert sparse_add(half, sparse_neg(half)) == ()
+    assert sparse_add(half, half) == ((1, 1), (2, 1)) and type(sparse_add(half, half)[0][1]) is int
+    assert sparse_scale(half, 0) == () and sparse_scale(half, Fraction(4)) == ((1, 2), (2, 2))
+    assert type(sparse_scale(half, 4)[0][1]) is int
 
 
 # ---------------------------------------------------------------------------
@@ -169,13 +204,13 @@ ell_dicts = st.dictionaries(
 )
 
 
-@given(st.lists(st.tuples(packed_dicts, packed_dicts, ell_dicts, st.integers(-1, 1)), max_size=12))
+@given(st.lists(st.tuples(packed_dicts, packed_dicts, ell_dicts), max_size=12))
 def test_canonical_order_is_dense_lexicographic(parts):
-    # monomials() lists exponents by (alpha, gamma, ell, const), each part
+    # monomials() lists exponents by (alpha, gamma, ell), each part
     # compared as a dense vector with missing entries 0
     dense = {
-        exponent(a, g, l, k): (_dense(a.items()), _dense(g.items()), _dense(l.items()), k)
-        for a, g, l, k in parts
+        exponent(a, g, l): (_dense(a.items()), _dense(g.items()), _dense(l.items()))
+        for a, g, l in parts
     }
     op = QOperator({e: ONE for e in dense})
     assert [m.expo for m in op.monomials()] == sorted(op.terms, key=dense.__getitem__)
@@ -211,9 +246,8 @@ laurent = st.lists(st.tuples(st.integers(-4, 4), st.integers(-3, 3)), min_size=1
     lambda pairs: sum((VLaurent(e, (c,)) for e, c in pairs), VLaurent.zero())
 )
 monomial = st.builds(
-    lambda a, g, l, k, c: QMonomial(exponent(a, g, l, k), c),
-    small_vec, small_vec, st.dictionaries(st.integers(1, 2), st.integers(-2, 2), max_size=2),
-    st.integers(-1, 1), laurent,
+    lambda a, g, l, c: QMonomial(exponent(a, g, l), c),
+    small_vec, small_vec, st.dictionaries(st.integers(1, 2), st.integers(-2, 2), max_size=2), laurent,
 )
 operator = st.lists(monomial, max_size=4).map(QOperator.from_monomials)
 
@@ -244,15 +278,14 @@ def _kernel_dicts(edge_positions):
 kernel_ells = st.dictionaries(st.integers(1, 2), st.sampled_from([-2, 1, Fraction(1, 2), Fraction(-3, 2)]),
                               max_size=2)
 kernel_ops = st.lists(
-    st.tuples(_kernel_dicts([3, 4]), _kernel_dicts([5]), kernel_ells, st.integers(-1, 1),
-              laurent.filter(bool)),
+    st.tuples(_kernel_dicts([3, 4]), _kernel_dicts([5]), kernel_ells, laurent.filter(bool)),
     max_size=4,
-    unique_by=lambda m: tuple(frozenset(d.items()) for d in m[:3]) + (m[3],),
+    unique_by=lambda m: tuple(frozenset(d.items()) for d in m[:3]),
 )
 
 
 def _operator(parts):
-    return QOperator({exponent(a, g, l, k): c for a, g, l, k, c in parts})
+    return QOperator({exponent(a, g, l): c for a, g, l, c in parts})
 
 
 def _pairing(a1, g1, a2, g2):
@@ -263,8 +296,8 @@ def _oracle(xparts, yparts, twist):
     """x*y (twist None) or x*y - v**twist * y*x from dense rows; None when
     some exponent sum has an entry outside its field."""
     out = []
-    for a1, g1, l1, k1, c1 in xparts:
-        for a2, g2, l2, k2, c2 in yparts:
+    for a1, g1, l1, c1 in xparts:
+        for a2, g2, l2, c2 in yparts:
             ra1, rg1, ra2, rg2 = (_dense(d.items(), WIDTH) for d in (a1, g1, a2, g2))
             s = _pairing(ra1, rg1, ra2, rg2)
             f = VLaurent(s, (1,))
@@ -272,11 +305,11 @@ def _oracle(xparts, yparts, twist):
                 f = f - VLaurent(twist - s, (1,))
             rows = [p + q for p, q in zip(ra1, ra2)], [p + q for p, q in zip(rg1, rg2)]
             ell = {j: l1.get(j, 0) + l2.get(j, 0) for j in {*l1, *l2}}
-            out.append((rows, ell, k1 + k2, c1 * c2 * f))
-    if any(abs(v) >= SLOT_BIAS for rows, _, _, _ in out for row in rows for v in row):
+            out.append((rows, ell, c1 * c2 * f))
+    if any(abs(v) >= SLOT_BIAS for rows, _, _ in out for row in rows for v in row):
         return None
     return QOperator.from_monomials(
-        (exponent(dict(enumerate(ra)), dict(enumerate(rg)), ell, k), c) for (ra, rg), ell, k, c in out
+        (exponent(dict(enumerate(ra)), dict(enumerate(rg)), ell), c) for (ra, rg), ell, c in out
     )
 
 
@@ -335,7 +368,7 @@ def _pair_sum_oracle(x: QOperator, y: QOperator, twist: int | None) -> QOperator
 
     def intern(op: QOperator) -> list[tuple]:
         return [
-            (e.alpha, e.gamma, centrals.setdefault((e.ell, e.const), len(centrals)),
+            (e.alpha, e.gamma, centrals.setdefault(e.ell, len(centrals)),
              coeffs.setdefault(c, len(coeffs)))
             for e, c in op.terms.items()
         ]
@@ -344,11 +377,9 @@ def _pair_sum_oracle(x: QOperator, y: QOperator, twist: int | None) -> QOperator
     coeff_of, central_of = list(coeffs), list(centrals)
     central_sums: dict[int, list] = {}
     for cx in {ce for _, _, ce, _ in xs}:
-        ell1, k1 = central_of[cx]
         sums = central_sums[cx] = [None] * len(central_of)
         for cy in {ce for _, _, ce, _ in ys}:
-            ell2, k2 = central_of[cy]
-            sums[cy] = (sparse_add(ell1, ell2), k1 + k2)
+            sums[cy] = sparse_add(central_of[cx], central_of[cy])
     if twist is None:
         skip = None
 
@@ -372,8 +403,7 @@ def _pair_sum_oracle(x: QOperator, y: QOperator, twist: int | None) -> QOperator
             c = memo.get((s, co2))
             if c is None:
                 c = memo[(s, co2)] = factor(c1 * coeff_of[co2], s)
-            ell, const = sums[ce2]
-            key = (a1 + a2, g1 + g2, ell, const)
+            key = (a1 + a2, g1 + g2, sums[ce2])
             prev = acc.get(key)
             acc[key] = c if prev is None else prev + c
     make = QExponent._make
@@ -393,10 +423,10 @@ big_laurent = st.lists(
     min_size=1, max_size=4,
 ).map(lambda pairs: sum((VLaurent(e, (c,)) for e, c in pairs), VLaurent.zero()))
 oracle_monomial = st.builds(
-    lambda a, g, l, k, c: QMonomial(exponent(a, g, l, k), c),
+    lambda a, g, l, c: QMonomial(exponent(a, g, l), c),
     small_vec, small_vec, st.dictionaries(st.integers(1, 2), st.sampled_from([-1, 1, Fraction(1, 2)]),
                                           max_size=2),
-    st.integers(-1, 1), big_laurent,
+    big_laurent,
 )
 oracle_operator = st.lists(oracle_monomial, max_size=6).map(QOperator.from_monomials)
 
@@ -419,7 +449,7 @@ def test_pair_kernel_cancellation_and_wide_fields():
     for t in (-3, -2, 0, 1, 2):
         _assert_same(q_commutator(x, x, t), _pair_sum_oracle(x, x, t))
     _assert_same(x * x, _pair_sum_oracle(x, x, None))
-    zero = QOperator.zero()
+    zero = QOperator()
     for a, b in ((x, zero), (zero, x), (zero, zero)):
         assert (a * b).is_zero() and q_commutator(a, b, 2).is_zero()
 
@@ -481,7 +511,7 @@ def test_nested_kernel_zero_operands_and_cancellation():
     x = (mono(alpha={0: 1}, coeff=VLaurent(0, (BIG, -3, BIG)))
          + mono(gamma={0: 1}, coeff=VLaurent(2, (-BIG,)))
          + mono(alpha={1: 1}, gamma={0: -1}, coeff=VLaurent(-1, (7,))))
-    zero = QOperator.zero()
+    zero = QOperator()
     for a, b in ((x, zero), (zero, x), (zero, zero)):
         assert nested_q_commutator(a, b, 2, -2).is_zero()
     assert nested_q_commutator(x, x, 0, 3).is_zero()  # [x, x]_0 = 0
@@ -581,5 +611,23 @@ def test_rebracket_zero_weight_monomial():
         rebracket(mono(gamma={0: -1}))
 
 
+def test_rebracket_errors_name_a_monomial_past_the_digit_limit():
+    # a packed int with field 1000 set has over 4,800 decimal digits, more
+    # than int-to-str conversion allows; the messages name the entries
+    far = 1000
+    with pytest.raises(RebracketError, match=r"^unpaired monomial: u \(\(1000, 1\),\), p \(\), lambda \(\)$"):
+        rebracket(mono(alpha={far: 1}))
+    with pytest.raises(RebracketError, match=r"^monomial with zero weight part: u \(\), p \(\(1000, -1\),\)"):
+        rebracket(mono(gamma={far: -1}))
+    pair = mono(alpha={far: 1}, ell={2: Fraction(1, 2)}) + mono(
+        alpha={far: -1}, ell={2: Fraction(-1, 2)}, coeff=VLaurent(5, (1,))
+    )
+    with pytest.raises(
+        RebracketError,
+        match=r"^no bracket orientation fits the pair at u \(\(1000, -1\),\), p \(\), lambda \(\(2, Fraction\(-1, 2\)\),\)$",
+    ):
+        rebracket(pair)
+
+
 def test_term_count_zero():
-    assert term_count(QOperator.zero()) == 0
+    assert term_count(QOperator()) == 0

@@ -119,7 +119,7 @@ def test_rendering():
     rep = build_rep(A3, word)
     assert operator_text(rep.gens[3].E, word) == "[u3.1] e(-p3.1)"
     assert operator_text(build_F(W1, 1), W1) == "[-u1.1 - 2L1] e(p1.1)"
-    assert operator_text(QOperator.zero(), W1) == "0"
+    assert operator_text(QOperator(), W1) == "0"
 
 
 def test_classical_render():
@@ -127,7 +127,7 @@ def test_classical_render():
     rep = build_rep(A3, word)
     text = classical_render(rep.gens[3].E, word)
     assert text == "(1 + u3.1) f(u3.1 + 1)"
-    assert classical_render(QOperator.zero(), word) == ""
+    assert classical_render(QOperator(), word) == ""
     f_text = classical_render(build_F(W1, 1), W1)
     assert f_text == "(1 - u1.1 - 2L1) f(u1.1 - 1)"
 

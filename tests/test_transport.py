@@ -383,9 +383,9 @@ sparse_vecs = st.dictionaries(st.integers(0, N_SLOTS - 1), field_values, max_siz
 )
 def test_pack_unpack_round_trip(parts, slot):
     for a, g, c in parts:
-        e = exponent(a, g, (), c)
+        e = exponent(a, g)
         assert (dict(entries(e.alpha)), dict(entries(e.gamma))) == (a, g)
-    terms = {exponent(a, g, (), c): VLaurent(c, (1,)) for a, g, c in parts}
+    terms = {exponent(a, g): VLaurent(c, (1,)) for a, g, c in parts}
     assert _relabel(dict(terms), list(range(N_SLOTS))) == terms
     # under a slot permutation, position p reads the field of slot[p]
     position = {s: p for p, s in enumerate(slot)}
@@ -394,7 +394,7 @@ def test_pack_unpack_round_trip(parts, slot):
         return pack_entries({position[s]: v for s, v in entries(x)})
 
     assert _relabel(dict(terms), list(slot)) == {
-        QExponent(moved(e.alpha), moved(e.gamma), e.ell, e.const): c for e, c in terms.items()
+        QExponent(moved(e.alpha), moved(e.gamma), e.ell): c for e, c in terms.items()
     }
 
 
@@ -404,8 +404,8 @@ def _dense_relabel(terms: dict, slot: list[int]) -> dict:
     n = max([len(slot)] + [field_count(x) for key in terms for x in key[:2]])
     take = itemgetter(*slot, *range(len(slot), n))
     return {
-        QExponent(pack(take(unpack(a, n))), pack(take(unpack(g, n))), ell, const): coef
-        for (a, g, ell, const), coef in terms.items()
+        QExponent(pack(take(unpack(a, n))), pack(take(unpack(g, n))), ell): coef
+        for (a, g, ell), coef in terms.items()
     }
 
 
@@ -416,7 +416,7 @@ def relabel_cases(draw):
     slot = draw(st.one_of(st.just(list(range(size))), st.permutations(range(size))))
     vecs = st.dictionaries(st.integers(0, size + 3), field_values, max_size=8)
     parts = draw(st.lists(st.tuples(vecs, vecs, st.integers(-2, 2)), max_size=12))
-    terms = {exponent(a, g, (), c): VLaurent(c, (1,)) for a, g, c in parts}
+    terms = {exponent(a, g): VLaurent(c, (1,)) for a, g, c in parts}
     return list(slot), terms
 
 
@@ -433,7 +433,7 @@ def test_relabel_crosses_a_block_boundary():
     block = transport_module._RELABEL_BLOCK
     slot = list(range(40))[::-1]
     terms = {
-        exponent({k % 40: k - FIELD_MAX, 41: -FIELD_MAX}, {(7 * k) % 40: 1}, (), 0): VLaurent.one()
+        exponent({k % 40: k - FIELD_MAX, 41: -FIELD_MAX}, {(7 * k) % 40: 1}): VLaurent.one()
         for k in range(block + block // 2)
     }
     assert len({x for key in terms for x in key[:2]}) > block
@@ -471,7 +471,7 @@ def _braid_oracle(terms: dict, frame: tuple[int, int, int]) -> None:
     groups: dict[tuple, list] = {}
     stale: list[tuple] = []
     for key, coef in terms.items():
-        a, g, ell, const = key
+        a, g, ell = key
         fa = (a + read) & frame_mask
         fg = (g + read) & frame_mask
         if fa == frame_zero and fg == frame_zero:
@@ -480,12 +480,12 @@ def _braid_oracle(terms: dict, frame: tuple[int, int, int]) -> None:
             ((fa >> su) & mask) - bias, ((fa >> sv) & mask) - bias, ((fa >> sw) & mask) - bias,
             ((fg >> su) & mask) - bias, ((fg >> sv) & mask) - bias, ((fg >> sw) & mask) - bias,
         )
-        groups.setdefault((a - fa, g - fg, ell, const), []).append((loc, coef))
+        groups.setdefault((a - fa, g - fg, ell), []).append((loc, coef))
         stale.append(key)
     for key in stale:
         del terms[key]
     written: dict[tuple, list] = {}
-    for (a, g, ell, const), pairs in groups.items():
+    for (a, g, ell), pairs in groups.items():
         local = tuple(sorted(pairs))
         image = written.get(local)
         if image is None:
@@ -505,7 +505,7 @@ def _braid_oracle(terms: dict, frame: tuple[int, int, int]) -> None:
                 for (au, av, aw, gu, gv, gw), coef in result
             ]
         for da, dg, coef in image:
-            key = (a + da, g + dg, ell, const)
+            key = (a + da, g + dg, ell)
             prev = terms.get(key)
             if prev is None:
                 terms[key] = coef
@@ -551,7 +551,7 @@ def braid_cases(draw):
     free = [k for k in range(max(frame) + 4) if k not in frame]
     vecs = st.dictionaries(st.sampled_from(free), field_values, max_size=4)
     ells = st.sampled_from([(), ((1, 2),)])
-    remainders = draw(st.lists(st.tuples(vecs, vecs, ells, st.integers(-1, 1)), min_size=1, max_size=4))
+    remainders = draw(st.lists(st.tuples(vecs, vecs, ells), min_size=1, max_size=4))
     part = st.tuples(
         st.integers(0, len(remainders) - 1),
         st.one_of(st.just(UNTOUCHED), st.sampled_from(LOCAL_GROUPS)),
@@ -569,13 +569,13 @@ def _build(frame, remainders, parts) -> dict:
     shared: dict[VLaurent, VLaurent] = {}
     terms: dict = {}
     for r, group, s, fresh in parts:
-        ra, rg, ell, const = remainders[r]
+        ra, rg, ell = remainders[r]
         for loc, coef in group:
             value = coef * SCALES[s]
             value = VLaurent(value.val, value.coeffs) if fresh else shared.setdefault(value, value)
             alpha = {**ra, **dict(zip(frame, loc[:3]))}
             gamma = {**rg, **dict(zip(frame, loc[3:]))}
-            key = exponent(alpha, gamma, ell, const)
+            key = exponent(alpha, gamma, ell)
             total = terms[key] + value if key in terms else value
             if total.coeffs:
                 terms[key] = total
@@ -597,7 +597,7 @@ def test_braid_kernel_matches_the_oracle(case):
 def test_braid_kernel_on_cancelling_and_repeated_values():
     frame = (9, 2, 30)
     remainders = [
-        ({0: 5}, {}, (), 0), ({31: -FIELD_MAX}, {3: 1}, ((1, 2),), 1), ({}, {}, (), 0), ({}, {1: 2}, (), 0),
+        ({0: 5}, {}, ()), ({31: -FIELD_MAX}, {3: 1}, ((1, 2),)), ({}, {}, ()), ({}, {1: 2}, ()),
     ]
     parts = [
         (0, CANCELLING, 0, False), (1, CANCELLING, 0, False),  # one shared value, two remainders

@@ -1,11 +1,15 @@
+import sys
+
 import pytest
 
 from posrep.rootdata import build_cartan, positive_root_count, weyl_from_word
 from posrep.words import (
+    MAX_FRUITLESS_WALKS,
     BraidMove,
     MoveError,
     NotReducedError,
     ReducedWord,
+    _apply_move_letters,
     apply_move,
     bad_word,
     braid_path,
@@ -167,6 +171,104 @@ def test_path_to_word_ending_in():
     for move in reversed(moves):
         cur = apply_move(cur, move)
     assert cur.letters == good_word(D4).letters
+
+
+# ---------------------------------------------------------------------------
+# the move paths against the recursions they replaced
+# ---------------------------------------------------------------------------
+
+def _force_first_oracle(datum, letters, start, target, moves):
+    """The recursive form: make letters[start] == target."""
+    j = letters[start]
+    if j == target:
+        return
+    _force_first_oracle(datum, letters, start + 1, target, moves)
+    if not datum.adjacent(j, target):
+        move = BraidMove(start, "commute")
+    else:
+        _force_first_oracle(datum, letters, start + 2, j, moves)
+        move = BraidMove(start, "braid")
+    _apply_move_letters(letters, move)
+    moves.append(move)
+
+
+def _force_last_oracle(datum, letters, end, target, moves):
+    """The recursive mirror: make letters[end - 1] == target."""
+    j = letters[end - 1]
+    if j == target:
+        return
+    _force_last_oracle(datum, letters, end - 1, target, moves)
+    if not datum.adjacent(j, target):
+        move = BraidMove(end - 2, "commute")
+    else:
+        _force_last_oracle(datum, letters, end - 2, j, moves)
+        move = BraidMove(end - 3, "braid")
+    _apply_move_letters(letters, move)
+    moves.append(move)
+
+
+@pytest.mark.parametrize(
+    "family,rank",
+    [("A", r) for r in range(3, 8)] + [("D", r) for r in range(4, 9)] + [("E", r) for r in (6, 7, 8)],
+)
+def test_move_paths_match_the_recursive_oracles(family, rank):
+    datum = build_cartan(family, rank)
+    words = [good_word(datum)] + random_longest_words(datum, 3, seed=rank)
+    for word in words:
+        for i in datum.labels:
+            letters, expected = list(word.letters), []
+            _force_last_oracle(datum, letters, len(letters), i, expected)
+            moves, end = path_to_word_ending_in(word, i)
+            assert moves == expected and end.letters == tuple(letters)
+    for src in words:
+        for dst in words:
+            letters, expected = list(src.letters), []
+            for t in range(len(letters)):
+                _force_first_oracle(datum, letters, t, dst.letters[t], expected)
+            assert braid_path(src, dst) == expected
+
+
+def test_move_paths_past_the_recursion_limit():
+    # A46's longest word has 1081 letters; bringing 1 to its end takes a
+    # chain of calls as long as the word
+    datum = build_cartan("A", 46)
+    word = good_word(datum)
+    moves, end = path_to_word_ending_in(word, 1)
+    assert len(word.letters) > sys.getrecursionlimit() and end.letters[-1] == 1
+    for path, src, dst in ((moves, word, end), (braid_path(end, word), end, word)):
+        letters = list(src.letters)
+        for move in path:
+            _apply_move_letters(letters, move)
+        assert tuple(letters) == dst.letters
+
+
+# ---------------------------------------------------------------------------
+# random words
+# ---------------------------------------------------------------------------
+
+def test_random_longest_words_pinned():
+    # recorded before the walk could raise: the draws, and so the words, did not change
+    assert [w.letters for w in random_longest_words(D4, 3, seed=0)] == [
+        (2, 0, 1, 2, 3, 1, 0, 2, 0, 1, 2, 3),
+        (1, 0, 3, 2, 0, 3, 1, 2, 1, 3, 0, 2),
+        (1, 0, 2, 3, 1, 2, 0, 2, 1, 3, 2, 3),
+    ]
+
+
+def test_random_longest_words_raise_without_a_new_word():
+    with pytest.raises(ValueError, match=r"no move applies to the word 1 of A_1; found 0 of 1 words"):
+        random_longest_words(build_cartan("A", 1), 1)
+    # A2's two words alternate, so a walk of even length ends on the good word
+    with pytest.raises(
+        ValueError, match=f"{MAX_FRUITLESS_WALKS} walks in a row found no new word of A_2; found 0 of 1 words"
+    ):
+        random_longest_words(A2, 1)
+    assert [w.letters for w in random_longest_words(A2, 1, walk=61)] == [(1, 2, 1)]
+    # A3's 16 longest words split 8 + 8, each move crossing over, so a walk
+    # of odd length reaches only the 8 on the other side of the good word
+    assert len(random_longest_words(A3, 8, walk=61)) == 8
+    with pytest.raises(ValueError, match="found 8 of 9 words"):
+        random_longest_words(A3, 9, walk=61)
 
 
 def test_bad_word_shape():

@@ -17,8 +17,13 @@ certificate of every E_i and F_i is either ``pass`` or ``no_chain`` with
 all commutation exponents even.  ``commutant`` first runs the modified
 relation suite on the twisted generators and exits 2 when it fails; it
 then exits 0 iff its certificate passes.  ``tables --badword`` exits 1
-when the term budget aborts the blow-up run.  ``construct --lam formal``
-builds only the requested generator.
+when the term budget aborts the blow-up run.  ``classical`` rejects K
+generators, which have no finite-difference form, with exit code 2.
+
+``construct`` (under both ``--lam`` values), ``transport`` and
+``classical`` build only the generator they print, and ``normalize-lambda``
+builds only the K_i: an F_i or K_i needs no transport.  ``verify``,
+``tables`` and ``commutant`` build the whole family.
 
 Variable naming: text output writes u<i>.<k>, p<i>.<k> for position data
 and L<i> for the parameters.  JSON keys the u/p parts (``alpha``, ``gamma``,
@@ -165,12 +170,19 @@ def _parse_gen(datum, spec: str) -> tuple[str, int]:
 # Subcommands.
 # ---------------------------------------------------------------------------
 
+def _build_generator(kind: str, word: ReducedWord, label: int) -> QOperator:
+    """The one generator ``kind``/``label`` on ``word`` (``build_E``, ``build_F`` or ``build_K``)."""
+    return getattr(repbuild, f"build_{kind}")(word, label)
+
+
 def cmd_construct(args) -> int:
     datum = build_cartan(args.family, args.rank)
     kind, label = _parse_gen(datum, args.gen)
     word = _resolve_word(datum, args.word)  # a checked longest word
-    op = (getattr(repbuild, f"build_{kind}")(word, label) if args.lam == "formal"
-          else build_rep(datum, word, args.lam).generator(kind, label))
+    op = _build_generator(kind, word, label)
+    if args.lam == "normalized":
+        shifts, _ = moddouble.lambda_shifts(word)
+        op = moddouble.apply_lambda_shifts(op, shifts)
     if args.format == "json":
         # sorted keys, as dump_json writes them; print writes the pieces in turn
         head = dump_json({"family": datum.family, "generator": args.gen})
@@ -230,10 +242,9 @@ def cmd_transport(args) -> int:
     src = _resolve_word(datum, args.src)
     dst = _resolve_word(datum, args.dst)
     kind, label = _parse_gen(datum, args.gen)
-    rep = build_rep(datum, src)
     path = braid_path(src, dst)
     trace: list = []
-    op, word = transport(rep.generator(kind, label), src, path, trace=trace)
+    op, word = transport(_build_generator(kind, src, label), src, path, trace=trace)
     if args.trace:
         from .transport import format_trace
 
@@ -258,8 +269,8 @@ def cmd_commutant(args) -> int:
 def cmd_normalize_lambda(args) -> int:
     datum = build_cartan(args.family, args.rank)
     word = _resolve_word(datum, args.word)
-    rep = build_rep(datum, word)
-    shifts, betas, normalized = moddouble.normalize_lambda(rep)
+    shifts, betas = moddouble.lambda_shifts(word)
+    k = {i: moddouble.apply_lambda_shifts(repbuild.build_K(word, i), shifts) for i in datum.labels}
     names = position_names(word)
     payload = {
         "word": list(word.letters),
@@ -267,9 +278,7 @@ def cmd_normalize_lambda(args) -> int:
         "shifts": {
             names[t]: {str(s): str(c) for s, c in form} for t, form in shifts.items()
         },
-        "K": {
-            str(i): operator_text(normalized.gens[i].K, word) for i in datum.labels
-        },
+        "K": {str(i): operator_text(op, word) for i, op in k.items()},
     }
     print(dump_json(payload))
     return 0
@@ -278,9 +287,13 @@ def cmd_normalize_lambda(args) -> int:
 def cmd_classical(args) -> int:
     datum = build_cartan(args.family, args.rank)
     kind, label = _parse_gen(datum, args.gen)
+    if kind == "K":
+        raise ValueError(
+            f"classical rendering is defined for E and F generators, not for K{label}"
+            " (a single monomial has no finite-difference form)"
+        )
     word = _resolve_word(datum, args.word)
-    rep = build_rep(datum, word)
-    print(classical_render(rep.generator(kind, label), word))
+    print(classical_render(_build_generator(kind, word, label), word))
     return 0
 
 

@@ -13,6 +13,13 @@ convention the modified master relation becomes
     Ebar_i Fbar_i - Q_i^-1 Fbar_i Ebar_i = c_i (1 - Kbar_i),
     c_i = 1 - q^-2 if n_i = 1 else 1 - q^2.
 
+The modified generators form an ordinary ``Representation``.
+``check_modified_relations`` runs them through ``verify.relation_suite``,
+the loop of the standard suite, with the modified twists: besides the
+master, K-twist, Ebar_i Fbar_j and Serre relations, Kbar_i commutes with
+Kbar_j, and for i, j not adjacent Ebar_i with Ebar_j and Fbar_i with
+Fbar_j.
+
 The b <-> 1/b cross-copy is never materialized: a monomial of one copy
 commutes with a monomial of the other iff their commutation exponent is
 even, so parity of the integer exponent data is exactly the checkable
@@ -22,25 +29,25 @@ Both parity certificates share one odd-pair scanner, ``_odd_pairs``: a
 bit-sliced XOR over per-position parity columns that computes exact
 exponents only for the pairs it finds.  The q-tori rank comes from
 ``rootdata.integer_echelon`` on the sparse u/p rows of the generators.
+
+Lambda normalization is a shift of the u-coordinates that depends only on
+the word (``lambda_shifts``); ``apply_lambda_shifts`` applies it to one
+operator, so a caller normalizes exactly the generators it needs.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import lcm
-from typing import NamedTuple
 
 from .qtorus import (
     QExponent,
     QOperator,
     VLaurent,
     entries,
-    nested_q_commutator,
     pairing_matrix,
-    q_commutator,
     rebracket,
     sparse,
     sparse_add,
@@ -48,35 +55,20 @@ from .qtorus import (
     sparse_scale,
 )
 from .rootdata import CartanDatum, integer_echelon, langlands_b_vectors
-from .repbuild import GeneratorTriple, Representation, build_rep, f_brackets
-from .words import word_starting_with
+from .repbuild import GeneratorTriple, Representation, build_E, build_F, build_K, f_brackets
+from .verify import relation_suite
+from .words import ReducedWord, good_word, word_starting_with
 
-
-class ModifiedTriple(NamedTuple):
-    E: QOperator
-    F: QOperator
-    K: QOperator
-
-
-@dataclass(frozen=True)
-class ModifiedRep:
-    base: Representation
-    gens: dict[int, ModifiedTriple]
-
-    @property
-    def datum(self) -> CartanDatum:
-        return self.base.datum
-
-    def epsilon(self, i: int) -> int:
-        """+1 where Q_i = Q, -1 where Q_i = Q^-1."""
-        return 2 * self.datum.n_weight(i) - 1
+# Witness names of the modified suite, in the order of ``verify.STANDARD_NAMES``.
+MODIFIED_NAMES = ("modified_master", "Kb_Eb", "Kb_Fb", "Eb_Fb", "Kb_Kb", "Eb_Eb", "Fb_Fb",
+                  "modified_serre_e", "modified_serre_f")
 
 
 def _k_power(k: QOperator, n: int) -> QOperator:
     return QOperator.monomial(k.single_monomial().expo.power(n))
 
 
-def build_modified(rep: Representation) -> ModifiedRep:
+def build_modified(rep: Representation) -> Representation:
     """Twist the generators along the bipartition.
 
     No relation is checked here: ``check_modified_relations`` is the
@@ -86,48 +78,32 @@ def build_modified(rep: Representation) -> ModifiedRep:
     for i in rep.datum.labels:
         e, f, k = rep.gens[i]
         n = rep.datum.n_weight(i)
-        gens[i] = ModifiedTriple(
+        gens[i] = GeneratorTriple(
             (e * _k_power(k, n)).scale_v(2 * n) if n else e,
             (f * _k_power(k, n - 1)).scale_v(2 * (1 - n)),
             _k_power(k, 2 if n else -2),
         )
-    return ModifiedRep(rep, gens)
+    return Representation(rep.datum, rep.word, gens)
 
 
-def check_modified_relations(mrep: ModifiedRep) -> dict:
+def check_modified_relations(mrep: Representation) -> dict:
+    """The relation suite of the modified generators (``verify.relation_suite``).
+
+    With eps_i = 2 n_i - 1 (+1 where Q_i = Q, -1 where Q_i = Q^-1), node i
+    has the master relation [Ebar_i, Fbar_i]_(-4 eps_i) = c_i (1 - Kbar_i)
+    and the K-twist unit 4 eps_i.  Its Serre relations are
+    [[y, x]_s, x]_0 = v^s [x, [x, y]_-s]_0 = 0 with s = 4 eps_i for the
+    Ebar-chain and s = -4 eps_i for the Fbar-chain.
+    """
     datum = mrep.datum
-    failures = []
+    one = QOperator.one()
 
-    def check(name, i, j, residue):
-        if not residue.is_zero():
-            failures.append({"relation": name, "i": i, "j": j, "monomials": len(residue)})
-
-    for i in datum.labels:
-        eb_i, fb_i, kb_i = mrep.gens[i]
-        eps = mrep.epsilon(i)
+    def node(i, kb_i):
+        eps = 2 * datum.n_weight(i) - 1
         c_i = VLaurent.one() - VLaurent.q_power(-2 * eps)
-        one = QOperator.one()
-        check(
-            "modified_master", i, i,
-            q_commutator(eb_i, fb_i, -4 * eps) - (one - kb_i).scale(c_i),
-        )
-        for j in datum.labels:
-            eb_j, fb_j, kb_j = mrep.gens[j]
-            a = datum.a(i, j)
-            check("Kb_Eb", i, j, q_commutator(kb_i, eb_j, 4 * eps * a))
-            check("Kb_Fb", i, j, q_commutator(kb_i, fb_j, -4 * eps * a))
-            if i != j:
-                check("Eb_Fb", i, j, q_commutator(eb_i, fb_j))
-            if datum.adjacent(i, j):
-                # [[y, x]_s, x]_0 = v^s [x, [x, y]_-s]_0, with s = 4*eps for the
-                # E-chain and the inverse twist for the F-chain
-                check("modified_serre_e", i, j, nested_q_commutator(eb_i, eb_j, -4 * eps, 0))
-                check("modified_serre_f", i, j, nested_q_commutator(fb_i, fb_j, 4 * eps, 0))
-    return {
-        "check": "modified_relations",
-        "status": "pass" if not failures else "fail",
-        "witnesses": failures,
-    }
+        return -4 * eps, (one - kb_i).scale(c_i), 4 * eps, (-4 * eps, 0), (4 * eps, 0)
+
+    return relation_suite(mrep, "modified_relations", MODIFIED_NAMES, node)
 
 
 # ---------------------------------------------------------------------------
@@ -187,13 +163,13 @@ def _odd_pairs(monos: list[tuple[str, QExponent]]) -> list[dict]:
     return witnesses
 
 
-def cross_parity_certificate(rep: ModifiedRep | Representation) -> dict:
+def cross_parity_certificate(rep: Representation) -> dict:
     """All pairwise commutation exponents across the generators are even.
 
     Evenness is exactly strong commutation against the 1/b copy: the cross
     phase of a pair is (-1)^s.  The modified generators pass; on the
-    unmodified ones (a ``Representation``) the odd pairs are the witnesses
-    that the twist is needed.
+    unmodified ones the odd pairs are the witnesses that the twist is
+    needed.
     """
     odd = _odd_pairs(_generator_monomials(rep.gens))
     return {
@@ -203,7 +179,7 @@ def cross_parity_certificate(rep: ModifiedRep | Representation) -> dict:
     }
 
 
-def qtori_certificate(mrep: ModifiedRep) -> dict:
+def qtori_certificate(mrep: Representation) -> dict:
     """Even symplectic Gram matrix + full lattice rank for modified generators.
 
     Even pairings mean the exponent lattice sits inside a torus algebra
@@ -213,7 +189,7 @@ def qtori_certificate(mrep: ModifiedRep) -> dict:
     """
     monos = _generator_monomials(mrep.gens)
     odd = _odd_pairs(monos)
-    n_pos = len(mrep.base.word.letters)
+    n_pos = len(mrep.word.letters)
     rows = [
         {**dict(entries(expo.alpha)), **{n_pos + k: x for k, x in entries(expo.gamma)}}
         for _, expo in monos
@@ -233,7 +209,7 @@ def qtori_certificate(mrep: ModifiedRep) -> dict:
 # Langlands commutant.
 # ---------------------------------------------------------------------------
 
-def commutant_check(datum: CartanDatum, mrep: ModifiedRep) -> dict:
+def commutant_check(datum: CartanDatum, mrep: Representation) -> dict:
     """Certify the inverse-Cartan K-combinations against all generators.
 
     For each column b^k of the inverse Cartan matrix the combination
@@ -262,7 +238,7 @@ def commutant_check(datum: CartanDatum, mrep: ModifiedRep) -> dict:
         # u-part, so the combination pairs as the weighted plain pairings,
         # here over the common denominator d of the b_j
         d = lcm(*(b_j.denominator for b_j in b))
-        weights = [int(b_j * mrep.epsilon(j) * d) for j, b_j in zip(labels, b)]
+        weights = [int(b_j * (2 * datum.n_weight(j) - 1) * d) for j, b_j in zip(labels, b)]
         expected = {f"E{target}": 2, f"F{target}": -2}
         pairings = {}
         for m, (name, _) in enumerate(monos):
@@ -325,41 +301,41 @@ def substitute_lambda(op: QOperator, subs: dict[int, LambdaForm]) -> QOperator:
     )
 
 
-def reflect_representation(rep: Representation, i: int) -> Representation:
-    """The representation with parameters s_i(lambda)."""
-    datum = rep.datum
+def reflection_substitution(datum: CartanDatum, i: int) -> dict[int, LambdaForm]:
+    """The substitution lam -> s_i(lam): lam_i -> -lam_i and lam_j -> lam_j + lam_i
+    for j adjacent to i."""
     subs = {i: sparse({i: -1})}
     for j in datum.labels:
         if datum.adjacent(i, j):
             subs[j] = sparse({j: 1, i: 1})
-    gens = {
-        lab: GeneratorTriple(*(substitute_lambda(op, subs) for op in triple))
-        for lab, triple in rep.gens.items()
-    }
-    return Representation(datum, rep.word, rep.lam_mode, gens)
+    return subs
 
 
 def verify_weyl_pattern(datum: CartanDatum, i: int) -> dict:
-    """Compare Rep(lambda) and Rep(s_i lambda) on a word starting with i.
+    """Compare the generators at lambda and at s_i(lambda).
 
     No E may change, and the lambda-part of every F_j weight must move by
     the Weyl action on forms (``weyl_reflect_lambda``), its u-part fixed:
     a sign flip of lam_i in every F_i weight, lam_j -> lam_j + lam_i in
     every F_j weight for j adjacent to i, no change elsewhere.  Applying
     the reflection twice must restore everything.
+
+    F_j and K_j are built directly on a word starting with i.  E_j is
+    checked on the catalog word, which needs no long transport: E_j has no
+    lambda-part on any word, since ``build_E_rightmost`` writes none and no
+    move creates one.
     """
-    word = word_starting_with(datum, i)
-    rep = build_rep(datum, word)
-    reflected = reflect_representation(rep, i)
-    failures = []
+    word, catalog = word_starting_with(datum, i), good_word(datum)
+    subs = reflection_substitution(datum, i)
+    failures, ops = [], []
     for j in datum.labels:
-        e0, f0, _ = rep.gens[j]
-        e1, f1, _ = reflected.gens[j]
-        if e1 != e0:
+        e0, f0 = build_E(catalog, j), build_F(word, j)
+        ops += [e0, f0, build_K(word, j)]
+        if substitute_lambda(e0, subs) != e0:
             failures.append({"generator": f"E{j}", "kind": "lambda_dependence"})
         # match brackets by their momentum shift (one per occurrence of j)
         before = {t.shift: t for t in rebracket(f0)}
-        after = {t.shift: t for t in rebracket(f1)}
+        after = {t.shift: t for t in rebracket(substitute_lambda(f0, subs))}
         expected_ell = {j: -2}
         for shift, t0 in before.items():
             t1 = after[shift]
@@ -370,8 +346,7 @@ def verify_weyl_pattern(datum: CartanDatum, i: int) -> dict:
             want = weyl_reflect_lambda(datum, t0.l_ell, i)
             if t1.l_ell != want or t1.l_alpha != t0.l_alpha:
                 failures.append({"generator": f"F{j}", "kind": "pattern_mismatch"})
-    twice = reflect_representation(reflected, i)
-    if any(twice.gens[j] != rep.gens[j] for j in datum.labels):
+    if any(substitute_lambda(substitute_lambda(op, subs), subs) != op for op in ops):
         failures.append({"kind": "not_involutive"})
     return {
         "check": "weyl_pattern",
@@ -385,27 +360,25 @@ def verify_weyl_pattern(datum: CartanDatum, i: int) -> dict:
 # Lambda normalization.
 # ---------------------------------------------------------------------------
 
-class NormalizationResult(NamedTuple):
-    shifts: dict[int, LambdaForm]  # position -> lambda form subtracted from u
-    betas: dict[int, int]
-    rep: Representation
+def _shifted_ell(shifts: dict[int, LambdaForm], alpha: tuple, ell: LambdaForm) -> LambdaForm:
+    """The lambda-part of alpha.u + ell.lam after u_t -> u_t - shifts[t],
+    for the (position, value) entries ``alpha``."""
+    terms = (sparse_scale(shifts[t], -c) for t, c in alpha if t in shifts)
+    return reduce(sparse_add, terms, ell)
 
 
-def normalize_lambda(rep: Representation) -> NormalizationResult:
-    """Shift the u-coordinates so every K_i becomes lambda-free.
+def lambda_shifts(word: ReducedWord) -> tuple[dict[int, LambdaForm], dict[int, int]]:
+    """The shifts of the u-coordinates that make every K_i lambda-free.
 
     Walking the word left to right, position t carries the unique F-weight
     supported on positions <= t with unit coefficient at t.  Its running
     lambda-part lam', with beta = (sum of lam'-coefficients) - 1, dictates
     the shift u_t -> u_t - (beta/(beta+1)) lam'.  Every beta must be a
     positive integer; the final weights draw their lambda-parts from at
-    most rank-many distinguished forms.
+    most rank-many distinguished forms.  Returns (position -> lambda form
+    subtracted from u, position -> beta).
     """
-    if rep.lam_mode != "formal":
-        raise ValueError("representation already normalized")
-    datum = rep.datum
-    word = rep.word
-    n = len(word.letters)
+    datum = word.datum
     # weight of the F-bracket shifting at position t: W = -L
     weights: dict[int, tuple] = {}
     for i in datum.labels:
@@ -414,50 +387,41 @@ def normalize_lambda(rep: Representation) -> NormalizationResult:
             weights[t] = (entries(-term.l_alpha), sparse_neg(term.l_ell))
     shifts: dict[int, LambdaForm] = {}
     betas: dict[int, int] = {}
-
-    def shifted_ell(alpha: tuple, ell: LambdaForm) -> LambdaForm:
-        """The lambda-part of alpha.u + ell.lam after u_t -> u_t - shifts[t],
-        for the (position, value) entries ``alpha``."""
-        terms = (sparse_scale(shifts[t], -c) for t, c in alpha if t in shifts)
-        return reduce(sparse_add, terms, ell)
-
-    for t in range(n):
+    for t in range(len(word.letters)):
         w_alpha, w_ell = weights[t]
         if dict(w_alpha).get(t) != 1:
             raise ArithmeticError(f"the F-weight at position {t} has no unit entry there")
         if any(pos > t for pos, _ in w_alpha):
             raise ArithmeticError(f"the F-weight at position {t} reaches past it")
-        ell = shifted_ell(w_alpha, w_ell)
+        ell = _shifted_ell(shifts, w_alpha, w_ell)
         beta = sum(c for _, c in ell) - 1
         if not (beta == int(beta) and beta > 0):
             raise ArithmeticError(f"beta at position {t} is {beta}, not a positive integer")
         betas[t] = int(beta)
         shifts[t] = sparse_scale(ell, Fraction(beta, beta + 1))
-
-    def shift_op(op: QOperator) -> QOperator:
-        return QOperator.from_monomials(
-            (e._replace(ell=shifted_ell(entries(e.alpha), e.ell)), c) for e, c in op.terms.items()
-        )
-
-    gens = {
-        lab: GeneratorTriple(*(shift_op(op) for op in triple))
-        for lab, triple in rep.gens.items()
-    }
-    out = Representation(datum, word, "normalized", gens)
     for lab in datum.labels:
-        k = out.gens[lab].K.single_monomial()
-        if k.expo.ell:
+        if apply_lambda_shifts(build_K(word, lab), shifts).single_monomial().expo.ell:
             raise ArithmeticError(f"K{lab} still depends on lambda after normalization")
-    return NormalizationResult(shifts, betas, out)
+    return shifts, betas
+
+
+def apply_lambda_shifts(op: QOperator, shifts: dict[int, LambdaForm]) -> QOperator:
+    """``op`` after the shifts u_t -> u_t - shifts[t] of ``lambda_shifts``."""
+    return QOperator.from_monomials(
+        (e._replace(ell=_shifted_ell(shifts, entries(e.alpha), e.ell)), c)
+        for e, c in op.terms.items()
+    )
 
 
 def distinguished_lambda_forms(rep: Representation) -> set:
-    """Distinct nonzero lambda-parts over all E/F weights (normalized reps)."""
+    """Distinct nonzero lambda-parts over all E/F weights of ``rep`` after
+    lambda normalization."""
+    shifts, _ = lambda_shifts(rep.word)
     forms = set()
     for (kind, _), op in rep.all_operators():
         if kind == "K":
             continue
-        for term in rebracket(op):
+        for term in rebracket(apply_lambda_shifts(op, shifts)):
             if term.l_ell:
                 forms.add(sparse_neg(term.l_ell))
     return forms

@@ -49,7 +49,6 @@ class GeneratorTriple(NamedTuple):
 class Representation:
     datum: CartanDatum
     word: ReducedWord
-    lam_mode: str  # "formal" | "normalized"
     gens: dict[int, GeneratorTriple]
 
     def generator(self, kind: str, i: int) -> QOperator:
@@ -112,19 +111,12 @@ def build_E(word: ReducedWord, i: int) -> QOperator:
     return op
 
 
-def build_rep(datum: CartanDatum, word: ReducedWord, lam_mode: str = "formal") -> Representation:
+def build_rep(datum: CartanDatum, word: ReducedWord) -> Representation:
     """Assemble the full family of generator actions on ``word``."""
     check_longest(word)
     gens = {i: GeneratorTriple(build_E(word, i), build_F(word, i), build_K(word, i))
             for i in datum.labels}
-    rep = Representation(datum, word, "formal", gens)
-    if lam_mode == "normalized":
-        from .moddouble import normalize_lambda
-
-        rep = normalize_lambda(rep).rep
-    elif lam_mode != "formal":
-        raise ValueError(f"unknown lambda mode {lam_mode!r}")
-    return rep
+    return Representation(datum, word, gens)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ Node labels follow the diagram conventions used throughout the package:
 
 Roots are integer coordinate vectors over the simple roots (ordered by
 label).  Weyl group elements are stored as the tuple of images of the
-simple roots, which makes descent tests and length computations cheap at
+simple roots, which makes right multiplication and descent tests cheap at
 rank <= 8.
 
 ``integer_echelon`` is the package's one exact linear-algebra routine: a
@@ -253,16 +253,6 @@ def weyl_identity(datum: CartanDatum) -> WeylElement:
     return tuple(simple_root(datum, i) for i in datum.labels)
 
 
-def weyl_act(datum: CartanDatum, w: WeylElement, vec: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * datum.rank
-    for k, coef in enumerate(vec):
-        if coef:
-            img = w[k]
-            for t in range(datum.rank):
-                out[t] += coef * img[t]
-    return tuple(out)
-
-
 def weyl_right_mul(datum: CartanDatum, w: WeylElement, label: int) -> WeylElement:
     """w * s_label.
 
@@ -277,24 +267,11 @@ def weyl_right_mul(datum: CartanDatum, w: WeylElement, label: int) -> WeylElemen
     return tuple(out)
 
 
-def weyl_compose(datum: CartanDatum, w: WeylElement, v: WeylElement) -> WeylElement:
-    """The element w v (first apply v, then w)."""
-    return tuple(weyl_act(datum, w, img) for img in v)
-
-
 def weyl_from_word(datum: CartanDatum, letters) -> WeylElement:
     w = weyl_identity(datum)
     for i in letters:
         w = weyl_right_mul(datum, w, i)
     return w
-
-
-def weyl_length(datum: CartanDatum, w: WeylElement) -> int:
-    count = 0
-    for beta in positive_roots(datum):
-        if not is_positive(weyl_act(datum, w, beta)):
-            count += 1
-    return count
 
 
 def right_descents(datum: CartanDatum, w: WeylElement) -> list[int]:

@@ -1,8 +1,11 @@
-"""Relation suite and structural certificates for constructed representations.
+"""Relation suites and structural certificates for constructed representations.
 
 Everything here is exact: a relation holds iff its residue operator is
 identically zero in the monomial algebra.  Reports are plain dicts so the
 CLI can emit them as JSON.
+
+``relation_suite`` is the one relation loop: ``check_relations`` and
+``moddouble.check_modified_relations`` differ only in its parameters.
 """
 
 from __future__ import annotations
@@ -23,6 +26,52 @@ def _residue_entry(name: str, i, j, op: QOperator, word: ReducedWord) -> dict:
     }
 
 
+# Witness names of the nine relation kinds, in the order of ``relation_suite``.
+STANDARD_NAMES = ("master", "K_e", "K_f", "e_f", "K_K", "e_e", "f_f", "serre_e", "serre_f")
+
+
+def relation_suite(rep: Representation, check: str, names, node) -> dict:
+    """Evaluate every relation of ``rep`` as a q-commutator [x, y]_t = x y - v^t y x.
+
+    ``node(i, K_i)`` gives node i's master twist t and right-hand side R
+    ([E_i, F_i]_t = R), the unit u of the K-twists [K_i, E_j]_(u a_ij) and
+    [K_i, F_j]_(-u a_ij), and the (s, t) of the Serre relations
+    [E_i, [E_i, E_j]_s]_t and [F_i, [F_i, F_j]_s]_t (i, j adjacent).  All
+    other pairs commute: E_i, F_j (i != j); K_i, K_j; E_i, E_j and F_i, F_j
+    (i, j not adjacent).  ``names`` are the nine witness names, in the
+    order of ``STANDARD_NAMES``; each witness also carries its residue.
+    """
+    datum = rep.datum
+    master, k_e, k_f, e_f, k_k, e_e, f_f, serre_e, serre_f = names
+    failures: list[dict] = []
+
+    def record(name, i, j, residue):
+        if not residue.is_zero():
+            failures.append(_residue_entry(name, i, j, residue, rep.word))
+
+    for i in datum.labels:
+        e_i, f_i, k_i = rep.gens[i]
+        master_twist, master_rhs, unit, (s_e, t_e), (s_f, t_f) = node(i, k_i)
+        record(master, i, i, q_commutator(e_i, f_i, master_twist) - master_rhs)
+        for j in datum.labels:
+            e_j, f_j, k_j = rep.gens[j]
+            a = unit * datum.a(i, j)
+            record(k_e, i, j, q_commutator(k_i, e_j, a))
+            record(k_f, i, j, q_commutator(k_i, f_j, -a))
+            if i == j:
+                continue
+            record(e_f, i, j, q_commutator(e_i, f_j))
+            if i < j:
+                record(k_k, i, j, q_commutator(k_i, k_j))
+                if not datum.adjacent(i, j):
+                    record(e_e, i, j, q_commutator(e_i, e_j))
+                    record(f_f, i, j, q_commutator(f_i, f_j))
+            if datum.adjacent(i, j):
+                record(serre_e, i, j, nested_q_commutator(e_i, e_j, s_e, t_e))
+                record(serre_f, i, j, nested_q_commutator(f_i, f_j, s_f, t_f))
+    return {"check": check, "status": "pass" if not failures else "fail", "witnesses": failures}
+
+
 def check_relations(rep: Representation) -> dict:
     """Verify the full defining-relation suite with exact zero residues.
 
@@ -35,40 +84,17 @@ def check_relations(rep: Representation) -> dict:
       e_i^2 e_j - (q + q^-1) e_i e_j e_i + e_j e_i^2 = 0   (i, j adjacent)
       and the same for f.
 
-    Every relation is evaluated as a q-commutator [x, y]_t = x y - v^t y x;
     Serre is the nested form [e_i, [e_i, e_j]_2]_-2, which expands to the
     same element as the three-product sum above and is summed in one pass
     (``nested_q_commutator``).
     """
-    datum = rep.datum
-    failures: list[dict] = []
     q_minus = VLaurent.q_power(1) - VLaurent.q_power(-1)
 
-    def check(name, i, j, residue):
-        if not residue.is_zero():
-            failures.append(_residue_entry(name, i, j, residue, rep.word))
-
-    for i in datum.labels:
-        e_i, f_i, k_i = rep.gens[i]
+    def node(i, k_i):
         k_inv = QOperator.monomial(k_i.single_monomial().expo.inverse())
-        check("master", i, i, q_commutator(e_i, f_i) - (k_inv - k_i).scale(q_minus))
-        for j in datum.labels:
-            e_j, f_j, k_j = rep.gens[j]
-            a = datum.a(i, j)
-            check("K_e", i, j, q_commutator(k_i, e_j, 2 * a))
-            check("K_f", i, j, q_commutator(k_i, f_j, -2 * a))
-            if i == j:
-                continue
-            check("e_f", i, j, q_commutator(e_i, f_j))
-            if i < j:
-                check("K_K", i, j, q_commutator(k_i, k_j))
-                if not datum.adjacent(i, j):
-                    check("e_e", i, j, q_commutator(e_i, e_j))
-                    check("f_f", i, j, q_commutator(f_i, f_j))
-            if datum.adjacent(i, j):
-                check("serre_e", i, j, nested_q_commutator(e_i, e_j, 2, -2))
-                check("serre_f", i, j, nested_q_commutator(f_i, f_j, 2, -2))
-    return {"check": "relations", "status": "pass" if not failures else "fail", "witnesses": failures}
+        return 0, (k_inv - k_i).scale(q_minus), 2, (2, -2), (2, -2)
+
+    return relation_suite(rep, "relations", STANDARD_NAMES, node)
 
 
 def q2_chain_certificate(op: QOperator) -> dict:

@@ -21,10 +21,8 @@ from .rootdata import (
     CartanDatum,
     positive_root_count,
     right_descents,
-    weyl_compose,
     weyl_from_word,
     weyl_identity,
-    weyl_length,
     weyl_right_mul,
     is_positive,
 )
@@ -275,9 +273,8 @@ def bad_word(datum: CartanDatum) -> ReducedWord:
     # standard A_n word on the chain, using the chain order as 1..n
     suffix = [chain[i - 1] for k in range(1, n + 1) for i in range(n, k - 1, -1)]
     suffix.append(0)
-    w0 = weyl_from_word(datum, good_word(datum).letters)
-    suffix_inv = weyl_from_word(datum, reversed(suffix))
-    prefix_elem = weyl_compose(datum, w0, suffix_inv)
+    # w0 suffix^-1
+    prefix_elem = weyl_from_word(datum, good_word(datum).letters + tuple(reversed(suffix)))
     prefix = _greedy_word(datum, prefix_elem)
     word = ReducedWord(datum, tuple(prefix + suffix))
     check_longest(word)
@@ -291,12 +288,10 @@ class UnsupportedBadWord(ValueError):
 def _greedy_word(datum: CartanDatum, elem) -> list[int]:
     """A reduced word for ``elem``, built right-to-left from least descents."""
     letters: list[int] = []
-    remaining = weyl_length(datum, elem)
-    while remaining:
-        i = min(right_descents(datum, elem))
+    while descents := right_descents(datum, elem):
+        i = min(descents)
         letters.append(i)
         elem = weyl_right_mul(datum, elem, i)
-        remaining -= 1
     letters.reverse()
     return letters
 
@@ -312,10 +307,7 @@ def word_ending_in(datum: CartanDatum, i: int) -> ReducedWord:
 
 def word_starting_with(datum: CartanDatum, i: int) -> ReducedWord:
     """A reduced word for the longest element whose first letter is ``i``."""
-    w0 = weyl_from_word(datum, good_word(datum).letters)
-    rest = weyl_compose(
-        datum, weyl_from_word(datum, (i,)), w0
-    )  # s_i w0, of length N-1
+    rest = weyl_from_word(datum, (i,) + good_word(datum).letters)  # s_i w0, of length N-1
     # build s_i w0 right-to-left, then prepend i
     word = ReducedWord(datum, tuple([i] + _greedy_word(datum, rest)))
     check_longest(word)

@@ -24,8 +24,9 @@ from posrep.moddouble import (
     check_modified_relations,
     commutant_check,
     cross_parity_certificate,
+    apply_lambda_shifts,
     distinguished_lambda_forms,
-    normalize_lambda,
+    lambda_shifts,
     qtori_certificate,
     verify_weyl_pattern,
     weyl_reflect_lambda,
@@ -65,7 +66,8 @@ def test_criterion_1_relation_suite():
         cases.append((datum, good_word(datum)))
     for family, rank, extra in [("A", 3, 5), ("D", 4, 5), ("D", 5, 2), ("E", 6, 2)]:
         datum = build_cartan(family, rank)
-        for word in random_longest_words(datum, extra, seed=11):
+        # walks of even and of odd length reach both classes of the move graph
+        for word in random_longest_words(datum, extra, seed=11) + random_longest_words(datum, 2, seed=11, walk=61):
             cases.append((datum, word))
     for datum, word in cases:
         report = check_relations(build_rep(datum, word))
@@ -268,13 +270,18 @@ def test_criterion_11_lambda_machinery():
         form = sparse({i: 1})
         assert weyl_reflect_lambda(datum, weyl_reflect_lambda(datum, form, i), i) == form
         assert verify_weyl_pattern(datum, i)["status"] == "pass"
-    for family, rank in [("A", 1), ("A", 2), ("A", 3), ("D", 4)]:
+    for family, rank in [("D", 5), ("E", 6), ("E", 7), ("E", 8)]:
         datum = build_cartan(family, rank)
-        result = normalize_lambda(build_rep(datum, good_word(datum)))
-        assert all(isinstance(b, int) and b >= 1 for b in result.betas.values())
+        for i in datum.labels:
+            assert verify_weyl_pattern(datum, i)["status"] == "pass", (family, rank, i)
+    for family, rank in [("A", 1), ("A", 2), ("A", 3), ("D", 4), ("D", 5), ("E", 6), ("E", 7), ("E", 8)]:
+        datum = build_cartan(family, rank)
+        rep = build_rep(datum, good_word(datum))
+        shifts, betas = lambda_shifts(rep.word)
+        assert all(isinstance(b, int) and b >= 1 for b in betas.values())
         for lab in datum.labels:
-            assert not result.rep.gens[lab].K.single_monomial().expo.ell
-        assert len(distinguished_lambda_forms(result.rep)) <= datum.rank
+            assert not apply_lambda_shifts(rep.gens[lab].K, shifts).single_monomial().expo.ell
+        assert len(distinguished_lambda_forms(rep)) <= datum.rank, (family, rank)
     _ok("criterion 11 (lambda machinery)", "reflection patterns + normalization")
 
 

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -254,7 +255,7 @@ def test_commutant_runs_modified_relation_suite(capsys, monkeypatch):
         )
         gens = dict(mrep.gens)
         gens[1] = gens[1]._replace(E=broken)
-        return moddouble.ModifiedRep(mrep.base, gens)
+        return replace(mrep, gens=gens)
 
     monkeypatch.setattr(moddouble, "build_modified", shifted_coefficient)
     code = main(["commutant", "A", "2"])
@@ -277,6 +278,22 @@ def test_classical_cmd(capsys):
     assert out.strip() == "(1 + u3.1) f(u3.1 + 1)"
 
 
+def test_classical_rejects_a_k_generator(capsys, monkeypatch):
+    # K_i is one monomial, with no finite-difference form: rejected before
+    # anything is built
+    def no_build(*args):
+        raise AssertionError("classical built a generator")
+
+    monkeypatch.setattr("posrep.repbuild.build_K", no_build)
+    code = main(["classical", "A", "3", "--gen", "k2"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == (
+        "error: classical rendering is defined for E and F generators, not for K2"
+        " (a single monomial has no finite-difference form)\n"
+    )
+
+
 @pytest.mark.parametrize("value", ["abc", "1e6", "0", "-5"])
 def test_bad_term_budget_exits_2(capsys, monkeypatch, value):
     monkeypatch.setenv("POSREP_MAX_TERMS", value)
@@ -297,8 +314,8 @@ def test_budget_abort_exits_2_with_its_message(capsys, monkeypatch):
 @pytest.mark.parametrize(
     "argv",
     ["verify E 6 --word bad", "transport E 6 --from bad --to good --gen F1",
-     "commutant E 6", "classical E 6 --word bad --gen F1",
-     "construct E 6 --word bad --gen F1 --lam normalized"],
+     "commutant E 6", "classical E 6 --word bad --gen E3",
+     "construct E 6 --word bad --gen E3 --lam normalized"],
 )
 def test_budget_abort_exits_2_from_every_subcommand(capsys, monkeypatch, argv):
     monkeypatch.setenv("POSREP_MAX_TERMS", "1")
@@ -326,6 +343,20 @@ def test_explicit_generators_print_on_the_e8_bad_word_under_a_small_budget(capsy
     payload = json.loads(out)
     assert payload["word"] == list(word.letters)
     assert payload["operator"] == json.loads(operator_to_json(op, word))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    ["normalize-lambda E 8 --word bad", "construct E 8 --word bad --gen F1 --lam normalized",
+     "classical E 8 --word bad --gen F1"],
+)
+def test_commands_printing_f_or_k_transport_nothing(capsys, monkeypatch, argv):
+    # each builds only the F_i or K_i it prints, so no E_i is moved along
+    # the E8 bad word and the tiny budget is never reached
+    monkeypatch.setenv("POSREP_MAX_TERMS", "50")
+    code = main(argv.split())
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == "" and captured.out
 
 
 def test_construct_on_a_word_past_the_recursion_limit(capsys):

@@ -1,11 +1,11 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from posrep import moddouble
 from posrep.moddouble import (
-    ModifiedRep,
-    ModifiedTriple,
     _generator_monomials,
     _k_power,
     _odd_pairs,
@@ -13,10 +13,11 @@ from posrep.moddouble import (
     check_modified_relations,
     commutant_check,
     cross_parity_certificate,
+    apply_lambda_shifts,
     distinguished_lambda_forms,
-    normalize_lambda,
+    lambda_shifts,
     qtori_certificate,
-    reflect_representation,
+    reflection_substitution,
     substitute_lambda,
     verify_weyl_pattern,
     weyl_reflect_lambda,
@@ -31,10 +32,11 @@ from posrep.qtorus import (
     entries,
     exponent,
     pairing_matrix,
+    q_commutator,
     sparse,
     unpack,
 )
-from posrep.repbuild import build_rep
+from posrep.repbuild import build_E, build_rep, operator_text
 from posrep.rootdata import build_cartan
 from posrep.words import ReducedWord, good_word
 from test_rootdata import _row_reduce_oracle
@@ -96,11 +98,32 @@ def test_modified_relations_detect_shifted_coefficient(family, rank, label, rela
         {expo: (coeff.shift(2) if k == 0 else coeff) for k, (expo, coeff) in enumerate(eb.monomials())}
     )
     gens = dict(mrep.gens)
-    gens[label] = ModifiedTriple(broken, gens[label].F, gens[label].K)
-    report = check_modified_relations(ModifiedRep(mrep.base, gens))
+    gens[label] = gens[label]._replace(E=broken)
+    report = check_modified_relations(replace(mrep, gens=gens))
     assert report["status"] == "fail"
     assert [w["relation"] for w in report["witnesses"]] == [relation]
     assert report["witnesses"][0]["monomials"] == 1
+
+
+@pytest.mark.parametrize(
+    "kind,relation", [("E", "Eb_Eb"), ("F", "Fb_Fb"), ("K", "Kb_Kb")]
+)
+def test_modified_relations_check_non_adjacent_pairs(kind, relation):
+    # D4 nodes 0 and 1 are not adjacent; Ebar_1 (Fbar_1) gains the first
+    # monomial of Fbar_0 (Ebar_0), and Kbar_1 is multiplied by that of
+    # Ebar_0, none of which commutes with node 0's generator of its kind
+    mrep = build_modified(rep_for("D", 4))
+    other = {"E": "F", "F": "E", "K": "E"}[kind]
+    extra = QOperator.monomial(getattr(mrep.gens[0], other).monomials()[0].expo)
+    op = getattr(mrep.gens[1], kind)
+    broken = op * extra if kind == "K" else op + extra
+    gens = {**mrep.gens, 1: mrep.gens[1]._replace(**{kind: broken})}
+    report = check_modified_relations(replace(mrep, gens=gens))
+    assert report["status"] == "fail"
+    witness = {(w["i"], w["j"]): w for w in report["witnesses"] if w["relation"] == relation}[0, 1]
+    residue = q_commutator(getattr(mrep.gens[0], kind), broken)
+    assert witness["monomials"] == len(residue) > 0
+    assert witness["residue"] == operator_text(residue, mrep.word)
 
 
 @pytest.mark.parametrize(
@@ -152,12 +175,11 @@ def test_cross_parity_names_an_odd_u_entry():
     # one u-entry of K2 made odd in the modified D4 family: the certificate
     # names exactly the pairs with K2 whose exponent is odd, with that exponent
     mrep = build_modified(rep_for("D", 4))
-    e, f, k = mrep.gens[2]
-    expo = k.single_monomial().expo
+    expo = mrep.gens[2].K.single_monomial().expo
     pos = next(p for p, x in enumerate(unpack(expo.alpha, 12)) if x % 2 == 0)
     odd_k = QOperator.monomial(expo._replace(alpha=expo.alpha + (1 << (SLOT_BITS * pos))))
-    gens = {**mrep.gens, 2: ModifiedTriple(e, f, odd_k)}
-    report = cross_parity_certificate(ModifiedRep(mrep.base, gens))
+    gens = {**mrep.gens, 2: mrep.gens[2]._replace(K=odd_k)}
+    report = cross_parity_certificate(replace(mrep, gens=gens))
     assert report["status"] == "fail"
     monos = _generator_monomials(gens)
     expected = [
@@ -182,7 +204,7 @@ def test_qtori_certificate(family, rank):
         assert check_modified_relations(mrep)["status"] == "pass"
         report = qtori_certificate(mrep)
         assert report["status"] == "pass"
-        assert report["rank"] == report["full_rank"] == 2 * len(mrep.base.word.letters)
+        assert report["rank"] == report["full_rank"] == 2 * len(mrep.word.letters)
 
 
 def test_qtori_rank_a1():
@@ -193,7 +215,7 @@ def test_qtori_rank_a1():
 def test_qtori_fails_below_full_rank():
     # without label 1's triple the A2 family spans a rank-5 lattice, not 6
     mrep = build_modified(rep_for("A", 2))
-    partial = ModifiedRep(mrep.base, {2: mrep.gens[2]})
+    partial = replace(mrep, gens={2: mrep.gens[2]})
     report = qtori_certificate(partial)
     assert not report["witnesses"]
     assert (report["rank"], report["full_rank"]) == (5, 6)
@@ -201,7 +223,7 @@ def test_qtori_fails_below_full_rank():
 
     # without label 3's triple (the trivalent node) the E6 family spans 67 of 72
     mrep = build_modified(rep_for("E", 6))
-    partial = ModifiedRep(mrep.base, {i: t for i, t in mrep.gens.items() if i != 3})
+    partial = replace(mrep, gens={i: t for i, t in mrep.gens.items() if i != 3})
     rows = [unpack(e.alpha, 36) + unpack(e.gamma, 36) for _, e in _generator_monomials(partial.gens)]
     oracle_rank = len(_row_reduce_oracle(rows)[1])
     report = qtori_certificate(partial)
@@ -265,9 +287,25 @@ def test_weyl_pattern(family, rank, i):
     assert report["status"] == "pass", report
 
 
+def test_weyl_pattern_reports_a_lambda_dependent_e(monkeypatch):
+    # E_j with a lambda_j term: s_1 changes lam_1 and lam_2 on A2
+    def build_e_with_lambda(word, j):
+        return build_E(word, j) + QOperator.monomial(exponent(ell={j: 1}))
+
+    monkeypatch.setattr(moddouble, "build_E", build_e_with_lambda)
+    report = verify_weyl_pattern(build_cartan("A", 2), 1)
+    assert report["status"] == "fail"
+    assert report["witnesses"] == [
+        {"generator": "E1", "kind": "lambda_dependence"},
+        {"generator": "E2", "kind": "lambda_dependence"},
+    ]
+
+
 def test_reflect_representation_involution():
     rep = rep_for("A", 2)
-    assert reflect_representation(reflect_representation(rep, 1), 1).gens == rep.gens
+    subs = reflection_substitution(rep.datum, 1)
+    for _, op in rep.all_operators():
+        assert substitute_lambda(substitute_lambda(op, subs), subs) == op
 
 
 # ---------------------------------------------------------------------------
@@ -276,11 +314,11 @@ def test_reflect_representation_involution():
 
 def test_normalize_a1():
     datum = build_cartan("A", 1)
-    rep = build_rep(datum, ReducedWord(datum, (1,)))
-    result = normalize_lambda(rep)
-    assert result.betas == {0: 1}
-    assert result.shifts[0] == sparse({1: 1})  # u -> u - lam
-    k = result.rep.gens[1].K.single_monomial()
+    word = ReducedWord(datum, (1,))
+    shifts, betas = lambda_shifts(word)
+    assert betas == {0: 1}
+    assert shifts[0] == sparse({1: 1})  # u -> u - lam
+    k = apply_lambda_shifts(build_rep(datum, word).gens[1].K, shifts).single_monomial()
     assert entries(k.expo.alpha) == ((0, -2),) and not k.expo.ell
 
 
@@ -288,22 +326,20 @@ def test_normalize_a1():
 def test_normalize_good_words(family, rank):
     datum = build_cartan(family, rank)
     rep = build_rep(datum, good_word(datum))
-    result = normalize_lambda(rep)
-    assert all(b >= 1 for b in result.betas.values())
+    shifts, betas = lambda_shifts(rep.word)
+    assert all(b >= 1 for b in betas.values())
     for i in datum.labels:
-        assert not result.rep.gens[i].K.single_monomial().expo.ell
-    forms = distinguished_lambda_forms(result.rep)
+        assert not apply_lambda_shifts(rep.gens[i].K, shifts).single_monomial().expo.ell
+    forms = distinguished_lambda_forms(rep)
     assert 1 <= len(forms) <= datum.rank
 
 
 def test_normalize_preserves_pairings():
-    from posrep.qtorus import commutation_exponent
-
     datum = build_cartan("A", 2)
     rep = build_rep(datum, good_word(datum))
-    result = normalize_lambda(rep)
+    shifts, _ = lambda_shifts(rep.word)
     for i in datum.labels:
         before = [m.expo for m in rep.gens[i].E.monomials()]
-        after = [m.expo for m in result.rep.gens[i].E.monomials()]
+        after = [m.expo for m in apply_lambda_shifts(rep.gens[i].E, shifts).monomials()]
         for b, a in zip(before, after):
             assert (b.alpha, b.gamma) == (a.alpha, a.gamma)

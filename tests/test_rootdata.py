@@ -13,9 +13,9 @@ from posrep.rootdata import (
     positive_root_count,
     positive_roots,
     weyl_from_word,
-    weyl_length,
     weyl_right_mul,
 )
+from posrep.words import _greedy_word
 
 ALL_TYPES = [("A", n) for n in range(1, 6)] + [("D", 4), ("D", 5), ("E", 6), ("E", 7), ("E", 8)]
 
@@ -211,8 +211,9 @@ def test_integer_echelon_matches_the_dense_oracle(rows):
 
 def test_longest_element_length():
     datum = build_cartan("A", 3)
-    assert weyl_length(datum, weyl_from_word(datum, (3, 2, 1, 3, 2, 3))) == 6
-    assert weyl_length(datum, weyl_from_word(datum, (1, 1))) == 0
+    # the greedy reduced word has one letter per unit of length
+    assert len(_greedy_word(datum, weyl_from_word(datum, (3, 2, 1, 3, 2, 3)))) == 6
+    assert _greedy_word(datum, weyl_from_word(datum, (1, 1))) == []
 
 
 def _full_row_right_mul(datum, w, label):

@@ -45,7 +45,7 @@ from . import moddouble, repbuild, verify
 from .qtorus import QOperator, RebracketError, entries, rebracket, term_count, unpack
 from .repbuild import build_rep, classical_render, operator_text, position_names
 from .rootdata import build_cartan, langlands_b_vectors
-from .transport import TermBudgetError, transport
+from .transport import TermBudgetError, format_trace, transport
 from .words import (
     ReducedWord,
     bad_word,
@@ -132,8 +132,9 @@ def _add_type_args(p: argparse.ArgumentParser) -> None:
 
 
 def _node_label(datum, text: str) -> int | None:
-    """The node label spelled by ``text``, or None if it names no node."""
-    return int(text) if text.isdigit() and int(text) in datum.labels else None
+    """The node label spelled by ``text`` in ASCII digits, or None if it names no node."""
+    ok = text.isascii() and text.isdigit()
+    return int(text) if ok and int(text) in datum.labels else None
 
 
 def _resolve_word(datum, spec: str) -> ReducedWord:
@@ -185,7 +186,7 @@ def cmd_construct(args) -> int:
         op = moddouble.apply_lambda_shifts(op, shifts)
     if args.format == "json":
         # sorted keys, as dump_json writes them; print writes the pieces in turn
-        head = dump_json({"family": datum.family, "generator": args.gen})
+        head = dump_json({"family": datum.family, "generator": f"{kind}{label}"})
         tail = dump_json({"rank": datum.rank, "word": list(word.letters)})
         print(f'{head[:-1]},"operator":', operator_to_json(op, word), f",{tail[1:]}", sep="")
     else:
@@ -243,11 +244,9 @@ def cmd_transport(args) -> int:
     dst = _resolve_word(datum, args.dst)
     kind, label = _parse_gen(datum, args.gen)
     path = braid_path(src, dst)
-    trace: list = []
+    trace: list | None = [] if args.trace else None
     op, word = transport(_build_generator(kind, src, label), src, path, trace=trace)
-    if args.trace:
-        from .transport import format_trace
-
+    if trace:
         print(format_trace(trace))
     print(operator_text(op, word))
     return 0

@@ -124,11 +124,8 @@ class VLaurent:
         return VLaurent(0, (1,))
 
     @staticmethod
-    def q_power(k: int, coef: int = 1) -> VLaurent:
-        return VLaurent(2 * k, (coef,))
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
+    def q_power(k: int) -> VLaurent:
+        return VLaurent(2 * k, (1,))
 
     def is_unit_monomial(self) -> bool:
         """True when the coefficient is a single power of v with coefficient 1."""
@@ -366,9 +363,6 @@ class QExponent(NamedTuple):
     alpha: int
     gamma: int
     ell: SparseVec
-
-    def inverse(self) -> QExponent:
-        return QExponent(-self.alpha, -self.gamma, sparse_neg(self.ell))
 
     def power(self, n: int) -> QExponent:
         """The exponent of the n-th power; SlotOverflowError if an entry

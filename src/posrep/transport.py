@@ -13,11 +13,12 @@ steps, all inside the monomial algebra:
 
 Conjugating a monomial m that q-commutes with the argument X at an even
 exponent s multiplies it on the left by a product of binomials
-(1 + q^c X); negative s produces the reciprocal of such a product.  The
-reciprocals are never materialized: terms are brought over a common
-binomial denominator and the assembled numerator is divided out exactly,
-ray by ray, at the end of each conjugation step.  A nonzero remainder
-means the input was not transportable and raises NonPolynomialError.
+(1 + q^c X); negative s produces the reciprocal of such a product.  As
+s(X, X) = 0, every monomial on a ray m + kX has the same s, so one
+conjugation is polynomial arithmetic in X, ray by ray: each ray's
+coefficients are multiplied by its binomials, or divided by them exactly.
+A nonzero remainder means the input was not transportable and raises
+NonPolynomialError.
 
 A commutation move only exchanges the labels of two positions.  While a
 path is folded, exponents are therefore indexed by fixed *slots*, and a
@@ -143,92 +144,49 @@ def conjugation_factor(s: int, direction: str) -> tuple[tuple[int, ...], tuple[i
 #
 # A braid move only reads and writes the frame positions, so each monomial
 # splits into an inert remainder and a 6-tuple of local u/p entries.  The
-# whole conjugate-divide-relabel pipeline runs on those 6-tuples, grouped
+# whole conjugate-relabel pipeline runs on those 6-tuples, grouped
 # by remainder; identical local groups are served from a cache.
 # ---------------------------------------------------------------------------
 
 _Z_LOC = ((-1, 1, -1), (-1, 0, 1))
 _Y_LOC = ((1, -1, 1), (-1, 0, 1))
 
-def _pair_loc(a1, g1, a2, g2) -> int:
-    return (
-        a1[0] * g2[0] + a1[1] * g2[1] + a1[2] * g2[2]
-        - g1[0] * a2[0] - g1[1] * a2[1] - g1[2] * a2[2]
-    )
-
-
-def _mul_binomial_loc(terms: dict, x, c: int) -> dict:
-    (xa, xg) = x
-    out = dict(terms)
-    for loc, coef in terms.items():
-        a = (loc[0], loc[1], loc[2])
-        g = (loc[3], loc[4], loc[5])
-        s = _pair_loc(xa, xg, a, g)
-        loc2 = (a[0] + xa[0], a[1] + xa[1], a[2] + xa[2],
-                g[0] + xg[0], g[1] + xg[1], g[2] + xg[2])
-        c2 = coef.shift(2 * c + s)
-        prev = out.get(loc2)
-        out[loc2] = c2 if prev is None else prev + c2
-    return {l: cf for l, cf in out.items() if cf.coeffs}
-
-
-def _div_binomial_loc(terms: dict, x, c: int) -> dict:
-    (xa, xg) = x
-    c0 = xa[0]  # first coordinate of both frame arguments is nonzero
-    rays: dict[tuple, dict[int, VLaurent]] = {}
-    for loc, coef in terms.items():
-        k = loc[0] // c0
-        base = (loc[0] - k * xa[0], loc[1] - k * xa[1], loc[2] - k * xa[2],
-                loc[3] - k * xg[0], loc[4] - k * xg[1], loc[5] - k * xg[2])
-        rays.setdefault(base, {})[k] = coef
-    out: dict[tuple, VLaurent] = {}
-    for base, slots in rays.items():
-        s0 = _pair_loc(xa, xg, base[:3], base[3:])
-        step = 2 * c + s0
-        kmin, kmax = min(slots), max(slots)
-        prev = None
-        for k in range(kmin, kmax + 1):
-            r = slots.get(k, VLaurent.zero())
-            if prev is not None and prev.coeffs:
-                r = r - prev.shift(step)
-            if k == kmax:
-                if r.coeffs:
-                    raise NonPolynomialError(
-                        f"residue survives division by (1 + q^{c} X)"
-                    )
-                break
-            if r.coeffs:
-                out[(base[0] + k * xa[0], base[1] + k * xa[1], base[2] + k * xa[2],
-                     base[3] + k * xg[0], base[4] + k * xg[1], base[5] + k * xg[2])] = r
-            prev = r
-    return out
-
 
 def _conjugate_loc(terms: dict, x, direction: str) -> dict:
-    (xa, xg) = x
-    groups: dict[int, dict] = {}
+    """Conjugate local terms by the quantum dilogarithm of X, ray by ray.
+
+    Each term lies on one ray base + kX, and every term of a ray has the
+    exponent s of base with X, so the ray is a polynomial in X that is
+    multiplied by the binomials (1 + q^c X) of ``conjugation_factor(s)``,
+    or divided by them exactly.  Every ray's s is checked before any
+    division, so an odd exponent raises ahead of a remainder.
+    """
+    xs = x[0] + x[1]
+    rays: dict[tuple, dict[int, VLaurent]] = {}
     for loc, coef in terms.items():
-        s = _pair_loc(xa, xg, loc[:3], loc[3:])
-        groups.setdefault(s, {})[loc] = coef
-    denom: tuple[int, ...] = ()
-    for s in groups:
-        _, d = conjugation_factor(s, direction)
-        if len(d) > len(denom):
-            denom = d
-    acc: dict[tuple, VLaurent] = {}
-    for s, sub in groups.items():
-        numer, d = conjugation_factor(s, direction)
+        k = loc[0] // xs[0]
+        rays.setdefault(tuple(e - k * d for e, d in zip(loc, xs)), {})[k] = coef
+    work = []
+    for base, ray in rays.items():
+        s = sum(xs[i] * base[i + 3] - xs[i + 3] * base[i] for i in range(3))
+        work.append((base, ray, s, *conjugation_factor(s, direction)))
+    out: dict[tuple, VLaurent] = {}
+    for base, ray, s, numer, denom in work:
+        low = min(ray)
+        poly = [ray.get(k, VLaurent.zero()) for k in range(low, max(ray) + 1)]
         for c in numer:
-            sub = _mul_binomial_loc(sub, x, c)
-        for c in denom[len(d):]:
-            sub = _mul_binomial_loc(sub, x, c)
-        for loc, coef in sub.items():
-            prev = acc.get(loc)
-            acc[loc] = coef if prev is None else prev + coef
-    acc = {l: cf for l, cf in acc.items() if cf.coeffs}
-    for c in denom:
-        acc = _div_binomial_loc(acc, x, c)
-    return acc
+            poly.append(VLaurent.zero())
+            for j in range(len(poly) - 1, 0, -1):
+                poly[j] = poly[j] + poly[j - 1].shift(2 * c + s)
+        for c in denom:
+            for j in range(1, len(poly)):
+                poly[j] = poly[j] - poly[j - 1].shift(2 * c + s)
+            if poly.pop():
+                raise NonPolynomialError(f"residue survives division by (1 + q^{c} X)")
+        for k, coef in enumerate(poly, low):
+            if coef:
+                out[tuple(b + k * d for b, d in zip(base, xs))] = coef
+    return out
 
 
 def _braid_pipeline_loc(group: tuple) -> tuple:

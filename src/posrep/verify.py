@@ -91,7 +91,7 @@ def check_relations(rep: Representation) -> dict:
     q_minus = VLaurent.q_power(1) - VLaurent.q_power(-1)
 
     def node(i, k_i):
-        k_inv = QOperator.monomial(k_i.single_monomial().expo.inverse())
+        k_inv = QOperator.monomial(k_i.single_monomial().expo.power(-1))
         return 0, (k_inv - k_i).scale(q_minus), 2, (2, -2), (2, -2)
 
     return relation_suite(rep, "relations", STANDARD_NAMES, node)

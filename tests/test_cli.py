@@ -55,6 +55,13 @@ def test_construct_json_round_trip(capsys):
     assert payload["word"] == list(word.letters)
 
 
+@pytest.mark.parametrize("gen", ["E02", "e2"])
+def test_construct_json_names_the_generator_canonically(capsys, gen):
+    code, out = run_cli(capsys, "construct", "A", "2", "--gen", gen, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["generator"] == "E2"
+
+
 def test_non_bracket_operator_renders_raw_monomials():
     word = good_word(build_cartan("A", 2))
     # an unpaired monomial: rebracket raises RebracketError
@@ -192,7 +199,7 @@ def test_invalid_word_rejected(capsys):
     assert "reduced" in err
 
 
-@pytest.mark.parametrize("spec", ["end:9", "start:x", "1,2,x", ""])
+@pytest.mark.parametrize("spec", ["end:9", "start:x", "1,2,x", "", "1,²,1"])
 def test_malformed_word_rejected(capsys, spec):
     code = main(["construct", "A", "2", "--word", spec, "--gen", "E1"])
     err = capsys.readouterr().err
@@ -203,7 +210,7 @@ def test_malformed_word_rejected(capsys, spec):
     )
 
 
-@pytest.mark.parametrize("gen", ["E9", "X1", "E"])
+@pytest.mark.parametrize("gen", ["E9", "X1", "E", "E²"])
 def test_unknown_generator_rejected(capsys, gen):
     code = main(["construct", "A", "2", "--gen", gen])
     err = capsys.readouterr().err
@@ -232,6 +239,14 @@ def test_transport_cmd(capsys):
     )
     assert code == 0
     assert out.strip() == "[u1.2] e(-p1.2 - p2.1 + p1.1) + [u2.1 - u1.1] e(-p2.1)"
+
+
+def test_transport_trace_of_an_empty_path_prints_no_line(capsys):
+    code, out = run_cli(
+        capsys, "transport", "A", "2", "--from", "1,2,1", "--to", "1,2,1", "--gen", "E2", "--trace"
+    )
+    assert code == 0
+    assert out == "[u1.2] e(-p1.2 - p2.1 + p1.1) + [u2.1 - u1.1] e(-p2.1)\n"
 
 
 def test_commutant_cmd(capsys):

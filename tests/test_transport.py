@@ -1,8 +1,10 @@
+import hashlib
 import importlib
 import itertools
 import os
 import random
 import resource
+from collections import Counter
 from operator import itemgetter
 from unittest import mock
 
@@ -39,8 +41,11 @@ from posrep.transport import (
     OddPairingError,
     TermBudgetError,
     _PIPELINE_CACHE,
+    _Y_LOC,
+    _Z_LOC,
     _braid_inplace,
     _braid_pipeline_loc,
+    _conjugate_loc,
     _relabel,
     braid_conjugate,
     commutation_move,
@@ -157,6 +162,55 @@ def test_unbalanced_sum_is_not_transportable():
     half = QOperator.monomial(full.monomials()[0].expo)
     with pytest.raises(NonPolynomialError):
         braid_conjugate(half, 0)
+
+
+# ---------------------------------------------------------------------------
+# The local pipeline's own images on a grid of small groups.
+# ---------------------------------------------------------------------------
+
+GRID = [loc for loc in itertools.product((-1, 0, 1), repeat=6) if any(loc)]
+# sha256 of the images (or exception class names) of _grid_groups(), in order,
+# as given by the pipeline that brought each conjugation over a common
+# binomial denominator before dividing it out
+PIPELINE_DIGEST = "c2df4f220e07369e34e0796d6753a701d04bf381e8723e038755514d707a74dc"
+
+
+def _grid_groups() -> list[tuple]:
+    """Each grid point alone, then each paired with each of the next 8 grid
+    points at coefficients 1 and -1: 728 + 2 * 5788 groups."""
+    one = VLaurent.one()
+    groups = [((loc, one),) for loc in GRID]
+    for i, loc in enumerate(GRID):
+        for other in GRID[i + 1 : i + 9]:
+            groups += [((loc, one), (other, one)), ((loc, one), (other, -one))]
+    return groups
+
+
+def test_pipeline_images_match_the_recorded_digest():
+    digest, counts = hashlib.sha256(), Counter()
+    for group in _grid_groups():
+        try:
+            image = _braid_pipeline_loc(group)
+            text, kind = repr(sorted((loc, c.val, c.coeffs) for loc, c in image)), "image"
+        except (NonPolynomialError, OddPairingError) as exc:
+            text = kind = type(exc).__name__
+        counts[kind] += 1
+        digest.update(text.encode() + b"\n")
+    assert counts == {"image": 1027, "OddPairingError": 9106, "NonPolynomialError": 2171}
+    assert digest.hexdigest() == PIPELINE_DIGEST
+
+
+def test_outer_conjugation_undoes_inner():
+    one = VLaurent.one()
+    undone = 0
+    for x, loc in itertools.product((_Z_LOC, _Y_LOC), GRID):
+        try:
+            inner = _conjugate_loc({loc: one}, x, "inner")
+        except (NonPolynomialError, OddPairingError):
+            continue
+        assert _conjugate_loc(inner, x, "outer") == {loc: one}
+        undone += 1
+    assert undone == 514
 
 
 def test_commutation_move_involution():

@@ -78,7 +78,7 @@ def _serre_broken_d4() -> Representation:
     rep = build_rep(datum, good_word(datum))
     first = rep.gens[0].E.monomials()[0].expo
     gens = dict(rep.gens)
-    gens[2] = GeneratorTriple(gens[2].E + QOperator.monomial(first.inverse()), gens[2].F, gens[2].K)
+    gens[2] = GeneratorTriple(gens[2].E + QOperator.monomial(first.power(-1)), gens[2].F, gens[2].K)
     return Representation(rep.datum, rep.word, gens)
 
 

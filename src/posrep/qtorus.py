@@ -41,6 +41,12 @@ SlotOverflowError before any term is formed; nothing wraps into a
 neighbouring field.  The lambda part ``ell`` may hold Fractions, so it
 stays a sparse (label, value) tuple, normalized by ``sparse``.
 
+``permute_fields`` is the one routine that rewrites fields in bulk: it
+writes each x + B_n as a row of n unsigned SLOT_BITS-bit fields and copies
+whole columns.  A transport's relabel permutes positions with it, and
+``canonical_order`` keys a u/p part by its fields reversed, position 0 in
+the top field, so that int order is dense lexicographic order.
+
 The pair kernel behind ``QOperator.__mul__`` and ``q_commutator`` sums
 coefficients with the same signed-linear rule.  One call first fixes its
 window [lo, hi) of v-powers, from the lowest and highest powers of the
@@ -76,7 +82,7 @@ import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress, zip_longest
+from itertools import compress, islice, zip_longest
 from operator import mul
 from typing import Iterable, NamedTuple
 
@@ -292,6 +298,35 @@ def unpack(x: int, n: int | None = None, width: int = SLOT_BITS) -> tuple[int, .
     return layout.unpack(((x + bias) ^ bias).to_bytes(layout.size, "little"))
 
 
+_PERMUTE_BLOCK = 4096  # packed ints per permute_fields buffer
+
+
+def permute_fields(xs: Iterable[int], n: int, copies: list[tuple[int, int]]) -> list[int]:
+    """The packed ints xs with field p of each read from field q, for every
+    (p, q) in ``copies``; every other field of the n stays where it is.
+
+    Each x + B_n is written as a row of n unsigned SLOT_BITS-bit fields, and
+    one strided copy per pair moves column q of the rows into column p.
+    Rows go through in blocks of _PERMUTE_BLOCK, which bounds the buffers.
+    """
+    bias, width = field_bias(n), n * SLOT_BITS // 8
+    code = _FIELD_CODES[SLOT_BITS].upper()
+    out: list[int] = []
+    xs = iter(xs)
+    while block := list(islice(xs, _PERMUTE_BLOCK)):
+        src = b"".join([(x + bias).to_bytes(width, "little") for x in block])
+        dst = bytearray(src)
+        rows, cols = memoryview(src).cast(code), memoryview(dst).cast(code)
+        for p, q in copies:
+            cols[p::n] = rows[q::n]
+        view = memoryview(dst)
+        out += [
+            int.from_bytes(view[r : r + width], "little") - bias
+            for r in range(0, len(dst), width)
+        ]
+    return out
+
+
 def pack_entries(items) -> int:
     """The packed int of {position: value} or of (position, value) pairs."""
     items = dict(items)
@@ -477,26 +512,16 @@ def canonical_order(exponents: Iterable[QExponent]) -> tuple[QExponent, ...]:
     """Exponents sorted by (alpha, gamma, ell) as dense vectors.
 
     The order only fixes the order in which monomials and brackets are
-    listed and printed.  A u- or p-part sorts by its biased fields written
-    big-endian, position 0 first: over a common field count, byte order is
-    dense lexicographic order.  A lambda part sorts as its dense vector
+    listed and printed.  A u- or p-part sorts by its fields reversed
+    (``permute_fields``), so that position 0 holds the top field: every
+    field is biased, so over a common field count int order of the result
+    is dense lexicographic order.  A lambda part sorts as its dense vector
     over the labels that occur in any of the exponents.
     """
     exps = list(exponents)
-    n = max((field_count(x) for e in exps for x in (e.alpha, e.gamma)), default=0)
-    size = n * SLOT_BITS // 8
-    bias = field_bias(n)
-    keys: dict[int, bytes] = {}
-
-    def fields(x: int) -> bytes:
-        key = keys.get(x)
-        if key is None:
-            raw = (x + bias).to_bytes(size, "little")
-            swapped = bytearray(size)  # each field is two bytes: swap them
-            swapped[0::2] = raw[1::2]
-            swapped[1::2] = raw[0::2]
-            key = keys[x] = bytes(swapped)
-        return key
+    parts = dict.fromkeys(x for e in exps for x in (e.alpha, e.gamma))
+    n = max(map(field_count, parts), default=1)
+    keys = dict(zip(parts, permute_fields(parts, n, [(p, n - 1 - p) for p in range(n)])))
 
     ells = dict.fromkeys(e.ell for e in exps)
     labels = sorted({k for ell in ells for k, _ in ell})
@@ -505,7 +530,7 @@ def canonical_order(exponents: Iterable[QExponent]) -> tuple[QExponent, ...]:
         ells[ell] = tuple([row.get(k, 0) for k in labels])
 
     def key(e: QExponent) -> tuple:
-        return fields(e.alpha), fields(e.gamma), ells[e.ell]
+        return keys[e.alpha], keys[e.gamma], ells[e.ell]
 
     return tuple(sorted(exps, key=key))
 

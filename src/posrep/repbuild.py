@@ -95,10 +95,7 @@ def build_F(word: ReducedWord, i: int) -> QOperator:
 def build_K(word: ReducedWord, i: int) -> QOperator:
     a = word.datum.a
     alpha = sum(-a(i, j) << (SLOT_BITS * t) for t, j in enumerate(word.letters))
-    k = QOperator.monomial(QExponent(alpha, 0, ((i, -2),)))
-    if len(k) != 1 or not k.single_monomial().coeff.is_unit_monomial():
-        raise ArithmeticError(f"K{i} is not one monomial with a unit coefficient")
-    return k
+    return QOperator.monomial(QExponent(alpha, 0, ((i, -2),)))
 
 
 def build_E(word: ReducedWord, i: int) -> QOperator:
@@ -128,12 +125,10 @@ def position_names(word: ReducedWord) -> list[str]:
 
 
 def _linear_form_text(form) -> str:
-    """Render (name, coefficient) pairs as a signed sum; the empty name is
-    the constant term."""
+    """Render (name, nonzero coefficient) pairs as a signed sum; the empty
+    name is the constant term."""
     parts = []
     for name, coef in form:
-        if coef == 0:
-            continue
         mag = abs(coef)
         body = name if mag == 1 and name else f"{mag}{name}"
         sign = ("- " if coef < 0 else "+ ") if parts else ("-" if coef < 0 else "")

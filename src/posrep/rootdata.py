@@ -113,15 +113,11 @@ def build_cartan(family: str, rank: int, flip_bipartition: bool = False) -> Cart
             if j not in color:
                 color[j] = 1 - color[i]
                 queue.append(j)
-    datum = CartanDatum(
+    return CartanDatum(
         family, rank, labels,
         frozenset(frozenset(e) for e in edges),
         tuple((i, color[i]) for i in labels),
     )
-    for i, j in edges:
-        if abs(color[i] - color[j]) != 1:
-            raise ValueError(f"nodes {i} and {j} of {family}_{rank} share a colour")
-    return datum
 
 
 # ---------------------------------------------------------------------------

@@ -48,9 +48,8 @@ entry that does not fit raises SlotOverflowError.
 The input is written in the slot order the path ends at, so the output
 needs no relabel: the path's commutation swaps turn the identity list
 into ``end``, the moves start from the inverse of ``end``, and field q of
-the input takes its field end[q].  That is one column copy of the input's
-distinct packed ints, written as rows of biased 16-bit fields (the bytes
-of x + B_n) in blocks of a fixed size; fields past the slot list stay.
+the input takes its field end[q].  That is one ``qtorus.permute_fields``
+call on the input's distinct packed ints; fields past the slot list stay.
 
 The word is tracked as a plain letter list: each move is checked against
 the letters (the checks and MoveError messages of ``words.apply_move``)
@@ -61,7 +60,6 @@ per step when a trace is requested.
 from __future__ import annotations
 
 import os
-from itertools import islice
 from typing import Iterable
 
 from .qtorus import (
@@ -73,6 +71,7 @@ from .qtorus import (
     check_entry,
     field_bias,
     field_count,
+    permute_fields,
 )
 from .words import BraidMove, ReducedWord, _apply_move_letters, _check_move
 
@@ -309,38 +308,12 @@ def _apply(terms: dict, slot: list[int], move: BraidMove) -> None:
         _braid_inplace(terms, (slot[p], slot[p + 1], slot[p + 2]))
 
 
-_RELABEL_BLOCK = 4096  # distinct packed ints per relabel buffer
-
-
-def _permute_fields(xs: list[int], n: int, copies: list[tuple[int, int]]) -> list[int]:
-    """The packed ints xs with field p of each read from field q, for every
-    (p, q) in ``copies``; every other field of the n stays where it is.
-
-    Each x + B_n is written as a row of n unsigned 16-bit fields, and one
-    strided copy per pair moves column q of the rows into column p.
-    """
-    bias, width = field_bias(n), 2 * n
-    src = b"".join([(x + bias).to_bytes(width, "little") for x in xs])
-    dst = bytearray(src)
-    rows, cols = memoryview(src).cast("H"), memoryview(dst).cast("H")
-    for p, q in copies:
-        cols[p::n] = rows[q::n]
-    view = memoryview(dst)
-    return [
-        int.from_bytes(view[r : r + width], "little") - bias
-        for r in range(0, len(dst), width)
-    ]
-
-
 def _relabel(terms: dict, slot: list[int]) -> dict:
-    """A copy of ``terms`` whose field p reads field slot[p] in every u/p
-    int; distinct ints are permuted in blocks of _RELABEL_BLOCK."""
+    """A copy of ``terms`` whose field p reads field slot[p] in every u/p int."""
     copies = [(p, q) for p, q in enumerate(slot) if p != q]
-    moved = dict.fromkeys(x for key in terms for x in key[:2])
-    n = max(len(slot), field_count(max(map(abs, moved), default=0)))
-    distinct = iter(moved)  # values are replaced in place; no key changes
-    while block := list(islice(distinct, _RELABEL_BLOCK)):
-        moved.update(zip(block, _permute_fields(block, n, copies)))
+    distinct = dict.fromkeys(x for key in terms for x in key[:2])
+    n = max(len(slot), field_count(max(map(abs, distinct), default=0)))
+    moved = dict(zip(distinct, permute_fields(distinct, n, copies)))
     return {(moved[a], moved[g], ell): coef for (a, g, ell), coef in terms.items()}
 
 

@@ -210,6 +210,12 @@ def test_malformed_word_rejected(capsys, spec):
     )
 
 
+@pytest.mark.parametrize("argv", ["tables A 3 --badword", "construct A 3 --word bad --gen E1"])
+def test_bad_word_on_type_a_rejected(capsys, argv):
+    assert main(argv.split()) == 2
+    assert capsys.readouterr().err == "error: bad words are defined for types D and E only\n"
+
+
 @pytest.mark.parametrize("gen", ["E9", "X1", "E", "E²"])
 def test_unknown_generator_rejected(capsys, gen):
     code = main(["construct", "A", "2", "--gen", gen])

@@ -34,3 +34,10 @@ def test_closed_form_Dn_term_counts():
     assert term_count(closed_form_Dn(datum, 3)) == 1
     assert term_count(closed_form_Dn(datum, 0)) == 5
     assert term_count(closed_form_Dn(datum, 1)) == 5
+
+
+def test_closed_forms_reject_the_other_family():
+    with pytest.raises(ValueError, match="type A"):
+        closed_form_An(build_cartan("D", 4), 1)
+    with pytest.raises(ValueError, match="type D"):
+        closed_form_Dn(build_cartan("A", 3), 1)

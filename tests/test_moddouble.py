@@ -31,12 +31,15 @@ from posrep.qtorus import (
     commutation_exponent,
     entries,
     exponent,
+    operator_from_brackets,
     pairing_matrix,
     q_commutator,
+    rebracket,
     sparse,
+    sparse_add,
     unpack,
 )
-from posrep.repbuild import build_E, build_rep, operator_text
+from posrep.repbuild import build_E, build_F, build_rep, operator_text
 from posrep.rootdata import build_cartan
 from posrep.words import ReducedWord, good_word
 from test_rootdata import _row_reduce_oracle
@@ -51,11 +54,12 @@ def test_k_power_reaching_the_field_limit_raises():
     k = QOperator.monomial(exponent({0: 1, 1: -(SLOT_BIAS // 2)}, ell={1: Fraction(1, 2)}))
     with pytest.raises(SlotOverflowError, match=f"entry {SLOT_BIAS} at position 1 of a power"):
         _k_power(k, -2)
-    # one short of the limit does not wrap into position 2
-    assert (SLOT_BIAS - 1) % 7 == 0
-    k = QOperator.monomial(exponent({1: -(SLOT_BIAS - 1) // 7}, {2: 5}, {1: Fraction(1, 2)}))
+    # at the limit (7 divides SLOT_BIAS - 1 at 16-bit fields) nothing
+    # wraps into position 2
+    step = (SLOT_BIAS - 1) // 7
+    k = QOperator.monomial(exponent({1: -step}, {2: 5}, {1: Fraction(1, 2)}))
     expo = _k_power(k, 7).single_monomial().expo
-    assert entries(expo.alpha) == ((1, -(SLOT_BIAS - 1)),)
+    assert entries(expo.alpha) == ((1, -7 * step),)
     assert entries(expo.gamma) == ((2, 35),) and expo.ell == sparse({1: Fraction(7, 2)})
 
 
@@ -267,6 +271,17 @@ def test_commutant_delta_pattern(family, rank):
         assert entry["witness"] is not None
 
 
+def test_commutant_fails_on_swapped_e_generators():
+    # Ebar_1 and Ebar_2 trade places: every pairing stays even, but the
+    # b-vector columns of nodes 1 and 2 meet the wrong E
+    datum = build_cartan("D", 4)
+    mrep = build_modified(build_rep(datum, good_word(datum)))
+    gens = dict(mrep.gens)
+    gens[1], gens[2] = gens[1]._replace(E=gens[2].E), gens[2]._replace(E=gens[1].E)
+    report = commutant_check(datum, replace(mrep, gens=gens))
+    assert (report["status"], report["all_even"], report["delta_pattern"]) == ("fail", True, False)
+
+
 # ---------------------------------------------------------------------------
 # Weyl action on the parameters
 # ---------------------------------------------------------------------------
@@ -299,6 +314,34 @@ def test_weyl_pattern_reports_a_lambda_dependent_e(monkeypatch):
         {"generator": "E1", "kind": "lambda_dependence"},
         {"generator": "E2", "kind": "lambda_dependence"},
     ]
+
+
+def test_weyl_pattern_reports_a_wrong_reflection(monkeypatch):
+    # lam_j -> lam_j - lam_i for j adjacent to i is still an involution, but
+    # it is not s_i: only the F_j weights of the neighbours mismatch
+    def wrong_substitution(datum, i):
+        subs = reflection_substitution(datum, i)
+        return {j: form if j == i else sparse({j: 1, i: -1}) for j, form in subs.items()}
+
+    monkeypatch.setattr(moddouble, "reflection_substitution", wrong_substitution)
+    report = verify_weyl_pattern(build_cartan("A", 3), 2)
+    assert report["status"] == "fail"
+    kinds = {(w["generator"], w["kind"]) for w in report["witnesses"]}
+    assert kinds == {("F1", "pattern_mismatch"), ("F3", "pattern_mismatch")}
+
+
+def test_weyl_pattern_reports_an_unexpected_weight(monkeypatch):
+    # every F bracket gains lam_1 in its weight, so no F_j weight is -2 lam_j
+    def build_f_with_lambda(word, j):
+        terms = rebracket(build_F(word, j))
+        return operator_from_brackets(t._replace(l_ell=sparse_add(t.l_ell, ((1, 1),))) for t in terms)
+
+    monkeypatch.setattr(moddouble, "build_F", build_f_with_lambda)
+    report = verify_weyl_pattern(build_cartan("A", 2), 1)
+    assert report["status"] == "fail"
+    assert {(w["generator"], w["kind"]) for w in report["witnesses"]} == {
+        ("F1", "unexpected_weight"), ("F2", "unexpected_weight"),
+    }
 
 
 def test_reflect_representation_involution():

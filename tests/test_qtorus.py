@@ -9,6 +9,7 @@ from posrep.qtorus import (
     MAX_COEFF_SPAN,
     SLOT_BIAS,
     SLOT_BITS,
+    BracketTerm,
     CoefficientSpanError,
     QExponent,
     QMonomial,
@@ -240,6 +241,17 @@ def test_pack_rejects_out_of_range_entries(value):
 def test_pack_rejects_non_integer_entries(value):
     with pytest.raises(ValueError, match="must be integers"):
         pack_entries({3: value})
+
+
+def test_malformed_operands_raise():
+    with pytest.raises(ValueError, match="negative position -1"):
+        pack_entries({-1: 1})
+    with pytest.raises(TypeError):
+        hash(QOperator())
+    with pytest.raises(ValueError, match="must not be identically zero"):
+        expand_bracket(BracketTerm(ONE, 0, (), 0))
+    with pytest.raises(ValueError, match="found 0"):
+        QOperator().single_monomial()
 
 
 laurent = st.lists(st.tuples(st.integers(-4, 4), st.integers(-3, 3)), min_size=1, max_size=3).map(
@@ -480,19 +492,25 @@ def test_pair_kernel_replays_the_e6_relation_suite(monkeypatch):
     assert len(nested_calls) == 20 and all(nested_calls)
 
 
+# u- and p-entries of FIELD_MAX on enough positions that s passes
+# MAX_COEFF_SPAN: one position at 16-bit fields, where s is about 10**9
+SPAN_POSITIONS = MAX_COEFF_SPAN // FIELD_MAX**2 + 1
+FULL = dict.fromkeys(range(SPAN_POSITIONS), FIELD_MAX)
+
+
 def test_coefficient_span_is_checked_before_any_term():
-    # a u- and a p-entry near 2**15 at one position: s is about 10**9
-    x, y = mono(alpha={0: FIELD_MAX}), mono(gamma={0: FIELD_MAX})
-    s = FIELD_MAX * FIELD_MAX
-    assert s > 10**9
+    x, y = mono(alpha=FULL), mono(gamma=FULL)
+    s = SPAN_POSITIONS * FIELD_MAX * FIELD_MAX
+    assert s > MAX_COEFF_SPAN
     start = time.perf_counter()
     with pytest.raises(CoefficientSpanError, match=f"more than {MAX_COEFF_SPAN} powers of v"):
         q_commutator(x, y)
+    past = SPAN_POSITIONS  # a position past the full ones: s spans 0 .. s
     with pytest.raises(CoefficientSpanError):
-        (x + mono(alpha={1: 1})) * (y + mono(gamma={1: 1}))  # s spans 0 .. 10**9
+        (x + mono(alpha={past: 1})) * (y + mono(gamma={past: 1}))
     assert time.perf_counter() - start < 1.0
     # one pair has a one-power window, however large s is
-    assert x * y == mono(alpha={0: FIELD_MAX}, gamma={0: FIELD_MAX}, coeff=VLaurent(s, (1,)))
+    assert x * y == mono(alpha=FULL, gamma=FULL, coeff=VLaurent(s, (1,)))
 
 
 # ---------------------------------------------------------------------------
@@ -525,16 +543,17 @@ def test_nested_kernel_zero_operands_and_cancellation():
 
 
 def test_nested_kernel_checks_fields_before_any_term():
-    # x+y fits (20001), x+x+y does not (40001): every s = 0, and a nested
+    # x+y fits (h + 1), x+x+y does not (2h + 1): every s = 0, and a nested
     # [x, [x, y]_0] would be zero, but the check still comes first
-    x, y = mono(alpha={1: 20000}), mono(alpha={1: 1})
-    with pytest.raises(SlotOverflowError, match="entry 40001 at position 1 of a product"):
+    h = SLOT_BIAS // 2 + 1
+    x, y = mono(alpha={1: h}), mono(alpha={1: 1})
+    with pytest.raises(SlotOverflowError, match=f"entry {2 * h + 1} at position 1 of a product"):
         nested_q_commutator(x, y, 0, 0)
     # past y's last position, x+x alone overflows
-    with pytest.raises(SlotOverflowError, match="entry -40000 at position 3 of a product"):
-        nested_q_commutator(mono(gamma={3: -20000}), mono(alpha={0: 1}), 2, -2)
+    with pytest.raises(SlotOverflowError, match=f"entry {-2 * h} at position 3 of a product"):
+        nested_q_commutator(mono(gamma={3: -h}), mono(alpha={0: 1}), 2, -2)
     # x+y leaves its field: that check comes first, as in the inner
-    # q-commutator, and before the window (s is about 10**9 here)
+    # q-commutator, and before the window (s is FIELD_MAX**2 here)
     x = mono(alpha={1: FIELD_MAX}, gamma={0: FIELD_MAX})
     with pytest.raises(SlotOverflowError, match=f"entry {SLOT_BIAS} at position 1 of a product"):
         nested_q_commutator(x, mono(alpha={0: FIELD_MAX, 1: 1}), 2, -2)
@@ -548,7 +567,7 @@ def test_nested_kernel_checks_fields_before_any_term():
 
 
 def test_nested_kernel_checks_the_span_before_any_term():
-    x, y = mono(alpha={0: FIELD_MAX}), mono(gamma={0: FIELD_MAX})
+    x, y = mono(alpha=FULL), mono(gamma=FULL)
     start = time.perf_counter()
     with pytest.raises(CoefficientSpanError, match=f"more than {MAX_COEFF_SPAN} powers of v"):
         nested_q_commutator(x, y, 0, 0)

@@ -11,7 +11,7 @@ from unittest import mock
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from posrep import repbuild
+from posrep import qtorus, repbuild
 from posrep.cli import main
 from posrep.qtorus import (
     SLOT_BIAS,
@@ -82,6 +82,8 @@ def test_conjugation_factor_table():
     assert conjugation_factor(-4, "outer") == ((1, 3), ())
     with pytest.raises(OddPairingError):
         conjugation_factor(3, "inner")
+    with pytest.raises(ValueError, match="unknown direction 'sideways'"):
+        conjugation_factor(2, "sideways")
 
 
 def test_quartic_factor_middle_coefficient():
@@ -475,19 +477,24 @@ def relabel_cases(draw):
 
 
 @settings(max_examples=100, deadline=None)
-@given(relabel_cases(), st.sampled_from([1, 2, 3, transport_module._RELABEL_BLOCK]))
+@given(relabel_cases(), st.sampled_from([1, 2, 3, qtorus._PERMUTE_BLOCK]))
 def test_relabel_matches_the_dense_oracle(case, block):
     slot, terms = case
     expected = _dense_relabel(terms, slot)
-    with mock.patch.object(transport_module, "_RELABEL_BLOCK", block):
+    with mock.patch.object(qtorus, "_PERMUTE_BLOCK", block):
         assert _relabel(dict(terms), slot) == expected
 
 
 def test_relabel_crosses_a_block_boundary():
-    block = transport_module._RELABEL_BLOCK
+    block = qtorus._PERMUTE_BLOCK
     slot = list(range(40))[::-1]
+    # the low and high base-FIELD_MAX digits of k sit at positions k % 40
+    # and 40 (the high one is 0 while k < FIELD_MAX): every u-part differs
     terms = {
-        exponent({k % 40: k - FIELD_MAX, 41: -FIELD_MAX}, {(7 * k) % 40: 1}): VLaurent.one()
+        exponent(
+            {k % 40: k % FIELD_MAX - FIELD_MAX, 40: k // FIELD_MAX, 41: -FIELD_MAX},
+            {(7 * k) % 40: 1},
+        ): VLaurent.one()
         for k in range(block + block // 2)
     }
     assert len({x for key in terms for x in key[:2]}) > block
@@ -704,7 +711,7 @@ def test_overflow_exits_2_through_the_cli(capsys, monkeypatch):
     assert main(["construct", "A", "2", "--gen", "E1"]) == 2
     err = capsys.readouterr().err
     assert err == (
-        f"error: exponent entry {SLOT_BIAS} at position 2 does not fit a 16-bit slot field\n"
+        f"error: exponent entry {SLOT_BIAS} at position 2 does not fit a {SLOT_BITS}-bit slot field\n"
     )
 
 

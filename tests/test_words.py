@@ -121,6 +121,13 @@ def test_braid_path_rejects_junk():
         braid_path(ReducedWord(A3, (1, 2, 1)), ReducedWord(A3, (2, 3, 2)))
 
 
+def test_words_reject_letters_off_the_diagram_and_mixed_data():
+    with pytest.raises(ValueError, match=r"letters \[9\] are not node labels of A_2"):
+        ReducedWord(A2, (1, 9))
+    with pytest.raises(ValueError, match="different Cartan data"):
+        braid_path(good_word(A2), good_word(A3))
+
+
 def test_braid_path_rejects_a_target_that_is_not_reduced():
     base = good_word(D4)
     letters = list(base.letters)

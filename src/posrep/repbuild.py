@@ -84,6 +84,7 @@ def f_brackets(word: ReducedWord, i: int) -> list[BracketTerm]:
 
 def build_F(word: ReducedWord, i: int) -> QOperator:
     """F_i monomial by monomial; W.e_t = -1 gives every monomial coefficient 1."""
+    word.datum.check_labels((i,))
     one, plus, minus = VLaurent.one(), ((i, -2),), ((i, 2),)
     terms = {}
     for term in f_brackets(word, i):
@@ -93,6 +94,7 @@ def build_F(word: ReducedWord, i: int) -> QOperator:
 
 
 def build_K(word: ReducedWord, i: int) -> QOperator:
+    word.datum.check_labels((i,))
     a = word.datum.a
     alpha = sum(-a(i, j) << (SLOT_BITS * t) for t, j in enumerate(word.letters))
     return QOperator.monomial(QExponent(alpha, 0, ((i, -2),)))
@@ -100,6 +102,7 @@ def build_K(word: ReducedWord, i: int) -> QOperator:
 
 def build_E(word: ReducedWord, i: int) -> QOperator:
     """E_i on an arbitrary word: built on a word ending in i, then moved back."""
+    word.datum.check_labels((i,))
     moves, end_word = path_to_word_ending_in(word, i)
     op = build_E_rightmost(end_word, i)
     op, back = transport(op, end_word, reversed(moves))

@@ -9,7 +9,8 @@ Node labels follow the diagram conventions used throughout the package:
 Roots are integer coordinate vectors over the simple roots (ordered by
 label).  Weyl group elements are stored as the tuple of images of the
 simple roots, which makes right multiplication and descent tests cheap at
-rank <= 8.
+rank <= 8.  One cached walk up the Weyl group (``_ascent``) gives both the
+positive roots, as the inversion set of the longest element w0, and w0.
 
 ``integer_echelon`` is the package's one exact linear-algebra routine: a
 sparse fraction-free forward elimination over Z.  It gives the q-tori
@@ -58,6 +59,12 @@ class CartanDatum:
 
     def index(self, label: int) -> int:
         return self.labels.index(label)
+
+    def check_labels(self, labels) -> None:
+        """Raise ValueError unless every entry of ``labels`` is a node label."""
+        if not self.label_set.issuperset(labels):
+            bad = [i for i in labels if i not in self.label_set]
+            raise ValueError(f"letters {bad} are not node labels of {self.family}_{self.rank}")
 
     def adjacent(self, i: int, j: int) -> bool:
         return self._cartan.get((i, j)) == -1
@@ -124,36 +131,34 @@ def build_cartan(family: str, rank: int, flip_bipartition: bool = False) -> Cart
 # Roots.
 # ---------------------------------------------------------------------------
 
-def simple_root(datum: CartanDatum, label: int) -> tuple[int, ...]:
-    return tuple(1 if l == label else 0 for l in datum.labels)
-
-
-def reflect(datum: CartanDatum, label: int, vec: tuple[int, ...]) -> tuple[int, ...]:
-    """Apply the simple reflection for ``label`` to a root vector."""
-    c = sum(datum.a(label, j) * vec[k] for k, j in enumerate(datum.labels))
-    i = datum.index(label)
-    return tuple(v - c if k == i else v for k, v in enumerate(vec))
-
-
 def is_positive(vec: tuple[int, ...]) -> bool:
     return any(v > 0 for v in vec)
 
 
 @lru_cache(maxsize=None)
+def _ascent(datum: CartanDatum) -> tuple[tuple[tuple[int, ...], ...], WeylElement]:
+    """(positive roots, w0) from one walk up the Weyl group.
+
+    While some w(alpha_i) is positive, w s_i is one length longer and its
+    inversion set is that of w plus w(alpha_i); the walk records that root
+    and steps to w s_i.  It stops at the element with no positive image,
+    w0, whose inversion set is every positive root.
+    """
+    w, roots = weyl_identity(datum), []
+    while (k := next((k for k, img in enumerate(w) if is_positive(img)), None)) is not None:
+        roots.append(w[k])
+        w = weyl_right_mul(datum, w, datum.labels[k])
+    return tuple(sorted(roots)), w
+
+
 def positive_roots(datum: CartanDatum) -> tuple[tuple[int, ...], ...]:
-    """All positive roots, generated by reflection closure from the simple ones."""
-    roots = {simple_root(datum, i) for i in datum.labels}
-    frontier = set(roots)
-    while frontier:
-        new = set()
-        for vec in frontier:
-            for i in datum.labels:
-                img = reflect(datum, i, vec)
-                if is_positive(img) and img not in roots:
-                    new.add(img)
-        roots |= new
-        frontier = new
-    return tuple(sorted(roots))
+    """All positive roots, sorted: the inversion set of w0 (``_ascent``)."""
+    return _ascent(datum)[0]
+
+
+def longest_element(datum: CartanDatum) -> WeylElement:
+    """The longest element w0 of the Weyl group."""
+    return _ascent(datum)[1]
 
 
 def positive_root_count(datum: CartanDatum) -> int:
@@ -246,7 +251,8 @@ WeylElement = tuple  # tuple of image vectors of the simple roots, by label orde
 
 
 def weyl_identity(datum: CartanDatum) -> WeylElement:
-    return tuple(simple_root(datum, i) for i in datum.labels)
+    n = datum.rank
+    return tuple(tuple(int(j == k) for j in range(n)) for k in range(n))
 
 
 def weyl_right_mul(datum: CartanDatum, w: WeylElement, label: int) -> WeylElement:

@@ -5,20 +5,19 @@ word carries the coordinate pair (u_t, p_t) of the exponent lattice; the
 occurrence label ``i.k`` attached to a position counts occurrences of its
 letter from the right end of the word.
 
-The catalog words for E_6/E_7/E_8 are stored in ``data/good_words.txt``
-(one per line, ``TYPE RANK: i1,i2,...``); A_n and D_n catalog words are
+The catalog words for E_6, E_7 and E_8 are the first 36, 63 and 120
+letters of one stored E_8 word, ``_E8_WORD``; A_n and D_n catalog words are
 generated.
 """
 
 from __future__ import annotations
 
-import importlib.resources
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Literal, NamedTuple, Sequence
 
 from .rootdata import (
     CartanDatum,
+    longest_element,
     positive_root_count,
     right_descents,
     weyl_from_word,
@@ -42,9 +41,7 @@ class ReducedWord:
     letters: tuple[int, ...]
 
     def __post_init__(self):
-        if not self.datum.label_set.issuperset(self.letters):
-            bad = [i for i in self.letters if i not in self.datum.labels]
-            raise ValueError(f"letters {bad} are not node labels of {self.datum.family}_{self.datum.rank}")
+        self.datum.check_labels(self.letters)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -220,39 +217,31 @@ def random_longest_words(datum: CartanDatum, count: int, seed: int = 0, walk: in
 # Catalog words.
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _e_catalog() -> dict[tuple[str, int], tuple[int, ...]]:
-    out: dict[tuple[str, int], tuple[int, ...]] = {}
-    text = (
-        importlib.resources.files("posrep.data").joinpath("good_words.txt").read_text()
-    )
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        head, _, body = line.partition(":")
-        family, rank = head.split()
-        out[(family, int(rank))] = tuple(int(x) for x in body.split(","))
-    return out
+# The E_8 catalog word; its first 36 and 63 letters are the E_6 and E_7 words.
+_E8_WORD = (
+    4, 3, 4, 0, 3, 4, 2, 3, 0, 4, 3, 2, 1, 2, 3, 4, 0, 3, 2, 1, 5, 4, 3, 2, 1,
+    0, 3, 2, 4, 3, 0, 5, 4, 3, 2, 1, 6, 5, 4, 3, 2, 0, 3, 4, 5, 6, 1, 2, 3, 4,
+    5, 0, 3, 4, 2, 3, 0, 1, 2, 3, 4, 5, 6, 7, 6, 5, 4, 3, 2, 1, 0, 3, 2, 4, 3,
+    5, 4, 6, 5, 0, 3, 4, 2, 3, 0, 1, 2, 3, 4, 5, 6, 7, 6, 5, 4, 3, 2, 0, 3, 4,
+    5, 6, 1, 2, 3, 4, 5, 0, 3, 4, 2, 3, 0, 1, 2, 3, 4, 5, 6, 7,
+)
 
 
 def good_word(datum: CartanDatum) -> ReducedWord:
     """The catalog word: standard for A_n, the symmetric-prefix word for D_n,
-    and the stored words for E_6/E_7/E_8."""
+    and prefixes of ``_E8_WORD`` for E_6/E_7/E_8."""
     if datum.family == "A":
         n = datum.rank
         letters = [i for k in range(1, n + 1) for i in range(n, k - 1, -1)]
     elif datum.family == "D":
         n = datum.rank
-        letters = [2, 1, 2, 0, 1, 2]
+        letters = [0, 1, 2, 0, 1, 2]
         for m in range(3, n):
             letters.extend(range(m, 2, -1))
             letters.extend((2, 0, 1, 2))
             letters.extend(range(3, m + 1))
-        # symmetrize the start in the two fork letters
-        letters[:6] = [0, 1, 2, 0, 1, 2]
     else:
-        letters = list(_e_catalog()[(datum.family, datum.rank)])
+        letters = _E8_WORD[: positive_root_count(datum)]
     word = ReducedWord(datum, tuple(letters))
     check_longest(word)
     return word
@@ -298,8 +287,8 @@ def _greedy_word(datum: CartanDatum, elem) -> list[int]:
 
 def word_ending_in(datum: CartanDatum, i: int) -> ReducedWord:
     """A reduced word for the longest element whose last letter is ``i``."""
-    w0 = weyl_from_word(datum, good_word(datum).letters)
-    elem = weyl_right_mul(datum, w0, i)
+    datum.check_labels((i,))
+    elem = weyl_right_mul(datum, longest_element(datum), i)
     word = ReducedWord(datum, tuple(_greedy_word(datum, elem) + [i]))
     check_longest(word)
     return word
@@ -307,6 +296,7 @@ def word_ending_in(datum: CartanDatum, i: int) -> ReducedWord:
 
 def word_starting_with(datum: CartanDatum, i: int) -> ReducedWord:
     """A reduced word for the longest element whose first letter is ``i``."""
+    datum.check_labels((i,))
     rest = weyl_from_word(datum, (i,) + good_word(datum).letters)  # s_i w0, of length N-1
     # build s_i w0 right-to-left, then prepend i
     word = ReducedWord(datum, tuple([i] + _greedy_word(datum, rest)))

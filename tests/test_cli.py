@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import posrep
 from posrep import moddouble
 from posrep.cli import main, operator_to_json
 from posrep.qtorus import (
@@ -393,3 +398,20 @@ def test_construct_k_past_the_int_digit_limit(capsys):
     # must not convert it, and K1 prints as one monomial
     code, out = run_cli(capsys, "construct", "D", "33", "--gen", "K1")
     assert code == 0 and out.count("E^(pi b(") == 1
+
+
+def run_module(*argv):
+    """``python -m posrep *argv`` in a fresh interpreter that imports this
+    copy of the package."""
+    env = dict(os.environ)
+    src = str(Path(posrep.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "posrep", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_module_entry_point():
+    result = run_module("construct", "A", "1", "--gen", "F1")
+    assert (result.returncode, result.stdout) == (0, "[-u1.1 - 2L1] e(p1.1)\n")
+    result = run_module("construct", "A", "0", "--gen", "E1")
+    assert result.returncode == 2 and result.stderr == "error: unsupported type A_0\n"

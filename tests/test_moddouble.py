@@ -39,7 +39,7 @@ from posrep.qtorus import (
     sparse_add,
     unpack,
 )
-from posrep.repbuild import build_E, build_F, build_rep, operator_text
+from posrep.repbuild import build_E, build_F, build_K, build_rep, f_brackets, operator_text
 from posrep.rootdata import build_cartan
 from posrep.words import ReducedWord, good_word
 from test_rootdata import _row_reduce_oracle
@@ -344,6 +344,17 @@ def test_weyl_pattern_reports_an_unexpected_weight(monkeypatch):
     }
 
 
+def test_weyl_pattern_reports_a_substitution_that_is_not_an_involution(monkeypatch):
+    # lam_i -> 2 lam_i applied twice is lam_i -> 4 lam_i
+    def doubling(datum, i):
+        return {**reflection_substitution(datum, i), i: sparse({i: 2})}
+
+    monkeypatch.setattr(moddouble, "reflection_substitution", doubling)
+    report = verify_weyl_pattern(build_cartan("A", 3), 2)
+    assert report["status"] == "fail"
+    assert {"kind": "not_involutive"} in report["witnesses"]
+
+
 def test_reflect_representation_involution():
     rep = rep_for("A", 2)
     subs = reflection_substitution(rep.datum, 1)
@@ -375,6 +386,31 @@ def test_normalize_good_words(family, rank):
         assert not apply_lambda_shifts(rep.gens[i].K, shifts).single_monomial().expo.ell
     forms = distinguished_lambda_forms(rep)
     assert 1 <= len(forms) <= datum.rank
+
+
+@pytest.mark.parametrize("skew,message", [
+    # the weight at t loses its unit entry at t
+    (lambda t, i: t._replace(l_alpha=t.l_alpha - t.shift), "has no unit entry there"),
+    # the weight at t gains an entry at t + 1
+    (lambda t, i: t._replace(l_alpha=t.l_alpha - (t.shift << SLOT_BITS)), "reaches past it"),
+    # lambda-part -lam_i: beta = 1 - 1 = 0 at the first position
+    (lambda t, i: t._replace(l_ell=((i, -1),)), "beta at position 0 is 0"),
+])
+def test_lambda_shifts_reject_a_wrong_f_weight(monkeypatch, skew, message):
+    monkeypatch.setattr(moddouble, "f_brackets",
+                        lambda word, i: [skew(t, i) for t in f_brackets(word, i)])
+    with pytest.raises(ArithmeticError, match=message):
+        lambda_shifts(good_word(build_cartan("A", 3)))
+
+
+def test_lambda_shifts_reject_a_k_that_keeps_a_lambda_part(monkeypatch):
+    def k_with_lambda(word, i):
+        k = build_K(word, i).single_monomial()
+        return QOperator.monomial(k.expo._replace(ell=sparse_add(k.expo.ell, sparse({i: -3}))))
+
+    monkeypatch.setattr(moddouble, "build_K", k_with_lambda)
+    with pytest.raises(ArithmeticError, match="K1 still depends on lambda"):
+        lambda_shifts(good_word(build_cartan("A", 3)))
 
 
 def test_normalize_preserves_pairings():

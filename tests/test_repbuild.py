@@ -65,6 +65,19 @@ def test_k_a1():
     assert not k.expo.gamma and k.coeff == VLaurent.one()
 
 
+@pytest.mark.parametrize("build", [build_E, build_F, build_K])
+def test_builders_reject_a_label_off_the_diagram(build):
+    with pytest.raises(ValueError, match=r"letters \[9\] are not node labels of A_2"):
+        build(good_word(A2), 9)
+
+
+def test_build_e_checks_the_path_back(monkeypatch):
+    # a transport that does not move leaves E_1 on the word ending in 1
+    monkeypatch.setattr("posrep.repbuild.transport", lambda op, word, moves: (op, word))
+    with pytest.raises(ValueError, match=r"ends at 2,3,1,2,3,1, not at 3,2,1,3,2,3"):
+        build_E(good_word(A3), 1)
+
+
 def test_f_term_counts_match_occurrences():
     for datum in (A2, A3, D4):
         word = good_word(datum)

@@ -5,13 +5,17 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from posrep import rootdata
 from posrep.rootdata import (
     UnsupportedTypeError,
     build_cartan,
     integer_echelon,
+    is_positive,
     langlands_b_vectors,
+    longest_element,
     positive_root_count,
     positive_roots,
+    right_descents,
     weyl_from_word,
     weyl_right_mul,
 )
@@ -82,6 +86,50 @@ def test_positive_root_counts(family, rank, count):
     assert positive_root_count(build_cartan(family, rank)) == count
 
 
+def _reflection_closure(datum) -> tuple[tuple[int, ...], ...]:
+    """The positive roots by breadth-first closure of the simple roots under
+    the simple reflections (the package's former root routine)."""
+
+    def reflect(label, vec):
+        c = sum(datum.a(label, j) * vec[k] for k, j in enumerate(datum.labels))
+        i = datum.index(label)
+        return tuple(v - c if k == i else v for k, v in enumerate(vec))
+
+    roots = {tuple(int(j == i) for j in datum.labels) for i in datum.labels}
+    frontier = set(roots)
+    while frontier:
+        new = set()
+        for vec in frontier:
+            for i in datum.labels:
+                img = reflect(i, vec)
+                if is_positive(img) and img not in roots:
+                    new.add(img)
+        roots |= new
+        frontier = new
+    return tuple(sorted(roots))
+
+
+ROOT_TYPES = (
+    [("A", n) for n in range(1, 9)] + [("D", n) for n in range(4, 10)]
+    + [("E", 6), ("E", 7), ("E", 8)]
+)
+
+
+@pytest.mark.parametrize("family,rank", ROOT_TYPES)
+def test_positive_roots_match_the_reflection_closure(family, rank):
+    datum = build_cartan(family, rank)
+    assert positive_roots(datum) == _reflection_closure(datum)
+
+
+@pytest.mark.parametrize("family,rank", ROOT_TYPES)
+def test_longest_element(family, rank):
+    datum = build_cartan(family, rank)
+    w0 = longest_element(datum)
+    # w0 sends every simple root negative, and its length is the root count
+    assert right_descents(datum, w0) == list(datum.labels)
+    assert len(_greedy_word(datum, w0)) == positive_root_count(datum)
+
+
 @pytest.mark.parametrize("family,rank", ALL_TYPES)
 def test_bipartition_proper(family, rank):
     for flip in (False, True):
@@ -99,6 +147,19 @@ def test_b_vectors_small():
         (Fraction(2, 3), Fraction(1, 3)),
         (Fraction(1, 3), Fraction(2, 3)),
     ]
+
+
+def test_b_vectors_reject_a_wrong_echelon_form(monkeypatch):
+    # one L-column entry of row 0 off by one: b^0 no longer solves A b = e_0
+    def skewed(rows):
+        echelon, pivots = integer_echelon(rows)
+        n = len(echelon)
+        echelon[0][n] = echelon[0].get(n, 0) + 1
+        return echelon, pivots
+
+    monkeypatch.setattr(rootdata, "integer_echelon", skewed)
+    with pytest.raises(ArithmeticError, match="does not solve"):
+        langlands_b_vectors(build_cartan("A", 3))
 
 
 @pytest.mark.parametrize("family,rank", ALL_TYPES)

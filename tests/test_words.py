@@ -41,6 +41,20 @@ def test_good_words_explicit():
     assert good_word(D4).letters == (0, 1, 2, 0, 1, 2, 3, 2, 0, 1, 2, 3)
 
 
+E6_WORD = (4, 3, 4, 0, 3, 4, 2, 3, 0, 4, 3, 2, 1, 2, 3, 4, 0, 3, 2, 1, 5, 4, 3, 2, 1,
+           0, 3, 2, 4, 3, 0, 5, 4, 3, 2, 1)
+E7_WORD = E6_WORD + (6, 5, 4, 3, 2, 0, 3, 4, 5, 6, 1, 2, 3, 4, 5, 0, 3, 4, 2, 3, 0, 1, 2, 3,
+                     4, 5, 6)
+E8_WORD = E7_WORD + (7, 6, 5, 4, 3, 2, 1, 0, 3, 2, 4, 3, 5, 4, 6, 5, 0, 3, 4, 2, 3, 0, 1, 2,
+                     3, 4, 5, 6, 7, 6, 5, 4, 3, 2, 0, 3, 4, 5, 6, 1, 2, 3, 4, 5, 0, 3, 4, 2,
+                     3, 0, 1, 2, 3, 4, 5, 6, 7)
+
+
+@pytest.mark.parametrize("rank,letters", [(6, E6_WORD), (7, E7_WORD), (8, E8_WORD)])
+def test_e_catalog_words_explicit(rank, letters):
+    assert good_word(build_cartan("E", rank)).letters == letters
+
+
 @pytest.mark.parametrize(
     "family,rank", [("A", 4), ("A", 5), ("D", 5), ("D", 6), ("E", 6), ("E", 7), ("E", 8)]
 )
@@ -119,6 +133,19 @@ def test_braid_path_rejects_junk():
         braid_path(ReducedWord(A2, (1, 2, 1)), ReducedWord(A2, (1, 2)))
     with pytest.raises(ValueError):
         braid_path(ReducedWord(A3, (1, 2, 1)), ReducedWord(A3, (2, 3, 2)))
+
+
+@pytest.mark.parametrize("build", [word_ending_in, word_starting_with])
+def test_word_builders_reject_a_label_off_the_diagram(build):
+    with pytest.raises(ValueError, match=r"letters \[9\] are not node labels of A_2"):
+        build(A2, 9)
+
+
+def test_braid_path_checks_where_it_ends(monkeypatch):
+    # a move search that emits nothing leaves the source word unchanged
+    monkeypatch.setattr("posrep.words._force_first", lambda *args: None)
+    with pytest.raises(ValueError, match=r"the move path from 3,2,1,3,2,3 ends at"):
+        braid_path(good_word(A3), word_ending_in(A3, 1))
 
 
 def test_words_reject_letters_off_the_diagram_and_mixed_data():

@@ -42,8 +42,8 @@ from itertools import compress
 from operator import itemgetter, mod
 
 from . import moddouble, repbuild, verify
-from .qtorus import QOperator, RebracketError, entries, rebracket, term_count, unpack
-from .repbuild import build_rep, classical_render, operator_text, position_names
+from .qtorus import QOperator, RebracketError, rebracket, term_count, unpack
+from .repbuild import _past_the_word, build_rep, classical_render, operator_text, position_names
 from .rootdata import build_cartan, langlands_b_vectors
 from .transport import TermBudgetError, format_trace, transport
 from .words import (
@@ -78,10 +78,15 @@ def operator_to_json(op: QOperator, word: ReducedWord) -> str:
     part = cache(_part_encoder(word))
     lam = cache(lambda ell: dump_json({str(s): str(c) for s, c in ell}))
     coeff = cache(lambda c: dump_json([[c.val + k, a] for k, a in enumerate(c.coeffs) if a]))
-    monomials = ",".join(
-        [_MONOMIAL % (part(e.alpha), coeff(c), lam(e.ell), part(e.gamma))
-         for e, c in op.monomials()]
-    )
+    try:
+        monomials = ",".join(
+            [_MONOMIAL % (part(e.alpha), coeff(c), lam(e.ell), part(e.gamma))
+             for e, c in op.monomials()]
+        )
+    except OverflowError:
+        # unpack overflows exactly when a field past the word is nonzero; the
+        # brackets' parts lie within the monomials' positions
+        raise _past_the_word(op, len(word.letters)) from None
     try:
         brackets = ",".join(
             [_BRACKET % (lam(t.l_ell), part(t.l_alpha), part(t.shift), coeff(t.scalar))
@@ -105,14 +110,7 @@ def _part_encoder(word: ReducedWord):
     keys = [json.dumps(names[t]) + ":%d" for t in order]
 
     def encode(x: int) -> str:
-        try:
-            fields = by_name(unpack(x, n))
-        except OverflowError:
-            # unpack overflows exactly when a field at or past n is nonzero
-            t, value = next((t, v) for t, v in entries(x) if t >= n)
-            raise ValueError(
-                f"u/p entry {value} at position {t} lies past the {n} positions of the word"
-            ) from None
+        fields = by_name(unpack(x, n))
         return "{%s}" % ",".join(map(mod, compress(keys, fields), compress(fields, fields)))
 
     return encode

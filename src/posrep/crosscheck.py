@@ -10,15 +10,11 @@ from __future__ import annotations
 
 from .qtorus import QOperator, bracket, exponent, operator_from_brackets
 from .rootdata import CartanDatum
-from .words import ReducedWord, good_word, occurrence_positions
+from .words import ReducedWord, good_word, lusztig_labels
 
 
 def _label_positions(word: ReducedWord) -> dict[tuple[int, int], int]:
-    out = {}
-    for letter in set(word.letters):
-        for k, pos in enumerate(occurrence_positions(word, letter), start=1):
-            out[(letter, k)] = pos
-    return out
+    return {label: t for t, label in enumerate(lusztig_labels(word))}
 
 
 def closed_form_An(datum: CartanDatum, i: int) -> tuple[QOperator, QOperator, QOperator]:

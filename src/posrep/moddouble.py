@@ -54,7 +54,7 @@ from .qtorus import (
     sparse_neg,
     sparse_scale,
 )
-from .rootdata import CartanDatum, integer_echelon, langlands_b_vectors
+from .rootdata import CartanDatum, _check_datum, integer_echelon, langlands_b_vectors
 from .repbuild import GeneratorTriple, Representation, build_E, build_F, build_K, f_brackets
 from .verify import relation_suite
 from .words import ReducedWord, good_word, word_starting_with
@@ -224,6 +224,7 @@ def commutant_check(datum: CartanDatum, mrep: Representation) -> dict:
     plain Kbar_j are reported with a non-commuting witness (no single
     Kbar_j centralizes the family).
     """
+    _check_datum(datum, mrep.datum, "the representation")
     bvecs = langlands_b_vectors(datum)
     labels = datum.labels
     monos = _generator_monomials(mrep.gens)

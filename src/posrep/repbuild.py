@@ -29,7 +29,7 @@ from .qtorus import (
     entries,
     rebracket,
 )
-from .rootdata import CartanDatum
+from .rootdata import CartanDatum, _check_datum
 from .transport import transport
 from .words import (
     ReducedWord,
@@ -113,6 +113,7 @@ def build_E(word: ReducedWord, i: int) -> QOperator:
 
 def build_rep(datum: CartanDatum, word: ReducedWord) -> Representation:
     """Assemble the full family of generator actions on ``word``."""
+    _check_datum(datum, word.datum, "the word")
     check_longest(word)
     gens = {i: GeneratorTriple(build_E(word, i), build_F(word, i), build_K(word, i))
             for i in datum.labels}
@@ -125,6 +126,14 @@ def build_rep(datum: CartanDatum, word: ReducedWord) -> Representation:
 
 def position_names(word: ReducedWord) -> list[str]:
     return [f"{lab.letter}.{lab.occurrence}" for lab in lusztig_labels(word)]
+
+
+def _past_the_word(op: QOperator, n: int) -> ValueError:
+    """The error for an entry of ``op`` at or past position ``n``: the first
+    such entry of the monomials' u- then p-parts, in the canonical order."""
+    parts = (x for expo in op.exponents() for x in (expo.alpha, expo.gamma))
+    t, value = next((t, v) for x in parts for t, v in entries(x) if t >= n)
+    return ValueError(f"u/p entry {value} at position {t} lies past the {n} positions of the word")
 
 
 def _linear_form_text(form) -> str:
@@ -171,10 +180,12 @@ def operator_text(op: QOperator, word: ReducedWord) -> str:
         return "0"
     names = position_names(word)
     try:
-        terms = rebracket(op)
-    except RebracketError:
-        return " + ".join(monomial_text(e, c, names) for e, c in op.monomials())
-    return " + ".join(bracket_text(t, names) for t in terms)
+        try:
+            return " + ".join(bracket_text(t, names) for t in rebracket(op))
+        except RebracketError:
+            return " + ".join(monomial_text(e, c, names) for e, c in op.monomials())
+    except IndexError:
+        raise _past_the_word(op, len(names)) from None
 
 
 def classical_render(op: QOperator, word: ReducedWord) -> str:
@@ -189,8 +200,11 @@ def classical_render(op: QOperator, word: ReducedWord) -> str:
         return ""
     names = position_names(word)
     lines = []
-    for term in rebracket(op):
-        weight = _linear_form_text([("", 1)] + _weight_form(term, names))
-        args = [f"u{names[t]} {'-' if c > 0 else '+'} {abs(c)}" for t, c in entries(term.shift)]
-        lines.append(f"{_scalar_head(term.scalar)}({weight}) f({', '.join(args)})")
+    try:
+        for term in rebracket(op):
+            weight = _linear_form_text([("", 1)] + _weight_form(term, names))
+            args = [f"u{names[t]} {'-' if c > 0 else '+'} {abs(c)}" for t, c in entries(term.shift)]
+            lines.append(f"{_scalar_head(term.scalar)}({weight}) f({', '.join(args)})")
+    except IndexError:
+        raise _past_the_word(op, len(names)) from None
     return " + ".join(lines)

@@ -9,8 +9,8 @@ Node labels follow the diagram conventions used throughout the package:
 Roots are integer coordinate vectors over the simple roots (ordered by
 label).  Weyl group elements are stored as the tuple of images of the
 simple roots, which makes right multiplication and descent tests cheap at
-rank <= 8.  One cached walk up the Weyl group (``_ascent``) gives both the
-positive roots, as the inversion set of the longest element w0, and w0.
+rank <= 8.  One cached walk up the Weyl group (``positive_roots``) gives the
+positive roots, as the inversion set of the longest element.
 
 ``integer_echelon`` is the package's one exact linear-algebra routine: a
 sparse fraction-free forward elimination over Z.  It gives the q-tori
@@ -82,6 +82,13 @@ class CartanDatum:
         return dict(self.bipartition)[label]
 
 
+def _check_datum(datum: CartanDatum, found: CartanDatum, what: str) -> None:
+    """Raise ValueError unless ``found``, the datum of ``what``, is ``datum``."""
+    if found != datum:
+        a, b = (f"{d.family}_{d.rank} with bipartition {dict(d.bipartition)}" for d in (found, datum))
+        raise ValueError(f"{what} is over {a}, not over {b}")
+
+
 def _edges(family: str, rank: int) -> list[tuple[int, int]]:
     if family == "A":
         return [(i, i + 1) for i in range(1, rank)]
@@ -136,8 +143,8 @@ def is_positive(vec: tuple[int, ...]) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _ascent(datum: CartanDatum) -> tuple[tuple[tuple[int, ...], ...], WeylElement]:
-    """(positive roots, w0) from one walk up the Weyl group.
+def positive_roots(datum: CartanDatum) -> tuple[tuple[int, ...], ...]:
+    """All positive roots, sorted, from one walk up the Weyl group.
 
     While some w(alpha_i) is positive, w s_i is one length longer and its
     inversion set is that of w plus w(alpha_i); the walk records that root
@@ -148,17 +155,7 @@ def _ascent(datum: CartanDatum) -> tuple[tuple[tuple[int, ...], ...], WeylElemen
     while (k := next((k for k, img in enumerate(w) if is_positive(img)), None)) is not None:
         roots.append(w[k])
         w = weyl_right_mul(datum, w, datum.labels[k])
-    return tuple(sorted(roots)), w
-
-
-def positive_roots(datum: CartanDatum) -> tuple[tuple[int, ...], ...]:
-    """All positive roots, sorted: the inversion set of w0 (``_ascent``)."""
-    return _ascent(datum)[0]
-
-
-def longest_element(datum: CartanDatum) -> WeylElement:
-    """The longest element w0 of the Weyl group."""
-    return _ascent(datum)[1]
+    return tuple(sorted(roots))
 
 
 def positive_root_count(datum: CartanDatum) -> int:

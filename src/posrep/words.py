@@ -7,7 +7,9 @@ letter from the right end of the word.
 
 The catalog words for E_6, E_7 and E_8 are the first 36, 63 and 120
 letters of one stored E_8 word, ``_E8_WORD``; A_n and D_n catalog words are
-generated.
+generated.  The end, start and bad words are completions by one routine,
+``_completed``: fixed head and tail letters around a greedy reduced word of
+the rest of the longest element.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from typing import Literal, NamedTuple, Sequence
 
 from .rootdata import (
     CartanDatum,
-    longest_element,
     positive_root_count,
     right_descents,
     weyl_from_word,
@@ -97,11 +98,6 @@ def lusztig_labels(word: ReducedWord) -> tuple[LusztigLabel, ...]:
         seen[i] = seen.get(i, 0) + 1
         out.append(LusztigLabel(i, seen[i]))
     return tuple(reversed(out))
-
-
-def occurrence_positions(word: ReducedWord, letter: int) -> list[int]:
-    """Positions of ``letter``, indexed by occurrence (entry k-1 is i.k)."""
-    return [t for t in range(len(word.letters) - 1, -1, -1) if word.letters[t] == letter]
 
 
 # ---------------------------------------------------------------------------
@@ -227,12 +223,17 @@ _E8_WORD = (
 )
 
 
+def _a_word(chain: Sequence[int]) -> tuple[int, ...]:
+    """The standard A_n word on the path ``chain``, its nodes taken as 1..n."""
+    n = len(chain)
+    return tuple(chain[i - 1] for k in range(1, n + 1) for i in range(n, k - 1, -1))
+
+
 def good_word(datum: CartanDatum) -> ReducedWord:
     """The catalog word: standard for A_n, the symmetric-prefix word for D_n,
     and prefixes of ``_E8_WORD`` for E_6/E_7/E_8."""
     if datum.family == "A":
-        n = datum.rank
-        letters = [i for k in range(1, n + 1) for i in range(n, k - 1, -1)]
+        letters = _a_word(datum.labels)
     elif datum.family == "D":
         n = datum.rank
         letters = [0, 1, 2, 0, 1, 2]
@@ -248,26 +249,16 @@ def good_word(datum: CartanDatum) -> ReducedWord:
 
 
 def bad_word(datum: CartanDatum) -> ReducedWord:
-    """A deliberately expensive word: any completion of (A-chain longest
+    """A deliberately expensive word: the completion of (A-chain longest
     word + fork letter 0) to a reduced word of the longest element.
 
     The suffix forces every chain generator to act through the trailing
-    fork letter; the prefix is completed greedily.  The constructed word is
-    returned so callers can report exactly what was used.
+    fork letter.  The constructed word is returned so callers can report
+    exactly what was used.
     """
     if datum.family == "A":
         raise UnsupportedBadWord("bad words are defined for types D and E only")
-    chain = [i for i in datum.labels if i != 0]
-    n = len(chain)
-    # standard A_n word on the chain, using the chain order as 1..n
-    suffix = [chain[i - 1] for k in range(1, n + 1) for i in range(n, k - 1, -1)]
-    suffix.append(0)
-    # w0 suffix^-1
-    prefix_elem = weyl_from_word(datum, good_word(datum).letters + tuple(reversed(suffix)))
-    prefix = _greedy_word(datum, prefix_elem)
-    word = ReducedWord(datum, tuple(prefix + suffix))
-    check_longest(word)
-    return word
+    return _completed(datum, (), _a_word([i for i in datum.labels if i != 0]) + (0,))
 
 
 class UnsupportedBadWord(ValueError):
@@ -285,23 +276,25 @@ def _greedy_word(datum: CartanDatum, elem) -> list[int]:
     return letters
 
 
+def _completed(datum: CartanDatum, head: tuple[int, ...], tail: tuple[int, ...]) -> ReducedWord:
+    """head + a greedy word of head^-1 w0 tail^-1 + tail, checked to be a
+    reduced word of the longest element w0."""
+    elem = weyl_from_word(datum, head[::-1] + good_word(datum).letters + tail[::-1])
+    word = ReducedWord(datum, head + tuple(_greedy_word(datum, elem)) + tail)
+    check_longest(word)
+    return word
+
+
 def word_ending_in(datum: CartanDatum, i: int) -> ReducedWord:
     """A reduced word for the longest element whose last letter is ``i``."""
     datum.check_labels((i,))
-    elem = weyl_right_mul(datum, longest_element(datum), i)
-    word = ReducedWord(datum, tuple(_greedy_word(datum, elem) + [i]))
-    check_longest(word)
-    return word
+    return _completed(datum, (), (i,))
 
 
 def word_starting_with(datum: CartanDatum, i: int) -> ReducedWord:
     """A reduced word for the longest element whose first letter is ``i``."""
     datum.check_labels((i,))
-    rest = weyl_from_word(datum, (i,) + good_word(datum).letters)  # s_i w0, of length N-1
-    # build s_i w0 right-to-left, then prepend i
-    word = ReducedWord(datum, tuple([i] + _greedy_word(datum, rest)))
-    check_longest(word)
-    return word
+    return _completed(datum, (i,), ())
 
 
 # ---------------------------------------------------------------------------
@@ -389,6 +382,7 @@ def path_to_word_ending_in(word: ReducedWord, i: int) -> tuple[list[BraidMove], 
     bring ``i`` to the front of the reversed word, mirrored: a commute at p
     becomes one at n - 2 - p and a braid at p one at n - 3 - p.
     """
+    word.datum.check_labels((i,))
     letters = list(reversed(word.letters))
     mirrored: list[BraidMove] = []
     _force_first(word.datum, letters, 0, i, mirrored)

@@ -282,6 +282,12 @@ def test_commutant_fails_on_swapped_e_generators():
     assert (report["status"], report["all_even"], report["delta_pattern"]) == ("fail", True, False)
 
 
+def test_commutant_rejects_a_representation_over_another_datum():
+    mrep = build_modified(rep_for("D", 5))
+    with pytest.raises(ValueError, match=r"the representation is over D_5 with .*, not over D_4 with"):
+        commutant_check(build_cartan("D", 4), mrep)
+
+
 # ---------------------------------------------------------------------------
 # Weyl action on the parameters
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from posrep.words import (
     bad_word,
     check_longest,
     good_word,
-    occurrence_positions,
+    lusztig_labels,
 )
 
 A1 = build_cartan("A", 1)
@@ -145,6 +145,39 @@ def test_classical_render():
     assert f_text == "(1 - u1.1 - 2L1) f(u1.1 - 1)"
 
 
+PAST_A2 = r"u/p entry -2 at position 3 lies past the 3 positions of the word"
+
+
+@pytest.mark.parametrize(
+    "op",
+    [build_F(good_word(A3), 3), QOperator.monomial(exponent({0: 1}, {3: -2}))],
+    ids=["brackets", "monomials"],
+)
+def test_operator_text_rejects_an_entry_past_the_word(op):
+    with pytest.raises(ValueError, match=PAST_A2):
+        operator_text(op, good_word(A2))
+
+
+def test_classical_render_rejects_an_entry_past_the_word():
+    with pytest.raises(ValueError, match=PAST_A2):
+        classical_render(build_F(good_word(A3), 3), good_word(A2))
+
+
+def test_build_rep_rejects_a_word_over_another_datum():
+    with pytest.raises(ValueError, match=r"the word is over D_5 with .*, not over D_4 with"):
+        build_rep(D4, good_word(build_cartan("D", 5)))
+
+
+def test_build_rep_rejects_a_flipped_datum():
+    flipped = build_cartan("D", 4, flip_bipartition=True)
+    with pytest.raises(
+        ValueError,
+        match=r"the word is over D_4 with bipartition \{0: 0, 1: 0, 2: 1, 3: 0\}, "
+        r"not over D_4 with bipartition \{0: 1, 1: 1, 2: 0, 3: 1\}",
+    ):
+        build_rep(flipped, good_word(D4))
+
+
 # ---------------------------------------------------------------------------
 # The packed one-pass builders against the O(n*N) builders they replaced.
 # ---------------------------------------------------------------------------
@@ -154,7 +187,8 @@ def _f_brackets_oracle(word, i):
     i.k, -2u at each of i.k, ..., i.n and +u at each letter adjacent to i
     between consecutive occurrences, from i.k to the start of the word."""
     letters = word.letters
-    pos = occurrence_positions(word, i)  # pos[k-1] is the position of i.k
+    at = {label: t for t, label in enumerate(lusztig_labels(word))}
+    pos = [at[i, k] for k in range(1, word.letters.count(i) + 1)]  # pos[k-1]: i.k
     n = len(pos)
     datum = word.datum
     out = []

@@ -12,14 +12,13 @@ from posrep.rootdata import (
     integer_echelon,
     is_positive,
     langlands_b_vectors,
-    longest_element,
     positive_root_count,
     positive_roots,
     right_descents,
     weyl_from_word,
     weyl_right_mul,
 )
-from posrep.words import _greedy_word
+from posrep.words import _greedy_word, good_word
 
 ALL_TYPES = [("A", n) for n in range(1, 6)] + [("D", 4), ("D", 5), ("E", 6), ("E", 7), ("E", 8)]
 
@@ -124,7 +123,7 @@ def test_positive_roots_match_the_reflection_closure(family, rank):
 @pytest.mark.parametrize("family,rank", ROOT_TYPES)
 def test_longest_element(family, rank):
     datum = build_cartan(family, rank)
-    w0 = longest_element(datum)
+    w0 = weyl_from_word(datum, good_word(datum).letters)
     # w0 sends every simple root negative, and its length is the root count
     assert right_descents(datum, w0) == list(datum.labels)
     assert len(_greedy_word(datum, w0)) == positive_root_count(datum)

@@ -149,6 +149,13 @@ def test_path_independence_same_word():
     assert path_independence(A3, w, w)["status"] == "pass"
 
 
+def test_path_independence_rejects_words_over_another_datum():
+    # a D5 word under D4 would check only four of its five nodes
+    w = good_word(build_cartan("D", 5))
+    with pytest.raises(ValueError, match=r"the word is over D_5 with .*, not over D_4 with"):
+        path_independence(build_cartan("D", 4), w, w)
+
+
 @pytest.mark.parametrize(
     "family,rank,seed", [("D", 4, 5), ("E", 6, 6), ("E", 7, 7), ("E", 8, 8)],
     ids=["D4", "E6", "E7", "E8"],

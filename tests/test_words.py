@@ -1,8 +1,9 @@
+import hashlib
 import sys
 
 import pytest
 
-from posrep.rootdata import build_cartan, positive_root_count, weyl_from_word
+from posrep.rootdata import build_cartan, positive_root_count, positive_roots, weyl_from_word
 from posrep.words import (
     MAX_FRUITLESS_WALKS,
     BraidMove,
@@ -18,7 +19,6 @@ from posrep.words import (
     good_word,
     is_reduced,
     lusztig_labels,
-    occurrence_positions,
     path_to_word_ending_in,
     random_longest_words,
     word_ending_in,
@@ -84,8 +84,9 @@ def test_lusztig_labels():
 
 
 def test_occurrence_positions():
-    word = ReducedWord(A3, (3, 2, 1, 3, 2, 3))
-    assert occurrence_positions(word, 3) == [5, 3, 0]
+    # i.k sits at the k-th occurrence of i from the right
+    labels = lusztig_labels(ReducedWord(A3, (3, 2, 1, 3, 2, 3)))
+    assert [labels.index((3, k)) for k in (1, 2, 3)] == [5, 3, 0]
 
 
 def test_apply_move():
@@ -135,10 +136,38 @@ def test_braid_path_rejects_junk():
         braid_path(ReducedWord(A3, (1, 2, 1)), ReducedWord(A3, (2, 3, 2)))
 
 
-@pytest.mark.parametrize("build", [word_ending_in, word_starting_with])
+@pytest.mark.parametrize(
+    "build",
+    [word_ending_in, word_starting_with, lambda d, i: path_to_word_ending_in(good_word(d), i)],
+    ids=["word_ending_in", "word_starting_with", "path_to_word_ending_in"],
+)
 def test_word_builders_reject_a_label_off_the_diagram(build):
     with pytest.raises(ValueError, match=r"letters \[9\] are not node labels of A_2"):
         build(A2, 9)
+
+
+DIGEST_TYPES = (
+    [("A", n) for n in range(1, 9)]
+    + [("D", n) for n in range(4, 10)]
+    + [("E", n) for n in (6, 7, 8)]
+)
+
+
+def test_word_and_root_digest():
+    # every catalog, bad, end and start word and every root set on A1-A8,
+    # D4-D9 and E6-E8, pinned to the words the builders gave before they
+    # shared one completion routine
+    h, items = hashlib.sha256(), 0
+    for family, rank in DIGEST_TYPES:
+        datum = build_cartan(family, rank)
+        words = [good_word(datum)] + ([bad_word(datum)] if family != "A" else [])
+        words += [word_ending_in(datum, i) for i in datum.labels]
+        words += [word_starting_with(datum, i) for i in datum.labels]
+        for data in [w.letters for w in words] + [positive_roots(datum)]:
+            h.update(repr(data).encode())
+            items += 1
+    assert items == 235
+    assert h.hexdigest() == "e196f0018f36f814bd2793058a670f174b3ab90ec12ce831a95ff3ca705ce51e"
 
 
 def test_braid_path_checks_where_it_ends(monkeypatch):

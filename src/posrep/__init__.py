@@ -56,7 +56,6 @@ from .transport import (
     braid_conjugate,
     commutation_move,
     conjugation_factor,
-    transport,
 )
 from .crosscheck import closed_form_An, closed_form_Dn
 from .moddouble import (
@@ -108,7 +107,6 @@ __all__ = [
     "braid_conjugate",
     "commutation_move",
     "conjugation_factor",
-    "transport",
     "closed_form_An",
     "closed_form_Dn",
     "cross_parity_certificate",

@@ -8,6 +8,8 @@ beyond the letter's count) contribute zero and are skipped.
 
 from __future__ import annotations
 
+from functools import partial
+
 from .qtorus import QOperator, bracket, exponent, operator_from_brackets
 from .rootdata import CartanDatum
 from .words import ReducedWord, good_word, lusztig_labels
@@ -15,6 +17,13 @@ from .words import ReducedWord, good_word, lusztig_labels
 
 def _label_positions(word: ReducedWord) -> dict[tuple[int, int], int]:
     return {label: t for t, label in enumerate(lusztig_labels(word))}
+
+
+def _add_u(pos: dict[tuple[int, int], int], label: int, k: int, coef: int, acc: dict[int, int]) -> None:
+    """acc += coef * u_label^k, where ``pos`` has the label's position."""
+    if (label, k) in pos:
+        t = pos[(label, k)]
+        acc[t] = acc.get(t, 0) + coef
 
 
 def closed_form_An(datum: CartanDatum, i: int) -> tuple[QOperator, QOperator, QOperator]:
@@ -30,13 +39,7 @@ def closed_form_An(datum: CartanDatum, i: int) -> tuple[QOperator, QOperator, QO
     if datum.family != "A":
         raise ValueError("closed forms here are for type A")
     n = datum.rank
-    word = good_word(datum)
-    pos = _label_positions(word)
-
-    def u(label, k, coef, acc):
-        if (label, k) in pos:
-            t = pos[(label, k)]
-            acc[t] = acc.get(t, 0) + coef
+    u = partial(_add_u, _label_positions(good_word(datum)))
 
     e_terms = []
     for k in range(1, n - i + 2):
@@ -83,13 +86,7 @@ def closed_form_Dn(datum: CartanDatum, i: int) -> QOperator:
     if datum.family != "D":
         raise ValueError("closed forms here are for type D")
     n = datum.rank
-    word = good_word(datum)
-    pos = _label_positions(word)
-
-    def u(label, k, coef, acc):
-        if (label, k) in pos:
-            t = pos[(label, k)]
-            acc[t] = acc.get(t, 0) + coef
+    u = partial(_add_u, _label_positions(good_word(datum)))
 
     def s1(k):
         return 2 * ((k + 1) // 2) - 1

@@ -56,7 +56,7 @@ from .qtorus import (
 )
 from .rootdata import CartanDatum, _check_datum, integer_echelon, langlands_b_vectors
 from .repbuild import GeneratorTriple, Representation, build_E, build_F, build_K, f_brackets
-from .verify import relation_suite
+from .verify import _report, relation_suite
 from .words import ReducedWord, good_word, word_starting_with
 
 # Witness names of the modified suite, in the order of ``verify.STANDARD_NAMES``.
@@ -172,11 +172,7 @@ def cross_parity_certificate(rep: Representation) -> dict:
     needed.
     """
     odd = _odd_pairs(_generator_monomials(rep.gens))
-    return {
-        "check": "cross_parity",
-        "status": "pass" if not odd else "fail",
-        "witnesses": odd,
-    }
+    return _report("cross_parity", not odd, odd)
 
 
 def qtori_certificate(mrep: Representation) -> dict:
@@ -195,14 +191,7 @@ def qtori_certificate(mrep: Representation) -> dict:
         for _, expo in monos
     ]
     rank = len(integer_echelon(rows)[1])
-    ok = not odd and rank == 2 * n_pos
-    return {
-        "check": "qtori",
-        "status": "pass" if ok else "fail",
-        "rank": rank,
-        "full_rank": 2 * n_pos,
-        "witnesses": odd,
-    }
+    return _report("qtori", not odd and rank == 2 * n_pos, odd, rank=rank, full_rank=2 * n_pos)
 
 
 # ---------------------------------------------------------------------------
@@ -349,12 +338,7 @@ def verify_weyl_pattern(datum: CartanDatum, i: int) -> dict:
                 failures.append({"generator": f"F{j}", "kind": "pattern_mismatch"})
     if any(substitute_lambda(substitute_lambda(op, subs), subs) != op for op in ops):
         failures.append({"kind": "not_involutive"})
-    return {
-        "check": "weyl_pattern",
-        "node": i,
-        "status": "pass" if not failures else "fail",
-        "witnesses": failures,
-    }
+    return _report("weyl_pattern", not failures, failures, node=i)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,11 @@ def _residue_entry(name: str, i, j, op: QOperator, word: ReducedWord) -> dict:
     }
 
 
+def _report(check: str, ok: bool, witnesses: list, **extra) -> dict:
+    """A pass/fail certificate: its check name, status and witnesses."""
+    return {"check": check, "status": "pass" if ok else "fail", "witnesses": witnesses, **extra}
+
+
 # Witness names of the nine relation kinds, in the order of ``relation_suite``.
 STANDARD_NAMES = ("master", "K_e", "K_f", "e_f", "K_K", "e_e", "f_f", "serre_e", "serre_f")
 
@@ -69,7 +74,7 @@ def relation_suite(rep: Representation, check: str, names, node) -> dict:
             if datum.adjacent(i, j):
                 record(serre_e, i, j, nested_q_commutator(e_i, e_j, s_e, t_e))
                 record(serre_f, i, j, nested_q_commutator(f_i, f_j, s_f, t_f))
-    return {"check": check, "status": "pass" if not failures else "fail", "witnesses": failures}
+    return _report(check, not failures, failures)
 
 
 def check_relations(rep: Representation) -> dict:
@@ -159,8 +164,4 @@ def path_independence(datum, word_a: ReducedWord, word_b: ReducedWord) -> dict:
                         "direct": operator_text(direct, word_b),
                     }
                 )
-    return {
-        "check": "path_independence",
-        "status": "pass" if not mismatches else "fail",
-        "witnesses": mismatches,
-    }
+    return _report("path_independence", not mismatches, mismatches)

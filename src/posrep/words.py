@@ -10,6 +10,10 @@ letters of one stored E_8 word, ``_E8_WORD``; A_n and D_n catalog words are
 generated.  The end, start and bad words are completions by one routine,
 ``_completed``: fixed head and tail letters around a greedy reduced word of
 the rest of the longest element.
+
+The reduced words of the longest element fall into two classes, an even
+and an odd number of moves from the good word: every move reverses an odd
+number of adjacent roots in the reflection order, so it changes the class.
 """
 
 from __future__ import annotations
@@ -169,32 +173,30 @@ def enumerate_words(datum: CartanDatum) -> list[ReducedWord]:
 
 
 MAX_FRUITLESS_WALKS = 1000
+WALK_MOVES = 60
 
 
-def random_longest_words(datum: CartanDatum, count: int, seed: int = 0, walk: int = 60) -> list[ReducedWord]:
+def random_longest_words(datum: CartanDatum, count: int, seed: int = 0) -> list[ReducedWord]:
     """Distinct reduced words of the longest element via random move walks.
 
-    Each walk starts at the good word, which is never returned.  Raises
-    ValueError when a word admits no move, and when MAX_FRUITLESS_WALKS
-    walks in a row end on words already found (on A_2, for one, every
-    walk of even length ends on the good word).
+    The walks from the good word take WALK_MOVES + 1 and WALK_MOVES moves
+    in turn, so the words alternate between the two classes, odd class
+    first; the good word is never returned.  Raises ValueError when
+    MAX_FRUITLESS_WALKS walks in a row end on words already found (every
+    walk does on A_1, whose one word admits no move).
     """
     import random
 
     rng = random.Random(seed)
+    good = good_word(datum)
     words = []
-    seen = {good_word(datum).letters}
+    seen = {good.letters}
     fruitless = 0
     while len(words) < count:
-        w = good_word(datum)
-        for _ in range(walk):
-            moves = available_moves(w)
-            if not moves:
-                raise ValueError(
-                    f"no move applies to the word {w} of {datum.family}_{datum.rank};"
-                    f" found {len(words)} of {count} words"
-                )
-            w = apply_move(w, rng.choice(moves))
+        w = good
+        for _ in range(WALK_MOVES + 1 - len(words) % 2):
+            if moves := available_moves(w):
+                w = apply_move(w, rng.choice(moves))
         if w.letters not in seen:
             seen.add(w.letters)
             words.append(w)

@@ -20,6 +20,7 @@ strips them, so a correctness guard must be an explicit raise.
 """
 
 import ast
+import importlib
 from collections import Counter
 from pathlib import Path
 from types import ModuleType
@@ -151,6 +152,19 @@ def test_all_lists_exactly_the_imported_names():
     ]
     assert posrep.__all__ == imported
     assert [name for name in posrep.__all__ if isinstance(getattr(posrep, name), ModuleType)] == []
+
+
+def test_each_module_name_names_its_module():
+    # a re-exported function must not shadow the module it comes from
+    import posrep
+    import posrep.transport as m
+    from posrep import repbuild
+
+    assert isinstance(m, ModuleType) and m.transport is repbuild.transport
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem not in ("__init__", "__main__"):
+            module = importlib.import_module(f"posrep.{path.stem}")
+            assert getattr(posrep, path.stem) is module, path.stem
 
 
 def asserts(source: str) -> list[int]:

@@ -310,28 +310,42 @@ def test_move_paths_past_the_recursion_limit():
 # ---------------------------------------------------------------------------
 
 def test_random_longest_words_pinned():
-    # recorded before the walk could raise: the draws, and so the words, did not change
+    # recorded when the walks began to alternate 61 and 60 moves
     assert [w.letters for w in random_longest_words(D4, 3, seed=0)] == [
-        (2, 0, 1, 2, 3, 1, 0, 2, 0, 1, 2, 3),
+        (2, 0, 1, 2, 3, 1, 0, 2, 1, 0, 2, 3),
         (1, 0, 3, 2, 0, 3, 1, 2, 1, 3, 0, 2),
-        (1, 0, 2, 3, 1, 2, 0, 2, 1, 3, 2, 3),
+        (1, 0, 2, 3, 1, 2, 0, 2, 3, 1, 2, 3),
     ]
 
 
 def test_random_longest_words_raise_without_a_new_word():
-    with pytest.raises(ValueError, match=r"no move applies to the word 1 of A_1; found 0 of 1 words"):
-        random_longest_words(build_cartan("A", 1), 1)
-    # A2's two words alternate, so a walk of even length ends on the good word
+    # A1's one word admits no move, so every walk ends on the good word
     with pytest.raises(
-        ValueError, match=f"{MAX_FRUITLESS_WALKS} walks in a row found no new word of A_2; found 0 of 1 words"
+        ValueError, match=f"{MAX_FRUITLESS_WALKS} walks in a row found no new word of A_1; found 0 of 1 words"
     ):
-        random_longest_words(A2, 1)
-    assert [w.letters for w in random_longest_words(A2, 1, walk=61)] == [(1, 2, 1)]
-    # A3's 16 longest words split 8 + 8, each move crossing over, so a walk
-    # of odd length reaches only the 8 on the other side of the good word
-    assert len(random_longest_words(A3, 8, walk=61)) == 8
-    with pytest.raises(ValueError, match="found 8 of 9 words"):
-        random_longest_words(A3, 9, walk=61)
+        random_longest_words(build_cartan("A", 1), 1)
+    # A2's two words lie in opposite classes: the first walk finds the
+    # other word, and the second, of even length, only the good word
+    assert [w.letters for w in random_longest_words(A2, 1)] == [(1, 2, 1)]
+    with pytest.raises(ValueError, match="found 1 of 2 words"):
+        random_longest_words(A2, 2)
+    # A3's 16 words split 8 + 8, so 15 alternating draws take all but the
+    # good word, and a 16th even-class draw finds nothing new
+    words = random_longest_words(A3, 15)
+    assert {w.letters for w in words} == {w.letters for w in enumerate_words(A3)} - {good_word(A3).letters}
+    assert len(words) == 15
+    with pytest.raises(ValueError, match="found 15 of 16 words"):
+        random_longest_words(A3, 16)
+
+
+@pytest.mark.parametrize("family,rank", [("D", 4), ("D", 5), ("E", 6), ("E", 7), ("E", 8)])
+def test_random_longest_words_alternate_classes(family, rank):
+    # every move is an odd permutation of the reflection order, so the
+    # parity of any move path from the good word is the word's class
+    datum = build_cartan(family, rank)
+    good = good_word(datum)
+    words = random_longest_words(datum, 5, seed=rank)
+    assert [len(braid_path(good, w)) % 2 for w in words] == [1, 0, 1, 0, 1]
 
 
 def test_bad_word_shape():

@@ -52,11 +52,7 @@ from .repbuild import (
     classical_render,
     operator_text,
 )
-from .transport import (
-    braid_conjugate,
-    commutation_move,
-    conjugation_factor,
-)
+from .transport import conjugation_factor
 from .crosscheck import closed_form_An, closed_form_Dn
 from .moddouble import (
     cross_parity_certificate,
@@ -104,8 +100,6 @@ __all__ = [
     "build_rep",
     "classical_render",
     "operator_text",
-    "braid_conjugate",
-    "commutation_move",
     "conjugation_factor",
     "closed_form_An",
     "closed_form_Dn",

@@ -299,15 +299,6 @@ def _braid_inplace(terms: dict, frame: tuple[int, int, int]) -> None:
         raise RuntimeError(f"braid images met existing monomials at frame {frame}")
 
 
-def _apply(terms: dict, slot: list[int], move: BraidMove) -> None:
-    """Apply one move to terms in slot coordinates and to the slot list."""
-    p = move.pos
-    if move.kind == "commute":
-        slot[p], slot[p + 1] = slot[p + 1], slot[p]
-    else:
-        _braid_inplace(terms, (slot[p], slot[p + 1], slot[p + 2]))
-
-
 def _relabel(terms: dict, slot: list[int]) -> dict:
     """A copy of ``terms`` whose field p reads field slot[p] in every u/p int."""
     copies = [(p, q) for p, q in enumerate(slot) if p != q]
@@ -325,27 +316,6 @@ def _start(op: QOperator, n: int, path: list) -> tuple[dict, list[int]]:
         if kind == "commute" and 0 <= p < n - 1:
             end[p], end[p + 1] = end[p + 1], end[p]
     return _relabel(op.terms, end), sorted(range(n), key=end.__getitem__)
-
-
-def _operator(terms: dict) -> QOperator:
-    """The operator of position-coordinate ``terms``."""
-    return QOperator({QExponent._make(key): coef for key, coef in terms.items()})
-
-
-def _one_move(op: QOperator, move: BraidMove) -> QOperator:
-    terms, slot = _start(op, move.pos + 3, [move])
-    _apply(terms, slot, move)
-    return _operator(terms)
-
-
-def braid_conjugate(op: QOperator, pos: int) -> QOperator:
-    """Transform an operator across one braid move at positions pos..pos+2."""
-    return _one_move(op, BraidMove(pos, "braid"))
-
-
-def commutation_move(op: QOperator, pos: int) -> QOperator:
-    """Swap the position labels pos and pos+1 in all exponents."""
-    return _one_move(op, BraidMove(pos, "commute"))
 
 
 def transport(
@@ -369,12 +339,17 @@ def transport(
     for step, move in enumerate(path):
         _check_move(datum, letters, move)
         _apply_move_letters(letters, move)
-        _apply(terms, slot, move)
+        p = move.pos
+        if move.kind == "commute":
+            slot[p], slot[p + 1] = slot[p + 1], slot[p]
+        else:
+            _braid_inplace(terms, (slot[p], slot[p + 1], slot[p + 2]))
         if trace is not None:
             trace.append((move, ReducedWord(datum, tuple(letters)), len(terms)))
         if len(terms) > budget:
             raise TermBudgetError(len(terms), step, move, budget)
-    return _operator(terms), ReducedWord(datum, tuple(letters))
+    out = QOperator({QExponent._make(key): coef for key, coef in terms.items()})
+    return out, ReducedWord(datum, tuple(letters))
 
 
 def format_trace(trace: list) -> str:

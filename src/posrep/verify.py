@@ -110,20 +110,13 @@ def q2_chain_certificate(op: QOperator) -> dict:
     with whether it is at least all-even.
     """
     expos = op.exponents()
-    n = len(expos)
     exps = pairing_matrix(expos, expos)
     multiset = sorted(s for a, row in enumerate(exps) for s in row[a + 1:])
     all_even = all(s % 2 == 0 for s in multiset)
     chain = all(abs(s) == 2 for s in multiset)
     if chain:
-        wins = [0] * n
-        for a, row in enumerate(exps):
-            for b in range(a + 1, n):
-                if row[b] == 2:
-                    wins[a] += 1
-                else:
-                    wins[b] += 1
-        order = sorted(range(n), key=lambda a: -wins[a])
+        # exponents are antisymmetric, so a row's +2 entries are its wins
+        order = sorted(range(len(expos)), key=lambda a: -exps[a].count(2))
         ok = all(exps[a][b] == 2 for pos, a in enumerate(order) for b in order[pos + 1 :])
         if ok:
             return {"check": "q2_chain", "status": "pass", "order": order, "even": True}

@@ -46,6 +46,7 @@ class ReducedWord:
     letters: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "letters", tuple(self.letters))
         self.datum.check_labels(self.letters)
 
     def __len__(self) -> int:

@@ -42,9 +42,11 @@ from posrep.qtorus import (
 )
 from posrep.repbuild import build_E, build_rep
 from posrep.rootdata import build_cartan
-from posrep.transport import braid_conjugate, transport
+from posrep.transport import transport
 from posrep.verify import check_relations, path_independence, q2_chain_certificate
 from posrep.words import (
+    BraidMove,
+    ReducedWord,
     bad_word,
     braid_path,
     enumerate_words,
@@ -124,17 +126,19 @@ def test_criterion_3_f_term_counts():
 
 
 def test_criterion_4_rank2_oracles():
+    a2 = ReducedWord(build_cartan("A", 2), (1, 2, 1))
+    braid = [BraidMove(0, "braid")]
     single = expand_bracket(bracket(l_alpha={2: 1}, shift={2: -1}))
-    out = braid_conjugate(single, 0)
+    out, moved = transport(single, a2, braid)
     assert out == operator_from_brackets(
         [
             bracket(l_alpha={0: 1}, shift={0: -1, 1: -1, 2: 1}),
             bracket(l_alpha={1: 1, 2: -1}, shift={1: -1}),
         ]
     )
-    assert braid_conjugate(out, 0) == single
+    assert transport(out, moved, braid)[0] == single
     double = expand_bracket(bracket(l_alpha={0: -1, 2: 1}, shift={1: 1, 2: -1}))
-    out2 = braid_conjugate(double, 0)
+    out2, moved = transport(double, a2, braid)
     two_q = VLaurent.q_power(1) + VLaurent.q_power(-1)
     assert out2 == operator_from_brackets(
         [
@@ -143,7 +147,7 @@ def test_criterion_4_rank2_oracles():
             bracket(l_alpha={0: 2, 1: -1}, shift={0: -1, 1: -1, 2: 2}),
         ]
     )
-    assert braid_conjugate(out2, 0) == double
+    assert transport(out2, moved, braid)[0] == double
     _ok("criterion 4 (rank-2 oracles)", "single + double braid rules exact, involutive")
 
 

@@ -63,6 +63,7 @@ def test_vlaurent_arithmetic():
     assert VLaurent(1, (1,)) * VLaurent(-1, (1,)) == ONE
 
 
+@settings(deadline=None)
 @given(st.lists(st.tuples(st.integers(-4, 4), st.integers(-3, 3)), max_size=4),
        st.lists(st.tuples(st.integers(-4, 4), st.integers(-3, 3)), max_size=4))
 def test_vlaurent_mul_commutative(a, b):
@@ -87,6 +88,7 @@ def _assert_sparse(vec, expected: dict):
     assert all(v.__class__ is int for _, v in vec if Fraction(v).denominator == 1)
 
 
+@settings(deadline=None)
 @given(lam_dicts, lam_dicts, st.booleans(), lam_values)
 def test_sparse_helpers_match_a_dense_oracle(a, b, cancel, c):
     if cancel:  # b cancels a at its even labels, so those sums drop out
@@ -142,18 +144,21 @@ def test_mul_vs_commutation_consistency():
 small_vec = st.dictionaries(st.integers(0, 3), st.integers(-2, 2), max_size=3)
 
 
+@settings(deadline=None)
 @given(small_vec, small_vec, small_vec, small_vec, small_vec, small_vec)
 def test_mul_associative(a1, g1, a2, g2, a3, g3):
     m1, m2, m3 = (mono(alpha=a, gamma=g) for a, g in ((a1, g1), (a2, g2), (a3, g3)))
     assert (m1 * m2) * m3 == m1 * (m2 * m3)
 
 
+@settings(deadline=None)
 @given(small_vec, small_vec, small_vec, small_vec)
 def test_pairing_antisymmetric(a1, g1, a2, g2):
     e1, e2 = exponent(a1, g1), exponent(a2, g2)
     assert commutation_exponent(e1, e2) == -commutation_exponent(e2, e1)
 
 
+@settings(deadline=None)
 @given(small_vec, small_vec, small_vec, small_vec, small_vec, small_vec)
 def test_pairing_bilinear(a1, g1, a2, g2, a3, g3):
     e1, e2, e3 = exponent(a1, g1), exponent(a2, g2), exponent(a3, g3)
@@ -205,6 +210,7 @@ ell_dicts = st.dictionaries(
 )
 
 
+@settings(deadline=None)
 @given(st.lists(st.tuples(packed_dicts, packed_dicts, ell_dicts), max_size=12))
 def test_canonical_order_is_dense_lexicographic(parts):
     # monomials() lists exponents by (alpha, gamma, ell), each part
@@ -264,6 +270,7 @@ monomial = st.builds(
 operator = st.lists(monomial, max_size=4).map(QOperator.from_monomials)
 
 
+@settings(deadline=None)
 @given(operator, operator, st.integers(-6, 6))
 def test_q_commutator_matches_products(x, y, t):
     assert q_commutator(x, y, t) == x * y - (y * x).scale_v(t)

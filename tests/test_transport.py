@@ -47,8 +47,6 @@ from posrep.transport import (
     _braid_pipeline_loc,
     _conjugate_loc,
     _relabel,
-    braid_conjugate,
-    commutation_move,
     conjugation_factor,
     term_budget,
     transport,
@@ -66,10 +64,12 @@ from posrep.words import (
     path_to_word_ending_in,
 )
 
-# the package's ``transport`` attribute is the function, so fetch the module
 transport_module = importlib.import_module("posrep.transport")
 
 TWO_Q = VLaurent.q_power(1) + VLaurent.q_power(-1)
+# the A2 word whose braid frame is positions 0, 1, 2, and its one braid move
+A2_WORD = ReducedWord(build_cartan("A", 2), (1, 2, 1))
+BRAID_0 = [BraidMove(0, "braid")]
 
 
 def test_conjugation_factor_table():
@@ -95,7 +95,7 @@ def test_quartic_factor_middle_coefficient():
 def test_single_braid_rule():
     # [w]e(-p_w) -> [u]e(-p_u - p_v + p_w) + [v - w]e(-p_v)
     op = expand_bracket(bracket(l_alpha={2: 1}, shift={2: -1}))
-    out = braid_conjugate(op, 0)
+    out, _ = transport(op, A2_WORD, BRAID_0)
     assert out == operator_from_brackets(
         [
             bracket(l_alpha={0: 1}, shift={0: -1, 1: -1, 2: 1}),
@@ -106,14 +106,15 @@ def test_single_braid_rule():
 
 def test_single_braid_involution():
     op = expand_bracket(bracket(l_alpha={2: 1}, shift={2: -1}))
-    assert braid_conjugate(braid_conjugate(op, 0), 0) == op
+    out, moved = transport(op, A2_WORD, BRAID_0)
+    assert transport(out, moved, BRAID_0)[0] == op
 
 
 def test_double_braid_expansion():
     # [w - u]e(p_v - p_w) picks up a [2]_q term through the quartic factors;
     # the naive doubled-variable quantization would miss the middle term.
     op = expand_bracket(bracket(l_alpha={0: -1, 2: 1}, shift={1: 1, 2: -1}))
-    out = braid_conjugate(op, 0)
+    out, moved = transport(op, A2_WORD, BRAID_0)
     expected = operator_from_brackets(
         [
             bracket(l_alpha={1: 1, 2: -2}, shift={0: 1, 1: -1}),
@@ -122,12 +123,12 @@ def test_double_braid_expansion():
         ]
     )
     assert out == expected
-    assert braid_conjugate(out, 0) == op
+    assert transport(out, moved, BRAID_0)[0] == op
 
 
 def test_double_braid_output_pairings_even():
     op = expand_bracket(bracket(l_alpha={0: -1, 2: 1}, shift={1: 1, 2: -1}))
-    monos = braid_conjugate(op, 0).monomials()
+    monos = transport(op, A2_WORD, BRAID_0)[0].monomials()
     for a in range(len(monos)):
         for b in range(a + 1, len(monos)):
             assert commutation_exponent(monos[a].expo, monos[b].expo) % 2 == 0
@@ -139,7 +140,7 @@ def test_frame_relabel_preserves_pairing():
         expand_bracket(bracket(l_alpha={0: 1, 1: -1}, l_ell={1: -2}, shift={1: 1})),
     ]
     before = [m.expo for op in ops for m in op.monomials()]
-    after = [m.expo for op in ops for m in braid_conjugate(op, 0).monomials()]
+    after = [m.expo for op in ops for m in transport(op, A2_WORD, BRAID_0)[0].monomials()]
     # conjugation + relabeling is symplectic on these frames
     n = len(before)
     for a in range(n):
@@ -155,15 +156,16 @@ def test_odd_pairing_rejected():
     )
     bad = QOperator.monomial(op.single_monomial().expo._replace(gamma=pack_entries({2: -2})))
     with pytest.raises(OddPairingError):
-        braid_conjugate(bad, 0)
+        transport(bad, A2_WORD, BRAID_0)
 
 
 def test_unbalanced_sum_is_not_transportable():
     # one half of a transformed pair alone leaves a binomial denominator
-    full = braid_conjugate(expand_bracket(bracket(l_alpha={2: 1}, shift={2: -1})), 0)
+    op = expand_bracket(bracket(l_alpha={2: 1}, shift={2: -1}))
+    full, moved = transport(op, A2_WORD, BRAID_0)
     half = QOperator.monomial(full.monomials()[0].expo)
     with pytest.raises(NonPolynomialError):
-        braid_conjugate(half, 0)
+        transport(half, moved, BRAID_0)
 
 
 # ---------------------------------------------------------------------------
@@ -216,12 +218,14 @@ def test_outer_conjugation_undoes_inner():
 
 
 def test_commutation_move_involution():
+    # the D4 catalog word: letters 0 and 1 commute at positions 0 and 8
+    d4 = ReducedWord(build_cartan("D", 4), (0, 1, 2, 0, 1, 2, 3, 2, 0, 1, 2, 3))
     op = expand_bracket(bracket(l_alpha={0: 1, 3: -2}, shift={0: -1}))
-    swapped = commutation_move(op, 0)
+    swapped, moved = transport(op, d4, [BraidMove(0, "commute")])
     assert swapped != op
-    assert commutation_move(swapped, 0) == op
+    assert transport(swapped, moved, [BraidMove(0, "commute")])[0] == op
     # positions not involved are untouched
-    assert commutation_move(op, 5) == op
+    assert transport(op, d4, [BraidMove(8, "commute")])[0] == op
 
 
 def test_transport_empty_path():
@@ -266,9 +270,10 @@ def test_commutation_move_matches_direct_build():
     src = ReducedWord(datum, (2, 1, 3, 2, 1, 3))
     dst = ReducedWord(datum, (2, 3, 1, 2, 1, 3))
     assert src.letters[1:3] == (1, 3) and dst.letters[1:3] == (3, 1)
+    swap = [BraidMove(1, "commute")]
     for i in datum.labels:
-        assert commutation_move(build_F(src, i), 1) == build_F(dst, i)
-        assert commutation_move(build_E(src, i), 1) == build_E(dst, i)
+        assert transport(build_F(src, i), src, swap) == (build_F(dst, i), dst)
+        assert transport(build_E(src, i), src, swap) == (build_E(dst, i), dst)
 
 
 E6_GREEDY = (3, 4, 2, 3, 1, 2, 0, 3, 4, 5, 4, 3, 2, 0, 3, 4, 1, 2, 3, 0,
@@ -334,11 +339,11 @@ def _slot_permutation(n: int, path) -> list[int]:
     return slot
 
 
-def _fold(op, path):
-    """Apply a path one move at a time through the one-move wrappers."""
+def _fold(op, word, path):
+    """Apply a path one transport per move, carrying the word: each move
+    relabels on its own, where ``transport`` relabels once for the path."""
     for move in path:
-        step = braid_conjugate if move.kind == "braid" else commutation_move
-        op = step(op, move.pos)
+        op, word = transport(op, word, [move])
     return op
 
 
@@ -352,7 +357,7 @@ def test_transport_equals_fold_of_single_moves(data):
     op, start, path, end = _random_case(data)
     out, word = transport(op, start, path)
     assert word.letters == end.letters
-    assert out == _fold(op, path)
+    assert out == _fold(op, start, path)
 
 
 @PROPERTY
@@ -412,7 +417,7 @@ def test_transport_equals_fold_on_d_bad_word(rank):
     op = build_E_rightmost(end_word, 2)
     out, back = transport(op, end_word, reversed(moves))
     assert back.letters == word.letters
-    assert out == _fold(op, reversed(moves))
+    assert out == _fold(op, end_word, reversed(moves))
     assert len(out) == {5: 94, 6: 328}[rank]
     assert transport(out, word, moves)[0] == op
 
@@ -698,7 +703,7 @@ def test_braid_output_outside_the_field_raises():
     assert min(v for out, _ in image for v in out) == -SLOT_BIAS
     op = QOperator.monomial(exponent(alpha={0: 0, 1: -FIELD_MAX}, gamma={0: -1, 2: -1}))
     with pytest.raises(SlotOverflowError):
-        braid_conjugate(op, 0)
+        transport(op, A2_WORD, BRAID_0)
     assert ((loc, VLaurent.one()),) not in _PIPELINE_CACHE
 
 
@@ -801,5 +806,5 @@ def test_transport_equals_the_step_by_step_composition(family, rank, seed):
         for build in (build_E, build_F, build_K):
             op = build(start, i)
             out, end = transport(op, start, path)
-            assert out == _fold(op, path)
+            assert out == _fold(op, start, path)
             assert out == build(end, i)

@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+from posrep.repbuild import build_rep
 from posrep.rootdata import build_cartan, positive_root_count, positive_roots, weyl_from_word
 from posrep.words import (
     MAX_FRUITLESS_WALKS,
@@ -182,6 +183,15 @@ def test_words_reject_letters_off_the_diagram_and_mixed_data():
         ReducedWord(A2, (1, 9))
     with pytest.raises(ValueError, match="different Cartan data"):
         braid_path(good_word(A2), good_word(A3))
+
+
+def test_words_store_their_letters_as_a_tuple():
+    listed = ReducedWord(A2, [2, 1, 2])
+    assert listed == ReducedWord(A2, (2, 1, 2))
+    assert hash(listed) == hash(ReducedWord(A2, (2, 1, 2)))
+    assert braid_path(ReducedWord(A2, (1, 2, 1)), listed) == [BraidMove(0, "braid")]
+    assert build_rep(A2, ReducedWord(A2, [1, 2, 1])).word.letters == (1, 2, 1)
+    assert ReducedWord(A2, (i for i in (1, 2, 1))).letters == (1, 2, 1)
 
 
 def test_braid_path_rejects_a_target_that_is_not_reduced():

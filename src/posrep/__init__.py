@@ -14,7 +14,6 @@ from .qtorus import (
     QOperator,
     VLaurent,
     bracket,
-    commutation_exponent,
     expand_bracket,
     nested_q_commutator,
     operator_from_brackets,
@@ -69,7 +68,6 @@ __all__ = [
     "QOperator",
     "VLaurent",
     "bracket",
-    "commutation_exponent",
     "expand_bracket",
     "nested_q_commutator",
     "operator_from_brackets",

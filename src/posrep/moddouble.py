@@ -110,11 +110,10 @@ def check_modified_relations(mrep: Representation) -> dict:
 # Parity and q-tori certificates.
 # ---------------------------------------------------------------------------
 
-def _generator_monomials(gens: dict) -> list[tuple[str, QExponent]]:
+def _generator_monomials(rep: Representation) -> list[tuple[str, QExponent]]:
     return [
         (f"{kind}{i}", mono.expo)
-        for i, triple in gens.items()
-        for kind, op in zip("EFK", triple)
+        for (kind, i), op in rep.all_operators()
         for mono in op.monomials()
     ]
 
@@ -171,7 +170,7 @@ def cross_parity_certificate(rep: Representation) -> dict:
     unmodified ones the odd pairs are the witnesses that the twist is
     needed.
     """
-    odd = _odd_pairs(_generator_monomials(rep.gens))
+    odd = _odd_pairs(_generator_monomials(rep))
     return _report("cross_parity", not odd, odd)
 
 
@@ -183,7 +182,7 @@ def qtori_certificate(mrep: Representation) -> dict:
     the word length (the central lambda slots are scalars, not torus
     directions): a family missing a generator spans less and fails.
     """
-    monos = _generator_monomials(mrep.gens)
+    monos = _generator_monomials(mrep)
     odd = _odd_pairs(monos)
     n_pos = len(mrep.word.letters)
     rows = [
@@ -216,7 +215,7 @@ def commutant_check(datum: CartanDatum, mrep: Representation) -> dict:
     _check_datum(datum, mrep.datum, "the representation")
     bvecs = langlands_b_vectors(datum)
     labels = datum.labels
-    monos = _generator_monomials(mrep.gens)
+    monos = _generator_monomials(mrep)
     # plain[j][m]: the u-part of Kbar_j against the p-part of monomial m
     kbars = [QExponent(mrep.gens[j].K.single_monomial().expo.alpha, 0, ()) for j in labels]
     plain = pairing_matrix(kbars, [expo for _, expo in monos])

@@ -499,13 +499,9 @@ def _check_products(tx: _Rows, ty: _Rows, nx: int = 1) -> None:
 
 
 def pairing_matrix(xs, ys) -> list[tuple[int, ...]]:
-    """commutation_exponent(x, y) for every x of ``xs`` (rows) and y of ``ys``."""
+    """The commutation exponent s of every x of ``xs`` (rows) with every y
+    of ``ys`` (columns): x*y = q**s * y*x; the lambda part is central."""
     return list(_pairing_rows(_Rows(xs), _Rows(ys)))
-
-
-def commutation_exponent(e1: QExponent, e2: QExponent) -> int:
-    """s with m1*m2 = q**s * m2*m1; the lambda part is central."""
-    return pairing_matrix((e1,), (e2,))[0][0]
 
 
 def canonical_order(exponents: Iterable[QExponent]) -> tuple[QExponent, ...]:
@@ -568,8 +564,8 @@ class QOperator:
         return QOperator({EXP_ONE: VLaurent.one()})
 
     @staticmethod
-    def monomial(expo: QExponent, coeff: VLaurent | None = None) -> QOperator:
-        return QOperator({expo: coeff if coeff is not None else VLaurent.one()})
+    def monomial(expo: QExponent) -> QOperator:
+        return QOperator({expo: VLaurent.one()})
 
     @staticmethod
     def from_monomials(monos: Iterable[tuple[QExponent, VLaurent]]) -> QOperator:
@@ -607,9 +603,6 @@ class QOperator:
     def __eq__(self, other) -> bool:
         return isinstance(other, QOperator) and self.terms == other.terms
 
-    def __hash__(self):
-        raise TypeError("QOperator is not hashable")
-
     def __repr__(self) -> str:
         n = len(self.terms)
         return f"<QOperator with {n} monomial{'s' if n != 1 else ''}>"
@@ -626,8 +619,6 @@ class QOperator:
         return self + (-other)
 
     def scale(self, coeff: VLaurent) -> QOperator:
-        if not coeff.coeffs:
-            return QOperator()
         return QOperator({e: c * coeff for e, c in self.terms.items()})
 
     def scale_v(self, k: int) -> QOperator:

@@ -102,7 +102,6 @@ def build_K(word: ReducedWord, i: int) -> QOperator:
 
 def build_E(word: ReducedWord, i: int) -> QOperator:
     """E_i on an arbitrary word: built on a word ending in i, then moved back."""
-    word.datum.check_labels((i,))
     moves, end_word = path_to_word_ending_in(word, i)
     op = build_E_rightmost(end_word, i)
     op, back = transport(op, end_word, reversed(moves))

@@ -97,12 +97,11 @@ def _edges(family: str, rank: int) -> list[tuple[int, int]]:
     return [(i, i + 1) for i in range(1, rank - 1)] + [(0, 3)]
 
 
-def build_cartan(family: str, rank: int, flip_bipartition: bool = False) -> CartanDatum:
+def build_cartan(family: str, rank: int) -> CartanDatum:
     """Construct the Cartan datum for a simply-laced type.
 
-    The bipartition weights alternate along edges; by default the smallest
-    label gets weight 0, and ``flip_bipartition`` selects the other
-    orientation.
+    The bipartition weights alternate along edges, and the smallest label
+    gets weight 0.
     """
     family = family.upper()
     ok = (
@@ -119,7 +118,7 @@ def build_cartan(family: str, rank: int, flip_bipartition: bool = False) -> Cart
         adj[i].add(j)
         adj[j].add(i)
     # Proper 2-coloring by BFS from the smallest label (the diagram is a tree).
-    color = {labels[0]: 1 if flip_bipartition else 0}
+    color = {labels[0]: 0}
     queue = [labels[0]]
     while queue:
         i = queue.pop()

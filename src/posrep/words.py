@@ -388,7 +388,11 @@ def path_to_word_ending_in(word: ReducedWord, i: int) -> tuple[list[BraidMove], 
     word.datum.check_labels((i,))
     letters = list(reversed(word.letters))
     mirrored: list[BraidMove] = []
-    _force_first(word.datum, letters, 0, i, mirrored)
+    try:
+        _force_first(word.datum, letters, 0, i, mirrored)
+    except IndexError:
+        # _force_first ran past the end: i is not a right descent of the word
+        raise NotReducedError(f"no move sequence brings {i} to the end of the word {word}") from None
     n = len(letters)
     moves = [BraidMove(n - 2 - p if kind == "commute" else n - 3 - p, kind) for p, kind in mirrored]
     return moves, ReducedWord(word.datum, tuple(reversed(letters)))

@@ -1,10 +1,17 @@
-"""Fixtures shared by more than one test module."""
+"""Fixtures and helpers shared by more than one test module."""
+
+import dataclasses
 
 import pytest
 
 from posrep.repbuild import build_E
 from posrep.rootdata import build_cartan
 from posrep.words import bad_word
+
+
+def flipped(datum):
+    """``datum`` with the other orientation of its bipartition."""
+    return dataclasses.replace(datum, bipartition=tuple((i, 1 - n) for i, n in datum.bipartition))
 
 
 @pytest.fixture(scope="session")

@@ -14,6 +14,7 @@ on E8 is skipped until its bad word fits the term budget.
 """
 
 import os
+import random
 from collections import Counter
 
 import pytest
@@ -34,25 +35,26 @@ from posrep.moddouble import (
 from posrep.qtorus import (
     VLaurent,
     bracket,
-    commutation_exponent,
     expand_bracket,
     operator_from_brackets,
     sparse,
     term_count,
 )
 from posrep.repbuild import build_E, build_rep
-from posrep.rootdata import build_cartan
+from posrep.rootdata import build_cartan, right_descents, weyl_identity, weyl_right_mul
 from posrep.transport import transport
 from posrep.verify import check_relations, path_independence, q2_chain_certificate
 from posrep.words import (
     BraidMove,
     ReducedWord,
+    _completed,
     bad_word,
     braid_path,
     enumerate_words,
     good_word,
     random_longest_words,
 )
+from conftest import flipped
 
 LONG = os.environ.get("POSREP_LONG") == "1"
 
@@ -214,7 +216,8 @@ def test_criterion_7_bad_word_e8():
 def test_criterion_8_modular_double_certificates():
     for family, rank in [("A", 1), ("A", 2), ("A", 3), ("D", 4)]:
         for flip in (False, True):
-            datum = build_cartan(family, rank, flip_bipartition=flip)
+            datum = build_cartan(family, rank)
+            datum = flipped(datum) if flip else datum
             mrep = build_modified(build_rep(datum, good_word(datum)))
             assert check_modified_relations(mrep)["status"] == "pass", (family, rank, flip)
             assert cross_parity_certificate(mrep)["status"] == "pass"
@@ -249,6 +252,38 @@ def test_criterion_10_commutant():
                 if name not in (f"E{target}", f"F{target}"):
                     assert values == [0]
     _ok("criterion 10 (Langlands commutant)", "rank <= 6 types: strong commutation certified")
+
+
+def _random_completion(datum, seed):
+    """A reduced word of w0 ending in a random tail of 12-20 ascending
+    letters, completed greedily in front."""
+    rng = random.Random(seed)
+    w, tail = weyl_identity(datum), []
+    for _ in range(rng.randint(12, 20)):
+        i = rng.choice([j for j in datum.labels if j not in right_descents(datum, w)])
+        tail.append(i)
+        w = weyl_right_mul(datum, w, i)
+    return _completed(datum, (), tuple(tail))
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("family,rank", [("D", 5), ("D", 6), ("E", 6)])
+def test_criteria_6_and_8_to_10_on_random_completions(family, rank, seed):
+    """Completions of random tails are far harder words than the walks of
+    ``random_longest_words``: E brackets of up to about 3,750 terms on E6,
+    against 11 on its catalog word, yet all six words take about 3 s.  The
+    modified relation suite runs on D5 only: on the D6 words it takes 5-16 s
+    each, too slow for tier-1 until relation suites get cheaper."""
+    datum = build_cartan(family, rank)
+    word = _random_completion(datum, seed)
+    assert path_independence(datum, good_word(datum), word)["status"] == "pass", word
+    mrep = build_modified(build_rep(datum, word))
+    if (family, rank) == ("D", 5):
+        assert check_modified_relations(mrep)["status"] == "pass", word
+    assert cross_parity_certificate(mrep)["status"] == "pass", word
+    qtori = qtori_certificate(mrep)
+    assert qtori["status"] == "pass" and qtori["rank"] == 2 * len(word) == qtori["full_rank"], word
+    assert commutant_check(datum, mrep)["status"] == "pass", word
 
 
 def test_criteria_8_to_10_on_d8_e7_e8():

@@ -28,7 +28,6 @@ from posrep.qtorus import (
     QOperator,
     SlotOverflowError,
     VLaurent,
-    commutation_exponent,
     entries,
     exponent,
     operator_from_brackets,
@@ -42,11 +41,13 @@ from posrep.qtorus import (
 from posrep.repbuild import build_E, build_F, build_K, build_rep, f_brackets, operator_text
 from posrep.rootdata import build_cartan
 from posrep.words import ReducedWord, good_word
+from conftest import flipped
 from test_rootdata import _row_reduce_oracle
 
 
 def rep_for(family, rank, flip=False):
-    datum = build_cartan(family, rank, flip_bipartition=flip)
+    datum = build_cartan(family, rank)
+    datum = flipped(datum) if flip else datum
     return build_rep(datum, good_word(datum))
 
 
@@ -169,7 +170,7 @@ def test_odd_pairs_match_the_dense_oracle(family):
 
 @pytest.mark.parametrize("family,rank,count", [("A", 2, 28), ("D", 4, 340), ("E", 6, 2544)])
 def test_odd_pairs_match_the_oracle_on_unmodified_reps(family, rank, count):
-    monos = _generator_monomials(rep_for(family, rank).gens)
+    monos = _generator_monomials(rep_for(family, rank))
     witnesses = _odd_pairs(monos)
     assert witnesses == _odd_pairs_oracle(monos)
     assert len(witnesses) == count
@@ -183,15 +184,18 @@ def test_cross_parity_names_an_odd_u_entry():
     pos = next(p for p, x in enumerate(unpack(expo.alpha, 12)) if x % 2 == 0)
     odd_k = QOperator.monomial(expo._replace(alpha=expo.alpha + (1 << (SLOT_BITS * pos))))
     gens = {**mrep.gens, 2: mrep.gens[2]._replace(K=odd_k)}
-    report = cross_parity_certificate(replace(mrep, gens=gens))
+    odd_rep = replace(mrep, gens=gens)
+    report = cross_parity_certificate(odd_rep)
     assert report["status"] == "fail"
-    monos = _generator_monomials(gens)
+    monos = _generator_monomials(odd_rep)
+    expos = [expo for _, expo in monos]
+    pairing = pairing_matrix(expos, expos)
     expected = [
         {"pair": [monos[a][0], monos[b][0]], "exponent": s}
         for a in range(len(monos))
         for b in range(a + 1, len(monos))
         if "K2" in (monos[a][0], monos[b][0])
-        for s in [commutation_exponent(monos[a][1], monos[b][1])]
+        for s in [pairing[a][b]]
         if s % 2
     ]
     assert report["witnesses"] == expected != []
@@ -228,7 +232,7 @@ def test_qtori_fails_below_full_rank():
     # without label 3's triple (the trivalent node) the E6 family spans 67 of 72
     mrep = build_modified(rep_for("E", 6))
     partial = replace(mrep, gens={i: t for i, t in mrep.gens.items() if i != 3})
-    rows = [unpack(e.alpha, 36) + unpack(e.gamma, 36) for _, e in _generator_monomials(partial.gens)]
+    rows = [unpack(e.alpha, 36) + unpack(e.gamma, 36) for _, e in _generator_monomials(partial)]
     oracle_rank = len(_row_reduce_oracle(rows)[1])
     report = qtori_certificate(partial)
     assert not report["witnesses"]

@@ -18,7 +18,6 @@ from posrep.qtorus import (
     SlotOverflowError,
     VLaurent,
     bracket,
-    commutation_exponent,
     expand_bracket,
     entries,
     exponent,
@@ -40,8 +39,8 @@ from posrep.words import good_word
 ONE = VLaurent.one()
 
 
-def mono(alpha=(), gamma=(), ell=(), coeff=None):
-    return QOperator.monomial(exponent(dict(alpha), dict(gamma), dict(ell)), coeff)
+def mono(alpha=(), gamma=(), ell=(), coeff=ONE):
+    return QOperator({exponent(dict(alpha), dict(gamma), dict(ell)): coeff})
 
 
 # ---------------------------------------------------------------------------
@@ -115,11 +114,12 @@ def test_sparse_sums_that_cancel_or_become_integral():
 def test_commutation_exponent_basic():
     u = exponent(alpha={0: 1})
     p2 = exponent(gamma={0: 1})           # e^{2 pi b p}
-    assert commutation_exponent(u, p2) == 1
-    # full torus pair: e^{2 pi b u} and e^{2 pi b p} q^2-commute
     ubar = exponent(alpha={0: 2})
-    assert commutation_exponent(ubar, p2) == 2
-    assert commutation_exponent(u, u) == 0
+    (u_p2, u_u), (ubar_p2, _) = pairing_matrix([u, ubar], [p2, u])
+    assert u_p2 == 1
+    # full torus pair: e^{2 pi b u} and e^{2 pi b p} q^2-commute
+    assert ubar_p2 == 2
+    assert u_u == 0
 
 
 def test_mul_cocycle():
@@ -137,7 +137,7 @@ def test_identity_neutral():
 def test_mul_vs_commutation_consistency():
     m1 = mono(alpha={0: 1, 1: -2}, gamma={0: -1})
     m2 = mono(alpha={1: 1}, gamma={0: 1, 1: 1})
-    s = commutation_exponent(m1.single_monomial().expo, m2.single_monomial().expo)
+    [[s]] = pairing_matrix([m1.single_monomial().expo], [m2.single_monomial().expo])
     assert m1 * m2 == (m2 * m1).scale_v(2 * s)
 
 
@@ -155,7 +155,8 @@ def test_mul_associative(a1, g1, a2, g2, a3, g3):
 @given(small_vec, small_vec, small_vec, small_vec)
 def test_pairing_antisymmetric(a1, g1, a2, g2):
     e1, e2 = exponent(a1, g1), exponent(a2, g2)
-    assert commutation_exponent(e1, e2) == -commutation_exponent(e2, e1)
+    (_, s12), (s21, _) = pairing_matrix([e1, e2], [e1, e2])
+    assert s12 == -s21
 
 
 @settings(deadline=None)
@@ -163,9 +164,8 @@ def test_pairing_antisymmetric(a1, g1, a2, g2):
 def test_pairing_bilinear(a1, g1, a2, g2, a3, g3):
     e1, e2, e3 = exponent(a1, g1), exponent(a2, g2), exponent(a3, g3)
     e23 = (QOperator.monomial(e2) * QOperator.monomial(e3)).single_monomial().expo
-    assert commutation_exponent(e1, e23) == (
-        commutation_exponent(e1, e2) + commutation_exponent(e1, e3)
-    )
+    [(s2, s3, s23)] = pairing_matrix([e1], [e2, e3, e23])
+    assert s23 == s2 + s3
 
 
 # ---------------------------------------------------------------------------

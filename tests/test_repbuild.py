@@ -33,6 +33,7 @@ from posrep.words import (
     good_word,
     lusztig_labels,
 )
+from conftest import flipped
 
 A1 = build_cartan("A", 1)
 A2 = build_cartan("A", 2)
@@ -169,13 +170,12 @@ def test_build_rep_rejects_a_word_over_another_datum():
 
 
 def test_build_rep_rejects_a_flipped_datum():
-    flipped = build_cartan("D", 4, flip_bipartition=True)
     with pytest.raises(
         ValueError,
         match=r"the word is over D_4 with bipartition \{0: 0, 1: 0, 2: 1, 3: 0\}, "
         r"not over D_4 with bipartition \{0: 1, 1: 1, 2: 0, 3: 1\}",
     ):
-        build_rep(flipped, good_word(D4))
+        build_rep(flipped(D4), good_word(D4))
 
 
 # ---------------------------------------------------------------------------

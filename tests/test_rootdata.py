@@ -19,6 +19,7 @@ from posrep.rootdata import (
     weyl_right_mul,
 )
 from posrep.words import _greedy_word, good_word
+from conftest import flipped
 
 ALL_TYPES = [("A", n) for n in range(1, 6)] + [("D", 4), ("D", 5), ("E", 6), ("E", 7), ("E", 8)]
 
@@ -66,7 +67,7 @@ def test_cartan_table_matches_edges(family, rank):
 def test_cartan_datum_equality_ignores_the_table():
     a, b = build_cartan("E", 6), build_cartan("E", 6)
     assert a == b and hash(a) == hash(b)
-    assert a != build_cartan("E", 6, flip_bipartition=True)
+    assert a != flipped(a)
     assert "_cartan" not in repr(a) and "label_set" not in repr(a)
     assert hash(a) == hash((a.family, a.rank, a.labels, a.edges, a.bipartition))
 
@@ -131,8 +132,9 @@ def test_longest_element(family, rank):
 
 @pytest.mark.parametrize("family,rank", ALL_TYPES)
 def test_bipartition_proper(family, rank):
-    for flip in (False, True):
-        datum = build_cartan(family, rank, flip_bipartition=flip)
+    datum = build_cartan(family, rank)
+    assert datum.n_weight(datum.labels[0]) == 0
+    for datum in (datum, flipped(datum)):
         for i in datum.labels:
             assert datum.n_weight(i) in (0, 1)
             for j in datum.labels:

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from posrep.repbuild import build_rep
+from posrep.repbuild import build_E, build_rep
 from posrep.rootdata import build_cartan, positive_root_count, positive_roots, weyl_from_word
 from posrep.words import (
     MAX_FRUITLESS_WALKS,
@@ -244,6 +244,17 @@ def test_path_to_word_ending_in():
     for move in reversed(moves):
         cur = apply_move(cur, move)
     assert cur.letters == good_word(D4).letters
+
+
+@pytest.mark.parametrize(
+    "build", [path_to_word_ending_in, build_E], ids=["path_to_word_ending_in", "build_E"]
+)
+@pytest.mark.parametrize("datum,letters,i", [(A2, (1,), 2), (A3, (1, 2), 1), (A3, (1, 3), 2)])
+def test_a_letter_no_move_brings_to_the_end_raises(build, datum, letters, i):
+    # i is not a right descent of these words, so the moves run off their end
+    word = ReducedWord(datum, letters)
+    with pytest.raises(NotReducedError, match=f"^no move sequence brings {i} to the end of the word {word}$"):
+        build(word, i)
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,6 @@ from .words import (
     braid_path,
     enumerate_words,
     good_word,
-    is_reduced,
     lusztig_labels,
     random_longest_words,
     word_ending_in,
@@ -85,7 +84,6 @@ __all__ = [
     "braid_path",
     "enumerate_words",
     "good_word",
-    "is_reduced",
     "lusztig_labels",
     "random_longest_words",
     "word_ending_in",

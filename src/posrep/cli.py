@@ -50,7 +50,6 @@ from .words import (
     ReducedWord,
     bad_word,
     braid_path,
-    check_longest,
     good_word,
     word_ending_in,
     word_starting_with,
@@ -151,9 +150,7 @@ def _resolve_word(datum, spec: str) -> ReducedWord:
         return word_ending_in(datum, letters[0])
     if head == "start":
         return word_starting_with(datum, letters[0])
-    word = ReducedWord(datum, tuple(letters))
-    check_longest(word)
-    return word
+    return ReducedWord(datum, tuple(letters))
 
 
 def _parse_gen(datum, spec: str) -> tuple[str, int]:

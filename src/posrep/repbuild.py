@@ -31,12 +31,7 @@ from .qtorus import (
 )
 from .rootdata import CartanDatum, _check_datum
 from .transport import transport
-from .words import (
-    ReducedWord,
-    check_longest,
-    lusztig_labels,
-    path_to_word_ending_in,
-)
+from .words import ReducedWord, lusztig_labels, path_to_word_ending_in
 
 
 class GeneratorTriple(NamedTuple):
@@ -113,7 +108,6 @@ def build_E(word: ReducedWord, i: int) -> QOperator:
 def build_rep(datum: CartanDatum, word: ReducedWord) -> Representation:
     """Assemble the full family of generator actions on ``word``."""
     _check_datum(datum, word.datum, "the word")
-    check_longest(word)
     gens = {i: GeneratorTriple(build_E(word, i), build_F(word, i), build_K(word, i))
             for i in datum.labels}
     return Representation(datum, word, gens)

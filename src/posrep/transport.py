@@ -54,7 +54,8 @@ call on the input's distinct packed ints; fields past the slot list stay.
 The word is tracked as a plain letter list: each move is checked against
 the letters (the checks and MoveError messages of ``words.apply_move``)
 and applied in place, and a ReducedWord is built once at the end, or once
-per step when a trace is requested.
+per step when a trace is requested, by ``ReducedWord._moved``: checked
+moves keep the word a reduced word of w0, so it is not checked again.
 """
 
 from __future__ import annotations
@@ -345,11 +346,11 @@ def transport(
         else:
             _braid_inplace(terms, (slot[p], slot[p + 1], slot[p + 2]))
         if trace is not None:
-            trace.append((move, ReducedWord(datum, tuple(letters)), len(terms)))
+            trace.append((move, ReducedWord._moved(datum, letters), len(terms)))
         if len(terms) > budget:
             raise TermBudgetError(len(terms), step, move, budget)
     out = QOperator({QExponent._make(key): coef for key, coef in terms.items()})
-    return out, ReducedWord(datum, tuple(letters))
+    return out, ReducedWord._moved(datum, letters)
 
 
 def format_trace(trace: list) -> str:

@@ -11,6 +11,15 @@ generated.  The end, start and bad words are completions by one routine,
 ``_completed``: fixed head and tail letters around a greedy reduced word of
 the rest of the longest element.
 
+Every ``ReducedWord`` is a reduced word of the longest element w0: the
+constructor checks it once (``check_longest``, a length test and one Weyl
+pass).  A braid or commutation move replaces a factor of the word by an
+equal product of the same length, so it keeps the word reduced and keeps
+its element; the words that checked moves make (``apply_move``,
+``transport``, ``path_to_word_ending_in``, ``enumerate_words``) are built
+by ``ReducedWord._moved``, which skips the pass.  Nothing downstream checks
+a word again.
+
 The reduced words of the longest element fall into two classes, an even
 and an odd number of moves from the good word: every move reverses an odd
 number of adjacent roots in the reflection order, so it changes the class.
@@ -26,7 +35,6 @@ from .rootdata import (
     positive_root_count,
     right_descents,
     weyl_from_word,
-    weyl_identity,
     weyl_right_mul,
     is_positive,
 )
@@ -42,12 +50,26 @@ class MoveError(ValueError):
 
 @dataclass(frozen=True)
 class ReducedWord:
+    """A reduced word of the longest element w0 of ``datum``: the
+    constructor raises NotReducedError on any other word.  ``_moved``
+    builds the word that checked moves give without the check.
+    """
+
     datum: CartanDatum
     letters: tuple[int, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "letters", tuple(self.letters))
         self.datum.check_labels(self.letters)
+        check_longest(self)
+
+    @classmethod
+    def _moved(cls, datum: CartanDatum, letters: Sequence[int]) -> ReducedWord:
+        """The word ``letters`` reached from a ReducedWord by checked moves."""
+        word = object.__new__(cls)
+        object.__setattr__(word, "datum", datum)
+        object.__setattr__(word, "letters", tuple(letters))
+        return word
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -66,32 +88,18 @@ class LusztigLabel(NamedTuple):
     occurrence: int  # 1 at the rightmost occurrence of this letter
 
 
-def _reduced_element(word: ReducedWord):
-    """The Weyl group element of ``word``, or None if the word is not reduced.
-
-    One left-to-right pass: the word is reduced iff each letter i finds
-    w(alpha_i) positive for the element w of the letters before it.
-    """
-    datum = word.datum
-    w = weyl_identity(datum)
-    for i in word.letters:
-        if not is_positive(w[datum.index(i)]):
-            return None
-        w = weyl_right_mul(datum, w, i)
-    return w
-
-
-def is_reduced(word: ReducedWord) -> bool:
-    """True iff no prefix reflection ever sends a simple root negative
-    (one pass of ``_reduced_element``)."""
-    return _reduced_element(word) is not None
-
-
 def check_longest(word: ReducedWord) -> None:
-    n = positive_root_count(word.datum)
-    if len(word.letters) != n or not is_reduced(word):
+    """Raise NotReducedError unless ``word`` is a reduced word of w0.
+
+    A word of N letters (N = l(w0), the number of positive roots) whose
+    product is w0 is reduced, and w0 is the one element that sends every
+    simple root negative: a length test and one Weyl pass decide it.
+    """
+    datum, n = word.datum, positive_root_count(word.datum)
+    if len(word.letters) != n or any(map(is_positive, weyl_from_word(datum, word.letters))):
         raise NotReducedError(
-            f"not a reduced word for the longest element (need length {n})"
+            f"{word} is not a reduced word of the longest element of"
+            f" {datum.family}_{datum.rank}, which has {n} letters"
         )
 
 
@@ -140,7 +148,7 @@ def apply_move(word: ReducedWord, move: BraidMove) -> ReducedWord:
     _check_move(word.datum, word.letters, move)
     letters = list(word.letters)
     _apply_move_letters(letters, move)
-    return ReducedWord(word.datum, tuple(letters))
+    return ReducedWord._moved(word.datum, letters)
 
 
 def available_moves(word: ReducedWord) -> list[BraidMove]:
@@ -170,7 +178,7 @@ def enumerate_words(datum: CartanDatum) -> list[ReducedWord]:
             if nxt.letters not in seen:
                 seen.add(nxt.letters)
                 queue.append(nxt)
-    return [ReducedWord(datum, l) for l in sorted(seen)]
+    return [ReducedWord._moved(datum, l) for l in sorted(seen)]
 
 
 MAX_FRUITLESS_WALKS = 1000
@@ -246,9 +254,7 @@ def good_word(datum: CartanDatum) -> ReducedWord:
             letters.extend(range(3, m + 1))
     else:
         letters = _E8_WORD[: positive_root_count(datum)]
-    word = ReducedWord(datum, tuple(letters))
-    check_longest(word)
-    return word
+    return ReducedWord(datum, tuple(letters))
 
 
 def bad_word(datum: CartanDatum) -> ReducedWord:
@@ -280,12 +286,10 @@ def _greedy_word(datum: CartanDatum, elem) -> list[int]:
 
 
 def _completed(datum: CartanDatum, head: tuple[int, ...], tail: tuple[int, ...]) -> ReducedWord:
-    """head + a greedy word of head^-1 w0 tail^-1 + tail, checked to be a
-    reduced word of the longest element w0."""
+    """head + a greedy word of head^-1 w0 tail^-1 + tail, which the
+    constructor checks to be a reduced word of w0."""
     elem = weyl_from_word(datum, head[::-1] + good_word(datum).letters + tail[::-1])
-    word = ReducedWord(datum, head + tuple(_greedy_word(datum, elem)) + tail)
-    check_longest(word)
-    return word
+    return ReducedWord(datum, head + tuple(_greedy_word(datum, elem)) + tail)
 
 
 def word_ending_in(datum: CartanDatum, i: int) -> ReducedWord:
@@ -350,23 +354,12 @@ def _force_first(datum, letters: list[int], start: int, target: int, moves: list
 def braid_path(src: ReducedWord, dst: ReducedWord) -> list[BraidMove]:
     """A move sequence transforming ``src`` into ``dst``.
 
-    Each word takes one Weyl pass (``_reduced_element``), which both checks
-    that it is reduced and gives its element; the two elements must agree.
-    The path aligns prefixes left to right; every intermediate word stays
-    reduced because only valid moves are emitted.
+    Two words over one datum are both reduced words of w0, so a path
+    exists.  It aligns prefixes left to right; every intermediate word
+    stays reduced because only valid moves are emitted.
     """
     if src.datum != dst.datum:
         raise ValueError("words live over different Cartan data")
-    if len(src.letters) != len(dst.letters):
-        raise NotReducedError("words have different lengths")
-    elements = []
-    for w in (src, dst):
-        elem = _reduced_element(w)
-        if elem is None:
-            raise NotReducedError(f"word {w} is not reduced")
-        elements.append(elem)
-    if elements[0] != elements[1]:
-        raise ValueError("words represent different group elements")
     letters = list(src.letters)
     moves: list[BraidMove] = []
     for t, target in enumerate(dst.letters):
@@ -378,7 +371,8 @@ def braid_path(src: ReducedWord, dst: ReducedWord) -> list[BraidMove]:
 
 
 def path_to_word_ending_in(word: ReducedWord, i: int) -> tuple[list[BraidMove], ReducedWord]:
-    """Moves from ``word`` to some reduced word ending in ``i``.
+    """Moves from ``word`` to some reduced word ending in ``i``; every
+    letter is a right descent of w0, so such a word exists.
 
     Replaying the returned moves in reverse transforms the end word back
     into ``word`` (every move is its own inverse).  The moves are those that
@@ -388,11 +382,7 @@ def path_to_word_ending_in(word: ReducedWord, i: int) -> tuple[list[BraidMove], 
     word.datum.check_labels((i,))
     letters = list(reversed(word.letters))
     mirrored: list[BraidMove] = []
-    try:
-        _force_first(word.datum, letters, 0, i, mirrored)
-    except IndexError:
-        # _force_first ran past the end: i is not a right descent of the word
-        raise NotReducedError(f"no move sequence brings {i} to the end of the word {word}") from None
+    _force_first(word.datum, letters, 0, i, mirrored)
     n = len(letters)
     moves = [BraidMove(n - 2 - p if kind == "commute" else n - 3 - p, kind) for p, kind in mirrored]
-    return moves, ReducedWord(word.datum, tuple(reversed(letters)))
+    return moves, ReducedWord._moved(word.datum, reversed(letters))

@@ -198,10 +198,28 @@ def test_encoder_oracle_cases():
 
 
 def test_invalid_word_rejected(capsys):
-    code = main(["construct", "A", "2", "--word", "1,1,2", "--gen", "E1"])
+    code = main(["construct", "A", "2", "--word", "1,2", "--gen", "E1"])
     err = capsys.readouterr().err
     assert code == 2
-    assert "reduced" in err
+    assert err == "error: 1,2 is not a reduced word of the longest element of A_2, which has 3 letters\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "construct A 2 --word 1,1,2 --gen E1",
+        "verify A 2 --word 1,1,2",
+        "transport A 2 --from 1,1,2 --to good --gen E1",
+        "transport A 2 --from good --to 1,1,2 --gen E1",
+        "normalize-lambda A 2 --word 1,1,2",
+        "classical A 2 --word 1,1,2 --gen E1",
+    ],
+)
+def test_a_word_that_is_not_a_word_of_w0_exits_2(capsys, argv):
+    assert main(argv.split()) == 2
+    assert capsys.readouterr() == (
+        "", "error: 1,1,2 is not a reduced word of the longest element of A_2, which has 3 letters\n"
+    )
 
 
 @pytest.mark.parametrize("spec", ["end:9", "start:x", "1,2,x", "", "1,²,1"])

@@ -3,8 +3,9 @@ import sys
 
 import pytest
 
-from posrep.repbuild import build_E, build_rep
-from posrep.rootdata import build_cartan, positive_root_count, positive_roots, weyl_from_word
+from posrep.repbuild import build_K, build_rep
+from posrep.rootdata import build_cartan, positive_root_count, positive_roots
+from posrep.transport import transport
 from posrep.words import (
     MAX_FRUITLESS_WALKS,
     BraidMove,
@@ -18,7 +19,6 @@ from posrep.words import (
     check_longest,
     enumerate_words,
     good_word,
-    is_reduced,
     lusztig_labels,
     path_to_word_ending_in,
     random_longest_words,
@@ -31,10 +31,24 @@ A3 = build_cartan("A", 3)
 D4 = build_cartan("D", 4)
 
 
-def test_is_reduced():
-    assert is_reduced(ReducedWord(A2, (1, 2, 1)))
-    assert not is_reduced(ReducedWord(A2, (1, 1)))
-    assert not is_reduced(ReducedWord(A3, (1, 2, 1, 2)))
+@pytest.mark.parametrize(
+    "datum,letters",
+    [
+        (A2, (1, 1, 2)),
+        (A2, (1, 1, 2, 1)),
+        (D4, (0, 0, 2, 0, 1, 2, 3, 2, 0, 1, 2, 3)),  # the good word with s_0 s_0 cancelling
+        (A2, (2, 2, 1, 2, 1)),  # its product is w0, but it has 5 letters
+    ],
+)
+def test_only_reduced_words_of_w0_are_words(datum, letters):
+    # the constructor stops these words, so no builder ever sees one
+    n, name = positive_root_count(datum), f"{datum.family}_{datum.rank}"
+    spelled = ",".join(map(str, letters))
+    with pytest.raises(
+        NotReducedError,
+        match=f"^{spelled} is not a reduced word of the longest element of {name}, which has {n} letters$",
+    ):
+        ReducedWord(datum, letters)
 
 
 def test_good_words_explicit():
@@ -63,7 +77,7 @@ def test_good_words_are_longest(family, rank):
     datum = build_cartan(family, rank)
     word = good_word(datum)
     assert len(word.letters) == positive_root_count(datum)
-    assert is_reduced(word)
+    check_longest(word)
 
 
 def test_e6_letter_counts():
@@ -194,16 +208,6 @@ def test_words_store_their_letters_as_a_tuple():
     assert ReducedWord(A2, (i for i in (1, 2, 1))).letters == (1, 2, 1)
 
 
-def test_braid_path_rejects_a_target_that_is_not_reduced():
-    base = good_word(D4)
-    letters = list(base.letters)
-    letters[1] = letters[0]  # same length, but s_i s_i cancels
-    target = ReducedWord(D4, tuple(letters))
-    assert is_reduced(base) and not is_reduced(target)
-    with pytest.raises(NotReducedError, match=f"word {target} is not reduced"):
-        braid_path(base, target)
-
-
 def test_enumerate_a2_a3():
     assert len(enumerate_words(A2)) == 2
     words = enumerate_words(A3)
@@ -244,17 +248,6 @@ def test_path_to_word_ending_in():
     for move in reversed(moves):
         cur = apply_move(cur, move)
     assert cur.letters == good_word(D4).letters
-
-
-@pytest.mark.parametrize(
-    "build", [path_to_word_ending_in, build_E], ids=["path_to_word_ending_in", "build_E"]
-)
-@pytest.mark.parametrize("datum,letters,i", [(A2, (1,), 2), (A3, (1, 2), 1), (A3, (1, 3), 2)])
-def test_a_letter_no_move_brings_to_the_end_raises(build, datum, letters, i):
-    # i is not a right descent of these words, so the moves run off their end
-    word = ReducedWord(datum, letters)
-    with pytest.raises(NotReducedError, match=f"^no move sequence brings {i} to the end of the word {word}$"):
-        build(word, i)
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +359,18 @@ def test_random_longest_words_alternate_classes(family, rank):
     datum = build_cartan(family, rank)
     good = good_word(datum)
     words = random_longest_words(datum, 5, seed=rank)
-    assert [len(braid_path(good, w)) % 2 for w in words] == [1, 0, 1, 0, 1]
+    paths = [braid_path(good, w) for w in words]
+    assert [len(path) % 2 for path in paths] == [1, 0, 1, 0, 1]
+    # the words that moves make skip the constructor's check; each one
+    # equals, and hashes like, the same letters checked afresh
+    reached, trace = list(words), []
+    for path in paths:
+        reached.append(transport(build_K(good, datum.labels[0]), good, path, trace=trace)[1])
+    reached += [word for _, word, _ in trace]
+    reached += [path_to_word_ending_in(w, i)[1] for w in words for i in datum.labels]
+    for w in reached:
+        checked = ReducedWord(w.datum, w.letters)
+        assert w == checked and hash(w) == hash(checked)
 
 
 def test_bad_word_shape():

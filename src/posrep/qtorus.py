@@ -35,9 +35,10 @@ single int operation.  Fields are read by adding the bias B_n, which
 holds SLOT_BIAS = 2**(SLOT_BITS - 1) in each of the fields 0..n-1: field k
 of alpha + B_n is alpha_k + SLOT_BIAS, a value in [1, 2**SLOT_BITS), so no
 field borrows from its neighbour.  The overflow rule is that every entry
-satisfies |alpha_k| < SLOT_BIAS.  ``pack`` checks its input, and a
-product, a power or a braid image with an entry out of range raises
-SlotOverflowError before any term is formed; nothing wraps into a
+satisfies |alpha_k| < SLOT_BIAS, which is 128 at 8-bit fields; every
+generator measured keeps its entries in [-2, 2].  ``pack`` checks its
+input, and a product, a power or a braid image with an entry out of range
+raises SlotOverflowError before any term is formed; nothing wraps into a
 neighbouring field.  The lambda part ``ell`` may hold Fractions, so it
 stays a sparse (label, value) tuple, normalized by ``sparse``.
 
@@ -217,9 +218,9 @@ class VLaurent:
 # Packed u/p vectors (layout and overflow rule in the module docstring).
 # ---------------------------------------------------------------------------
 
-SLOT_BITS = 16
+SLOT_BITS = 8
 SLOT_BIAS = 1 << (SLOT_BITS - 1)
-_FIELD_CODES = {16: "h", 32: "i", 64: "q"}  # struct codes of signed fields by width
+_FIELD_CODES = {8: "b", 16: "h", 32: "i", 64: "q"}  # struct codes of signed fields by width
 
 
 class SlotOverflowError(ArithmeticError):
@@ -261,7 +262,7 @@ def check_entry(value, where: str) -> None:
         raise ValueError(f"u/p exponent entries must be integers, got {value!r} {where}")
     if not -SLOT_BIAS < value < SLOT_BIAS:
         raise SlotOverflowError(
-            f"exponent entry {value} {where} does not fit a {SLOT_BITS}-bit slot field"
+            f"exponent entry {value} {where} does not fit a slot field of {SLOT_BITS} bits"
         )
 
 
@@ -286,7 +287,7 @@ def pack(row, width: int = SLOT_BITS) -> int:
 def unpack(x: int, n: int | None = None, width: int = SLOT_BITS) -> tuple[int, ...]:
     """Fields 0..n-1 of a packed int (default: through its last nonzero field).
 
-    Any ``width`` works; 16, 32 and 64 decode through ``struct``."""
+    Any ``width`` works; 8, 16, 32 and 64 decode through ``struct``."""
     if n is None:
         n = field_count(x)
     layout, bias = _layout(n, width)
@@ -470,10 +471,11 @@ def _pairing_rows(tx: _Rows, ty: _Rows):
     so an x u-entry times one column int adds that entry's products with
     all y-rows at once; one unpack reads the row of exponents.  ``width``
     bounds every |exponent| (row sum of |x entries| times y's bound), so
-    no field carries into the next.
+    no field carries into the next, and it holds y's own entries even
+    when every x-row is zero.
     """
     rows, l1 = tx.sparse()
-    limit = l1 * ty.bound
+    limit = max(l1, 1) * ty.bound
     width = next(w for w in _FIELD_CODES if limit < 1 << (w - 1))
     acols, gcols = ty.columns(max(tx.n, ty.n), width)
     m = len(ty.alpha)

@@ -17,7 +17,7 @@ def flipped(datum):
 @pytest.fixture(scope="session")
 def e7_bad_word_e3():
     """E3 on the E7 bad word under the default term budget, built once per
-    session: about 100 s and 0.4 GB on a 2-vCPU VM, so the tests that share
+    session: about 60 s and 0.3 GB on a 2-vCPU VM, so the tests that share
     it are gated on POSREP_LONG=1."""
     with pytest.MonkeyPatch.context() as mp:
         mp.delenv("POSREP_MAX_TERMS", raising=False)

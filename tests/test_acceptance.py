@@ -8,7 +8,7 @@ hard failure (criteria 1-6 are the hard gate).  The E8 relation suite
 (about 0.5 s) and criteria 8-10 on D8, E7 and E8 (about 0.7 s; the q-tori
 certificate on E8 went from about 1.5 s to 0.12-0.16 s with the sparse
 elimination) run here.  Set POSREP_LONG=1 to run criterion 7 on E7: it
-shares one build of the E7 bad word (about 100 s, the ``e7_bad_word_e3``
+shares one build of the E7 bad word (about 60 s, the ``e7_bad_word_e3``
 fixture) with the bad-word gate in ``tests/test_transport.py``; criterion 7
 on E8 is skipped until its bad word fits the term budget.
 """
@@ -202,7 +202,7 @@ def test_criterion_7_bad_word_e6():
     _criterion_7(6, build_E(bad_word(build_cartan("E", 6)), 3), 1043)
 
 
-@pytest.mark.skipif(not LONG, reason="the E7 bad word takes about 100 s; set POSREP_LONG=1")
+@pytest.mark.skipif(not LONG, reason="the E7 bad word takes about 60 s; set POSREP_LONG=1")
 def test_criterion_7_bad_word_e7(e7_bad_word_e3):
     _criterion_7(7, e7_bad_word_e3, 77565)
 

@@ -55,13 +55,16 @@ def test_k_power_reaching_the_field_limit_raises():
     k = QOperator.monomial(exponent({0: 1, 1: -(SLOT_BIAS // 2)}, ell={1: Fraction(1, 2)}))
     with pytest.raises(SlotOverflowError, match=f"entry {SLOT_BIAS} at position 1 of a power"):
         _k_power(k, -2)
-    # at the limit (7 divides SLOT_BIAS - 1 at 16-bit fields) nothing
-    # wraps into position 2
+    # at the largest multiple of 7 that fits a field nothing wraps into
+    # position 2, and one more step leaves the field
     step = (SLOT_BIAS - 1) // 7
     k = QOperator.monomial(exponent({1: -step}, {2: 5}, {1: Fraction(1, 2)}))
     expo = _k_power(k, 7).single_monomial().expo
     assert entries(expo.alpha) == ((1, -7 * step),)
     assert entries(expo.gamma) == ((2, 35),) and expo.ell == sparse({1: Fraction(7, 2)})
+    k = QOperator.monomial(exponent({1: -(step + 1)}, {2: 5}))
+    with pytest.raises(SlotOverflowError, match=f"entry {-7 * (step + 1)} at position 1 of a power"):
+        _k_power(k, 7)
 
 
 def test_modified_a1_shape():

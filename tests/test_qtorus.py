@@ -31,7 +31,9 @@ from posrep.qtorus import (
     term_count,
     unpack,
 )
-from posrep.qtorus import _check_products, _pairing_rows, _rows_of, sparse, sparse_add, sparse_neg, sparse_scale
+from posrep.qtorus import (
+    EXP_ONE, _Rows, _check_products, _pairing_rows, _rows_of, sparse, sparse_add, sparse_neg, sparse_scale,
+)
 from posrep.repbuild import build_rep
 from posrep.rootdata import build_cartan
 from posrep.words import good_word
@@ -350,12 +352,59 @@ def test_pairing_kernel_matches_dense_oracle(xparts, yparts, twist):
 @given(st.lists(st.tuples(packed_dicts, packed_dicts), max_size=8),
        st.lists(st.tuples(packed_dicts, packed_dicts), max_size=8))
 def test_pairing_matrix_matches_dense_oracle(xparts, yparts):
-    # full-range entries: the packed columns need 32- and 64-bit fields
+    # full-range entries: l1(x) * bound(y) is at most 8 * FIELD_MAX**2, so
+    # the packed columns reach 32-bit fields at 8-bit slots, no wider
     xrows, yrows = ([(_dense(a.items(), WIDTH), _dense(g.items(), WIDTH)) for a, g in parts]
                     for parts in (xparts, yparts))
     assert pairing_matrix([exponent(a, g) for a, g in xparts], [exponent(a, g) for a, g in yparts]) == [
         tuple(_pairing(*x, *y) for y in yrows) for x in xrows
     ]
+
+
+def _paired(xs, ys):
+    """The pairing rows of xs with ys, and y's rows with the columns packed for them."""
+    ty = _Rows(ys)
+    return list(_pairing_rows(_Rows(xs), ty)), ty
+
+
+FULL_3 = dict.fromkeys(range(3), FIELD_MAX)
+
+
+@pytest.mark.parametrize(
+    "xs,ys,scale",
+    [
+        # l1(x) * bound(y) = FIELD_MAX: columns as wide as a slot
+        ([exponent({0: 1}), exponent(gamma={1: -1})],
+         [exponent(gamma={0: FIELD_MAX}), exponent({1: -FIELD_MAX}, {0: 3})], 1),
+        # FIELD_MAX**2, twice a slot wide
+        ([exponent({0: FIELD_MAX}), exponent({0: 1}, {1: 1})],
+         [exponent({1: FIELD_MAX}, {0: -FIELD_MAX})], 2),
+        # 3 * FIELD_MAX**2, four times a slot wide
+        ([exponent(FULL_3)], [exponent(gamma=FULL_3), exponent(gamma={k: -v for k, v in FULL_3.items()})], 4),
+    ],
+    ids=[f"{k * SLOT_BITS}-bit columns" for k in (1, 2, 4)],
+)
+def test_pairing_rows_pick_each_column_width(xs, ys, scale):
+    rows, ty = _paired(xs, ys)
+    assert set(ty._columns) == {scale * SLOT_BITS}
+    dense = [[unpack(x, WIDTH) for x in (e.alpha, e.gamma)] for e in (*xs, *ys)]
+    xrows, yrows = dense[: len(xs)], dense[len(xs):]
+    assert rows == [tuple(_pairing(*x, *y) for y in yrows) for x in xrows]
+    # the largest |exponent| would not fit a column half as wide
+    assert max(abs(s) for row in rows for s in row) >= 1 << (scale * SLOT_BITS // 2 - 1)
+
+
+def test_pairing_columns_hold_y_when_every_x_row_is_zero():
+    # l1(x) = 0 bounds no exponent, but the columns still pack y's
+    # entries: the width is chosen from max(l1, 1) * bound(y)
+    ys = [exponent({0: FIELD_MAX}, {1: -FIELD_MAX}), exponent(gamma={0: 1})]
+    rows, ty = _paired([EXP_ONE], ys)
+    assert rows == [(0, 0)]
+    (width,) = ty._columns
+    for cols, yrows in zip(ty.columns(ty.n, width), (ty.alpha, ty.gamma)):
+        assert [unpack(col, len(ys), width) for col in cols] == list(zip(*yrows))
+    y = QOperator.monomial(ys[0])
+    assert QOperator.one() * y == y == y * QOperator.one()
 
 
 def test_product_reaching_the_field_limit_raises_before_any_term():
@@ -500,7 +549,7 @@ def test_pair_kernel_replays_the_e6_relation_suite(monkeypatch):
 
 
 # u- and p-entries of FIELD_MAX on enough positions that s passes
-# MAX_COEFF_SPAN: one position at 16-bit fields, where s is about 10**9
+# MAX_COEFF_SPAN: five positions at 8-bit fields, where s is 80,645
 SPAN_POSITIONS = MAX_COEFF_SPAN // FIELD_MAX**2 + 1
 FULL = dict.fromkeys(range(SPAN_POSITIONS), FIELD_MAX)
 

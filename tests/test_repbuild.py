@@ -120,6 +120,21 @@ def test_build_rep_term_counts():
     assert [term_count(rep4.gens[i].E) for i in D4.labels] == [5, 5, 3, 1]
 
 
+@pytest.mark.parametrize(
+    "family,rank,word_of",
+    [("E", 6, bad_word), ("D", 8, bad_word), ("E", 8, good_word)],
+    ids=["E6 bad word", "D8 bad word", "E8 catalog word"],
+)
+def test_u_p_entries_stay_far_inside_their_fields(family, rank, word_of):
+    # the headroom of the packed fields: every |entry| must stay below
+    # SLOT_BIAS, which is 128 at 8-bit slots, and none here exceeds 2
+    datum = build_cartan(family, rank)
+    rep = build_rep(datum, word_of(datum))
+    largest = max(abs(value) for _, op in rep.all_operators() for e in op.terms
+                  for x in (e.alpha, e.gamma) for _, value in entries(x))
+    assert largest == 2
+
+
 def test_unit_coefficients():
     for datum in (A2, D4):
         rep = build_rep(datum, good_word(datum))

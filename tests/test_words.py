@@ -25,6 +25,7 @@ from posrep.words import (
     word_ending_in,
     word_starting_with,
 )
+from conftest import flipped
 
 A2 = build_cartan("A", 2)
 A3 = build_cartan("A", 3)
@@ -144,11 +145,14 @@ def test_braid_path_trivial_and_a2():
     assert path == [BraidMove(0, "braid")]
 
 
-def test_braid_path_rejects_junk():
-    with pytest.raises(NotReducedError):
-        braid_path(ReducedWord(A2, (1, 2, 1)), ReducedWord(A2, (1, 2)))
-    with pytest.raises(ValueError):
-        braid_path(ReducedWord(A3, (1, 2, 1)), ReducedWord(A3, (2, 3, 2)))
+def test_braid_path_rejects_words_over_different_cartan_data():
+    # the same letters over both orientations of A3's bipartition: without
+    # the datum check the path would be empty
+    letters = good_word(A3).letters
+    with pytest.raises(ValueError, match="words live over different Cartan data"):
+        braid_path(ReducedWord(A3, letters), ReducedWord(flipped(A3), letters))
+    with pytest.raises(ValueError, match="words live over different Cartan data"):
+        braid_path(good_word(A2), good_word(A3))
 
 
 @pytest.mark.parametrize(

@@ -239,7 +239,11 @@ def test_pack_unpack_dense_rows(row):
     assert unpack(-x, len(row)) == tuple(-v for v in row)
 
 
-@pytest.mark.parametrize("value", [SLOT_BIAS, -SLOT_BIAS, 3 * SLOT_BIAS])
+# The edges of the field and the edges of the former 16-bit field, which
+# an 8-bit field must reject as well.
+@pytest.mark.parametrize(
+    "value", [SLOT_BIAS, -SLOT_BIAS, 3 * SLOT_BIAS, 1 << 15, -(1 << 15), 3 << 15]
+)
 def test_pack_rejects_out_of_range_entries(value):
     with pytest.raises(SlotOverflowError, match=f"exponent entry {value} at position 2"):
         pack([0, 1, value])

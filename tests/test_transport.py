@@ -515,7 +515,11 @@ def test_pack_grows_to_the_highest_index():
     assert out == {exponent(alpha={7: -1, 1: 2}, gamma={2: 1}): VLaurent.one()}
 
 
-@pytest.mark.parametrize("value", [SLOT_BIAS, -SLOT_BIAS, 3 * SLOT_BIAS])
+# The edges of the field and the edges of the former 16-bit field, which
+# an 8-bit field must reject as well.
+@pytest.mark.parametrize(
+    "value", [SLOT_BIAS, -SLOT_BIAS, 3 * SLOT_BIAS, 1 << 15, -(1 << 15), 3 << 15]
+)
 def test_pack_rejects_entries_outside_the_field(value):
     with pytest.raises(SlotOverflowError):
         exponent(alpha={1: 1}, gamma={2: value})

@@ -28,28 +28,39 @@ exponent, and a braid move at t runs on the slots of positions t, t+1,
 t+2, wherever they lie.
 
 An exponent is (alpha, gamma, ell): the packed u/p ints of ``qtorus``
-(field layout, bias and overflow rule in its module docstring), inside a
-transport read with field k as slot k, and the lambda part, which no move
-touches.  Terms are keyed by (alpha, gamma, ell) tuples.  A
-braid move reads its six frame fields by adding the bias and masking,
-groups the monomials on what is left, and adds the image fields back.
-Within one move each distinct (frame fields, coefficient) is decoded once,
-into a record that carries its local 6-tuple and coefficient; a group of
-one monomial is its record itself, and becomes a tuple of records only
-when a second member arrives.  The move runs as two drains: the monomials
-it touches are taken out of the term dict as they are read (the rest stay
-where they are), and then the groups are popped one by one, each writing
-its images before the next is read, so old keys and groups are freed as
-the move runs.  Images are memoised per pipeline result; one group's
-images never meet another's or an untouched monomial, so they are written
-without a merge.  Braid images are checked when they are computed: an
-entry that does not fit raises SlotOverflowError.
+(field layout, bias and overflow rule in its module docstring) and the
+lambda part, which no move touches.  Inside a transport each monomial is
+keyed by one int
+
+    key = alpha + (gamma << SLOT_BITS*m) + (index << 2*SLOT_BITS*m) + B_2m,
+
+so field k of the key holds the u-entry of slot k and field m + k its
+p-entry, each plus SLOT_BIAS (B_2m is the bias of 2m fields); m is at
+least the word length and covers every field of the input, and ``index``
+numbers the distinct lambda parts of the call.  A braid move reads its six
+frame fields, the u- and p-fields of its three slots, with one mask,
+groups the monomials on what is left, and adds the image fields back: the
+remainder and the image are one int each.  Within one move each distinct (frame fields, coefficient)
+is decoded once, into a record that carries its local 6-tuple and
+coefficient; a group of one monomial is its record itself, and becomes a
+tuple of records only when a second member arrives.  The move runs as two
+drains: the monomials it touches are taken out of the term dict as they
+are read (the rest stay where they are), and then the groups are popped
+one by one, each writing its images before the next is read, so old keys
+and groups are freed as the move runs.  Images are memoised per pipeline
+result; one group's images never meet another's or an untouched
+monomial, so they are written without a merge.  Braid images are checked
+when they are computed: an entry that does not fit raises
+SlotOverflowError.
 
 The input is written in the slot order the path ends at, so the output
 needs no relabel: the path's commutation swaps turn the identity list
 into ``end``, the moves start from the inverse of ``end``, and field q of
 the input takes its field end[q].  That is one ``qtorus.permute_fields``
-call on the input's distinct packed ints; fields past the slot list stay.
+call on the input's distinct u/p ints before they are joined into keys;
+fields past the slot list stay.  The keys are split back into exponents
+only when the operator is returned, and the key dict is drained as they
+are, so the two are never both whole.
 
 The word is tracked as a plain letter list: each move is checked against
 the letters (the checks and MoveError messages of ``words.apply_move``)
@@ -206,21 +217,21 @@ _PIPELINE_CACHE: dict[tuple, tuple] = {}
 _FIELD_MASK = (1 << SLOT_BITS) - 1
 
 
-def _braid_inplace(terms: dict, frame: tuple[int, int, int]) -> None:
-    """Apply one braid move to terms in slot coordinates.
+def _braid_inplace(terms: dict, frame: tuple[int, ...]) -> None:
+    """Apply one braid move to terms keyed by packed ints.
 
-    ``frame`` holds the slots of the move's positions (u, v, w).  Adding
-    the bias of the fields up to the highest frame slot makes each frame
-    field hold its value + SLOT_BIAS.  Monomials whose six frame fields are
-    all zero are fixed by the whole pipeline and stay where they are; the
-    others are taken out of ``terms`` as they are read and grouped on their
-    remainders (the packed ints minus their biased frame fields).  Each
-    distinct (frame fields, coefficient) is decoded once, into a record
-    [(local 6-tuple, coefficient), image]; a group is its one record until
-    a second member makes it a tuple of records.  A singleton's image is
-    memoised on its record, and every image once per pipeline result.
-    Adding an image's biased fields to a remainder gives the packed int of
-    the image.
+    ``frame`` holds the six key fields the move reads and writes: the
+    u-fields of the slots of its positions (u, v, w), then their p-fields.
+    Every field of a key holds its value + SLOT_BIAS, so one mask reads all
+    six.  Monomials whose six frame entries are all zero are fixed by the
+    whole pipeline and stay where they are; the others are taken out of
+    ``terms`` as they are read and grouped on their remainders (the key
+    minus its frame fields).  Each distinct (frame fields,
+    coefficient) is decoded once, into a record [(local 6-tuple,
+    coefficient), image]; a group is its one record until a second member
+    makes it a tuple of records.  A singleton's image is memoised on its
+    record, and every image once per pipeline result.  Adding an image's
+    biased fields to a remainder gives the key of the image.
 
     Images never meet an existing key: the images of distinct remainders
     differ off the frame, and an image of a group without a zero local
@@ -229,43 +240,41 @@ def _braid_inplace(terms: dict, frame: tuple[int, int, int]) -> None:
     count check at the end guards that.
     """
     mask, bias = _FIELD_MASK, SLOT_BIAS
-    u, v, w = frame
+    u, v, w, x, y, z = frame
     su, sv, sw = SLOT_BITS * u, SLOT_BITS * v, SLOT_BITS * w
-    frame_mask = (mask << su) | (mask << sv) | (mask << sw)
-    frame_zero = (bias << su) | (bias << sv) | (bias << sw)
-    read = field_bias(max(frame) + 1)
-    # (fa, fg, id(coef)) -> record; the record holds the coefficient, so
-    # the id is not reused while the record lives
+    tu, tv, tw = SLOT_BITS * x, SLOT_BITS * y, SLOT_BITS * z
+    ones = (1 << su) | (1 << sv) | (1 << sw) | (1 << tu) | (1 << tv) | (1 << tw)
+    frame_mask, frame_zero = mask * ones, bias * ones
+    # (frame fields, id(coef)) -> record; the record holds the coefficient,
+    # so the id is not reused while the record lives
     records: dict[tuple, list] = {}
-    groups: dict[tuple, list | tuple] = {}  # remainder -> record(s)
+    groups: dict[int, list | tuple] = {}  # remainder -> record(s)
     keys = list(terms)
     take = terms.pop
     for i, key in enumerate(keys):
-        a, g, ell = key
-        fa = (a + read) & frame_mask
-        fg = (g + read) & frame_mask
-        if fa == frame_zero and fg == frame_zero:
+        f = key & frame_mask
+        if f == frame_zero:
             continue
         coef = take(key)
         keys[i] = None  # the old key is freed once ``key`` moves on
-        rkey = (fa, fg, id(coef))
+        rkey = (f, id(coef))
         record = records.get(rkey)
         if record is None:
             loc = (
-                ((fa >> su) & mask) - bias, ((fa >> sv) & mask) - bias, ((fa >> sw) & mask) - bias,
-                ((fg >> su) & mask) - bias, ((fg >> sv) & mask) - bias, ((fg >> sw) & mask) - bias,
+                ((f >> su) & mask) - bias, ((f >> sv) & mask) - bias, ((f >> sw) & mask) - bias,
+                ((f >> tu) & mask) - bias, ((f >> tv) & mask) - bias, ((f >> tw) & mask) - bias,
             )
             record = records[rkey] = [(loc, coef), None]
-        gkey = (a - fa, g - fg, ell)
-        group = groups.setdefault(gkey, record)
+        rest = key - f
+        group = groups.setdefault(rest, record)
         if group is not record:
-            groups[gkey] = (group, record) if group.__class__ is list else group + (record,)
+            groups[rest] = (group, record) if group.__class__ is list else group + (record,)
     del keys
     size = len(terms)
     # id of a pipeline result -> its image; results stay in _PIPELINE_CACHE
     images: dict[int, list] = {}
     while groups:
-        (a, g, ell), group = groups.popitem()
+        rest, group = groups.popitem()
         if group.__class__ is list:
             image = group[1]
             if image is None:
@@ -285,38 +294,71 @@ def _braid_inplace(terms: dict, frame: tuple[int, int, int]) -> None:
             if image is None:
                 image = images[id(result)] = [
                     (
-                        ((au + bias) << su) + ((av + bias) << sv) + ((aw + bias) << sw),
-                        ((gu + bias) << su) + ((gv + bias) << sv) + ((gw + bias) << sw),
+                        ((au + bias) << su) + ((av + bias) << sv) + ((aw + bias) << sw)
+                        + ((gu + bias) << tu) + ((gv + bias) << tv) + ((gw + bias) << tw),
                         coef,
                     )
                     for (au, av, aw, gu, gv, gw), coef in result
                 ]
             if group.__class__ is list:
                 group[1] = image
-        for da, dg, coef in image:
-            terms[a + da, g + dg, ell] = coef
+        for d, coef in image:
+            terms[rest + d] = coef
         size += len(image)
     if len(terms) != size:
-        raise RuntimeError(f"braid images met existing monomials at frame {frame}")
+        raise RuntimeError(f"braid images met existing monomials at fields {frame}")
 
 
-def _relabel(terms: dict, slot: list[int]) -> dict:
-    """A copy of ``terms`` whose field p reads field slot[p] in every u/p int."""
-    copies = [(p, q) for p, q in enumerate(slot) if p != q]
-    distinct = dict.fromkeys(x for key in terms for x in key[:2])
-    n = max(len(slot), field_count(max(map(abs, distinct), default=0)))
-    moved = dict(zip(distinct, permute_fields(distinct, n, copies)))
-    return {(moved[a], moved[g], ell): coef for (a, g, ell), coef in terms.items()}
+def _pack(terms: dict, end: list[int]) -> tuple[dict, int, list]:
+    """``terms`` keyed by one biased int per monomial, with field p of
+    every u/p part read from field end[p]; fields past ``end`` stay.
+
+    Returns the keyed terms, the field count m of a u/p part (at least
+    len(end), and covering every field of the input) and the lambda parts
+    by index.  Each distinct u/p int is permuted once.
+    """
+    copies = [(p, q) for p, q in enumerate(end) if p != q]
+    distinct = dict.fromkeys(x for e in terms for x in e[:2])
+    m = max(len(end), field_count(max(map(abs, distinct), default=0)))
+    bias = field_bias(m)
+    moved = {x: y + bias for x, y in zip(distinct, permute_fields(distinct, m, copies))}
+    shift, top = SLOT_BITS * m, 2 * SLOT_BITS * m
+    index: dict = {}  # lambda part -> its index << top
+    keyed = {}
+    for (a, g, ell), coef in terms.items():
+        lam = index.get(ell)
+        if lam is None:
+            lam = index[ell] = len(index) << top
+        keyed[moved[a] + (moved[g] << shift) + lam] = coef
+    return keyed, m, list(index)
 
 
-def _start(op: QOperator, n: int, path: list) -> tuple[dict, list[int]]:
-    """``op``'s terms in slots and the slot list ``path`` turns into the
-    identity; a swap out of range is left to the move check at its step."""
+def _unpack(keyed: dict, m: int, parts: list) -> dict:
+    """The {QExponent: coefficient} terms of keys made by ``_pack``.
+
+    ``keyed`` is drained as it is read, so each key is freed once its
+    exponent is made.
+    """
+    shift = SLOT_BITS * m
+    bias, low, make = field_bias(m), (1 << shift) - 1, tuple.__new__
+    out = {}
+    pop = keyed.popitem
+    while keyed:
+        key, coef = pop()
+        high = key >> shift  # the p-fields and the lambda index
+        out[make(QExponent, ((key & low) - bias, (high & low) - bias, parts[high >> shift]))] = coef
+    return out
+
+
+def _start(op: QOperator, n: int, path: list) -> tuple[dict, int, list, list[int]]:
+    """``op``'s packed terms in slots (with ``_pack``'s m and lambda parts)
+    and the slot list ``path`` turns into the identity; a swap out of range
+    is left to the move check at its step."""
     end = list(range(n))
     for p, kind in path:
         if kind == "commute" and 0 <= p < n - 1:
             end[p], end[p + 1] = end[p + 1], end[p]
-    return _relabel(op.terms, end), sorted(range(n), key=end.__getitem__)
+    return (*_pack(op.terms, end), sorted(range(n), key=end.__getitem__))
 
 
 def transport(
@@ -336,7 +378,7 @@ def transport(
     path = list(path)
     datum = word.datum
     letters = list(word.letters)
-    terms, slot = _start(op, len(letters), path)
+    terms, m, parts, slot = _start(op, len(letters), path)
     for step, move in enumerate(path):
         _check_move(datum, letters, move)
         _apply_move_letters(letters, move)
@@ -344,13 +386,13 @@ def transport(
         if move.kind == "commute":
             slot[p], slot[p + 1] = slot[p + 1], slot[p]
         else:
-            _braid_inplace(terms, (slot[p], slot[p + 1], slot[p + 2]))
+            u, v, w = slot[p : p + 3]
+            _braid_inplace(terms, (u, v, w, u + m, v + m, w + m))
         if trace is not None:
             trace.append((move, ReducedWord._moved(datum, letters), len(terms)))
         if len(terms) > budget:
             raise TermBudgetError(len(terms), step, move, budget)
-    out = QOperator({QExponent._make(key): coef for key, coef in terms.items()})
-    return out, ReducedWord._moved(datum, letters)
+    return QOperator(_unpack(terms, m, parts)), ReducedWord._moved(datum, letters)
 
 
 def format_trace(trace: list) -> str:

@@ -29,19 +29,29 @@ t+2, wherever they lie.
 
 An exponent is (alpha, gamma, ell): the packed u/p ints of ``qtorus``
 (field layout, bias and overflow rule in its module docstring) and the
-lambda part, which no move touches.  Inside a transport each monomial is
-keyed by one int
+lambda part, which no move touches.
+
+``transport_bundle`` moves several operators along one path in one pass,
+and ``transport`` is the bundle of one operator.  The monomials of every
+operator of the bundle live in one dict, each keyed by one int
 
     key = alpha + (gamma << SLOT_BITS*m) + (index << 2*SLOT_BITS*m) + B_2m,
 
 so field k of the key holds the u-entry of slot k and field m + k its
 p-entry, each plus SLOT_BIAS (B_2m is the bias of 2m fields); m is at
-least the word length and covers every field of the input, and ``index``
-numbers the distinct lambda parts of the call.  A braid move reads its six
-frame fields, the u- and p-fields of its three slots, with one mask,
-groups the monomials on what is left, and adds the image fields back: the
-remainder and the image are one int each.  Within one move each distinct (frame fields, coefficient)
-is decoded once, into a record that carries its local 6-tuple and
+least the word length and covers every field of every input, and
+``index`` numbers the distinct (operator, lambda part) pairs of the call.
+Equal monomials of two operators, even of one operator passed twice, thus
+have distinct keys and are never merged, and the remainder of a key
+carries its operator.  Each move is checked once and runs once on the
+whole dict; the monomial budget and the trace count every monomial that
+the bundle holds.
+
+A braid move reads its six frame fields, the u- and p-fields of its
+three slots, with one mask, groups the monomials on what is left, and adds
+the image fields back: the remainder and the image are one int each, so
+groups and images never mix operators.  Within one move each distinct
+(frame fields, coefficient) is decoded once, into a record that carries its local 6-tuple and
 coefficient; a group of one monomial is its record itself, and becomes a
 tuple of records only when a second member arrives.  The move runs as two
 drains: the monomials it touches are taken out of the term dict as they
@@ -57,10 +67,11 @@ The input is written in the slot order the path ends at, so the output
 needs no relabel: the path's commutation swaps turn the identity list
 into ``end``, the moves start from the inverse of ``end``, and field q of
 the input takes its field end[q].  That is one ``qtorus.permute_fields``
-call on the input's distinct u/p ints before they are joined into keys;
-fields past the slot list stay.  The keys are split back into exponents
-only when the operator is returned, and the key dict is drained as they
-are, so the two are never both whole.
+call on the distinct u/p ints of the whole bundle before they are joined
+into keys; fields past the slot list stay.  The keys are split back into
+exponents only when the operators are returned, each into its operator's
+dict by one lookup of its (operator, lambda part) pair, and the key dict
+is drained as they are, so the two are never both whole.
 
 The word is tracked as a plain letter list: each move is checked against
 the letters (the checks and MoveError messages of ``words.apply_move``)
@@ -99,8 +110,9 @@ class NonPolynomialError(ArithmeticError):
 class TermBudgetError(RuntimeError):
     """A transport exceeded the configured monomial budget.
 
-    ``peak`` is the monomial count that broke the budget and ``step`` the
-    index of the move in the path that produced it.
+    ``peak`` is the monomial count that broke the budget, over every
+    operator of the bundle, and ``step`` the index of the move in the path
+    that produced it.
     """
 
     def __init__(self, peak: int, step: int, move: BraidMove, budget: int):
@@ -309,76 +321,88 @@ def _braid_inplace(terms: dict, frame: tuple[int, ...]) -> None:
         raise RuntimeError(f"braid images met existing monomials at fields {frame}")
 
 
-def _pack(terms: dict, end: list[int]) -> tuple[dict, int, list]:
-    """``terms`` keyed by one biased int per monomial, with field p of
-    every u/p part read from field end[p]; fields past ``end`` stay.
+def _pack(ops: list[dict], end: list[int]) -> tuple[dict, int, list]:
+    """The terms of every operator of ``ops`` in one dict, keyed by one
+    biased int per monomial, with field p of every u/p part read from field
+    end[p]; fields past ``end`` stay.
 
     Returns the keyed terms, the field count m of a u/p part (at least
-    len(end), and covering every field of the input) and the lambda parts
-    by index.  Each distinct u/p int is permuted once.
+    len(end), and covering every field of every input) and the
+    (operator, lambda part) pairs by index.  Each distinct u/p int is
+    permuted once.
     """
     copies = [(p, q) for p, q in enumerate(end) if p != q]
-    distinct = dict.fromkeys(x for e in terms for x in e[:2])
+    distinct = dict.fromkeys(x for terms in ops for e in terms for x in e[:2])
     m = max(len(end), field_count(max(map(abs, distinct), default=0)))
     bias = field_bias(m)
     moved = {x: y + bias for x, y in zip(distinct, permute_fields(distinct, m, copies))}
     shift, top = SLOT_BITS * m, 2 * SLOT_BITS * m
-    index: dict = {}  # lambda part -> its index << top
-    keyed = {}
-    for (a, g, ell), coef in terms.items():
-        lam = index.get(ell)
-        if lam is None:
-            lam = index[ell] = len(index) << top
-        keyed[moved[a] + (moved[g] << shift) + lam] = coef
-    return keyed, m, list(index)
+    keyed: dict = {}
+    parts: list = []
+    for k, terms in enumerate(ops):
+        index: dict = {}  # lambda part of operator k -> its index << top
+        for (a, g, ell), coef in terms.items():
+            lam = index.get(ell)
+            if lam is None:
+                lam = index[ell] = len(parts) << top
+                parts.append((k, ell))
+            keyed[moved[a] + (moved[g] << shift) + lam] = coef
+    return keyed, m, parts
 
 
-def _unpack(keyed: dict, m: int, parts: list) -> dict:
-    """The {QExponent: coefficient} terms of keys made by ``_pack``.
+def _unpack(keyed: dict, m: int, parts: list, count: int) -> list[dict]:
+    """The {QExponent: coefficient} terms of each of the ``count``
+    operators whose keys ``_pack`` made.
 
     ``keyed`` is drained as it is read, so each key is freed once its
     exponent is made.
     """
     shift = SLOT_BITS * m
     bias, low, make = field_bias(m), (1 << shift) - 1, tuple.__new__
-    out = {}
+    outs: list[dict] = [{} for _ in range(count)]
+    targets = [(outs[k], ell) for k, ell in parts]
     pop = keyed.popitem
     while keyed:
         key, coef = pop()
         high = key >> shift  # the p-fields and the lambda index
-        out[make(QExponent, ((key & low) - bias, (high & low) - bias, parts[high >> shift]))] = coef
-    return out
+        out, ell = targets[high >> shift]
+        out[make(QExponent, ((key & low) - bias, (high & low) - bias, ell))] = coef
+    return outs
 
 
-def _start(op: QOperator, n: int, path: list) -> tuple[dict, int, list, list[int]]:
-    """``op``'s packed terms in slots (with ``_pack``'s m and lambda parts)
+def _start(ops: list[dict], n: int, path: list) -> tuple[dict, int, list, list[int]]:
+    """The packed terms of ``ops`` in slots (with ``_pack``'s m and parts)
     and the slot list ``path`` turns into the identity; a swap out of range
     is left to the move check at its step."""
     end = list(range(n))
     for p, kind in path:
         if kind == "commute" and 0 <= p < n - 1:
             end[p], end[p + 1] = end[p + 1], end[p]
-    return (*_pack(op.terms, end), sorted(range(n), key=end.__getitem__))
+    return (*_pack(ops, end), sorted(range(n), key=end.__getitem__))
 
 
-def transport(
-    op: QOperator,
+def transport_bundle(
+    ops: Iterable[QOperator],
     word: ReducedWord,
     path: Iterable[BraidMove],
     max_terms: int | None = None,
     trace: list | None = None,
-) -> tuple[QOperator, ReducedWord]:
-    """Fold a move path over an operator, tracking the word as it changes.
+) -> tuple[tuple[QOperator, ...], ReducedWord]:
+    """Fold a move path over several operators at once, tracking the word
+    as it changes; output k is operator k moved.
 
-    ``trace``, when given, receives one (move, word, n_monomials) triple per
-    step.  Raises TermBudgetError when the monomial count exceeds the
-    budget (default from POSREP_MAX_TERMS).
+    The operators share one term dict, so each move is checked and run
+    once for the whole bundle.  ``trace``, when given, receives one
+    (move, word, n_monomials) triple per step, n_monomials counting every
+    monomial the bundle holds.  Raises TermBudgetError when that count
+    exceeds the budget (default from POSREP_MAX_TERMS).
     """
     budget = term_budget() if max_terms is None else max_terms
+    inputs = [op.terms for op in ops]
     path = list(path)
     datum = word.datum
     letters = list(word.letters)
-    terms, m, parts, slot = _start(op, len(letters), path)
+    terms, m, parts, slot = _start(inputs, len(letters), path)
     for step, move in enumerate(path):
         _check_move(datum, letters, move)
         _apply_move_letters(letters, move)
@@ -392,7 +416,20 @@ def transport(
             trace.append((move, ReducedWord._moved(datum, letters), len(terms)))
         if len(terms) > budget:
             raise TermBudgetError(len(terms), step, move, budget)
-    return QOperator(_unpack(terms, m, parts)), ReducedWord._moved(datum, letters)
+    outs = tuple(map(QOperator, _unpack(terms, m, parts, len(inputs))))
+    return outs, ReducedWord._moved(datum, letters)
+
+
+def transport(
+    op: QOperator,
+    word: ReducedWord,
+    path: Iterable[BraidMove],
+    max_terms: int | None = None,
+    trace: list | None = None,
+) -> tuple[QOperator, ReducedWord]:
+    """``transport_bundle`` of the one operator ``op``."""
+    (out,), moved = transport_bundle((op,), word, path, max_terms, trace)
+    return out, moved
 
 
 def format_trace(trace: list) -> str:

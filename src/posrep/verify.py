@@ -11,9 +11,10 @@ CLI can emit them as JSON.
 from __future__ import annotations
 
 from .qtorus import QOperator, VLaurent, nested_q_commutator, pairing_matrix, q_commutator
-from .repbuild import Representation, build_rep, operator_text
+from .repbuild import Representation, build_E, build_F, build_K, build_rep, operator_text
+from .rootdata import _check_datum
+from .transport import transport_bundle
 from .words import ReducedWord, braid_path
-from .transport import transport
 
 
 def _residue_entry(name: str, i, j, op: QOperator, word: ReducedWord) -> dict:
@@ -134,20 +135,22 @@ def path_independence(datum, word_a: ReducedWord, word_b: ReducedWord) -> dict:
     Checks (exactly):
       * transported generators agree between the two paths;
       * transported generators agree with those built directly on the target.
+
+    Each label's E, F and K move along a path as one bundle; the direct
+    generators on ``word_b`` are built one by one as they are compared.
     """
+    _check_datum(datum, word_b.datum, "the word")
     rep = build_rep(datum, word_a)
-    rep_b = build_rep(datum, word_b)
     path1 = braid_path(word_a, word_b)
     path2 = list(reversed(braid_path(word_b, word_a)))
     mismatches = []
     for i in datum.labels:
-        for kind in ("E", "F", "K"):
-            op = rep.generator(kind, i)
-            out1, _ = transport(op, word_a, path1)
-            out2, _ = transport(op, word_a, path2)
+        outs1, _ = transport_bundle(rep.gens[i], word_a, path1)
+        outs2, _ = transport_bundle(rep.gens[i], word_a, path2)
+        for kind, out1, out2, build in zip("EFK", outs1, outs2, (build_E, build_F, build_K)):
             if out1 != out2:
                 mismatches.append({"generator": f"{kind}{i}", "kind": "two_paths"})
-            direct = rep_b.generator(kind, i)
+            direct = build(word_b, i)
             if out1 != direct:
                 mismatches.append(
                     {

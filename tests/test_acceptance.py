@@ -42,7 +42,7 @@ from posrep.qtorus import (
 )
 from posrep.repbuild import build_E, build_rep
 from posrep.rootdata import build_cartan, right_descents, weyl_identity, weyl_right_mul
-from posrep.transport import transport
+from posrep.transport import transport, transport_bundle
 from posrep.verify import check_relations, path_independence, q2_chain_certificate
 from posrep.words import (
     BraidMove,
@@ -178,10 +178,8 @@ def test_criterion_6_path_independence():
         assert report["status"] == "pass", report
     # loop transport is the identity
     loop = braid_path(base, words[0]) + braid_path(words[0], base)
-    for i in datum.labels:
-        for kind in ("E", "F", "K"):
-            out, _ = transport(rep.generator(kind, i), base, loop)
-            assert out == rep.generator(kind, i)
+    ops = [op for _, op in rep.all_operators()]
+    assert transport_bundle(ops, base, loop)[0] == tuple(ops)
     _ok("criterion 6 (path independence)", "all 16 A3 words, two paths + loops")
 
 

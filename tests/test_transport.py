@@ -36,7 +36,7 @@ from posrep.qtorus import (
     rebracket,
     unpack,
 )
-from posrep.repbuild import build_E, build_E_rightmost, build_F, build_K
+from posrep.repbuild import build_E, build_E_rightmost, build_F, build_K, build_rep
 from posrep.rootdata import build_cartan
 from posrep.transport import (
     NonPolynomialError,
@@ -53,6 +53,7 @@ from posrep.transport import (
     conjugation_factor,
     term_budget,
     transport,
+    transport_bundle,
 )
 from posrep.words import (
     BraidMove,
@@ -65,6 +66,7 @@ from posrep.words import (
     enumerate_words,
     good_word,
     path_to_word_ending_in,
+    random_longest_words,
 )
 
 transport_module = importlib.import_module("posrep.transport")
@@ -260,11 +262,9 @@ def test_transported_f_and_k_match_direct(family, rank):
     base = good_word(datum)
     for target in words:
         path = braid_path(base, target)
-        for i in datum.labels:
-            f_out, _ = transport(build_F(base, i), base, path)
-            assert f_out == build_F(target, i)
-            k_out, _ = transport(build_K(base, i), base, path)
-            assert k_out == build_K(target, i)
+        ops = [build(base, i) for i in datum.labels for build in (build_F, build_K)]
+        outs, _ = transport_bundle(ops, base, path)
+        assert list(outs) == [build(target, i) for i in datum.labels for build in (build_F, build_K)]
 
 
 def test_commutation_move_matches_direct_build():
@@ -465,7 +465,8 @@ def test_pack_unpack_round_trip(parts, slot):
 def _relabeled(terms: dict, slot: list[int]) -> dict:
     """``terms`` packed with field p of each u/p part read from field
     slot[p], and unpacked again."""
-    return _unpack(*_pack(terms, slot))
+    (out,) = _unpack(*_pack([terms], slot), 1)
+    return out
 
 
 def _dense_relabel(terms: dict, slot: list[int]) -> dict:
@@ -599,9 +600,10 @@ def _braid_oracle(terms: dict, frame: tuple[int, int, int]) -> None:
 def _braid(terms: dict, frame: tuple[int, int, int]) -> dict:
     """``_braid_inplace`` on ``terms`` packed with the slot list the
     identity through the frame, unpacked again."""
-    keyed, m, parts = _pack(terms, list(range(max(frame) + 1)))
+    keyed, m, parts = _pack([terms], list(range(max(frame) + 1)))
     _braid_inplace(keyed, frame + tuple(s + m for s in frame))
-    return _unpack(keyed, m, parts)
+    (out,) = _unpack(keyed, m, parts, 1)
+    return out
 
 
 def _local_groups() -> list[tuple]:
@@ -908,3 +910,76 @@ def test_fields_past_the_word_go_there_and_back_and_fail_to_render(capsys, monke
     assert capsys.readouterr().err == (
         f"error: u/p entry -3 at position {n + 1} lies past the {n} positions of the word\n"
     )
+
+
+# ---------------------------------------------------------------------------
+# Bundles: transport_bundle moves several operators along one path in one
+# pass, and each output equals the operator's own transport.
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("family,rank,seed", [("D", 5, 11), ("E", 6, 12)])
+def test_bundle_of_every_generator_equals_the_per_operator_transport(family, rank, seed):
+    datum = build_cartan(family, rank)
+    start, target = random_longest_words(datum, 2, seed=seed)
+    path = braid_path(start, target)
+    ops = [op for _, op in build_rep(datum, start).all_operators()]
+    outs, end = transport_bundle(ops, start, path)
+    assert end == target
+    assert list(outs) == [transport(op, start, path)[0] for op in ops]
+
+
+def test_bundle_keeps_repeated_empty_and_differently_shaped_operators():
+    # F2 twice (two equal outputs, not one merged sum), the empty operator,
+    # E2 with Fraction lambda parts, and K1 lifted past the word, so the
+    # bundle's field count is larger than the word's
+    datum = build_cartan("D", 4)
+    start = good_word(datum)
+    n = len(start)
+    path = _mixed_path(start, random.Random(21), 40)
+    ell = ((1, Fraction(1, 3)), (2, Fraction(-5, 2)))
+    e2 = QOperator({e._replace(ell=ell): c for e, c in build_E(start, 2).terms.items()})
+    past = pack_entries({n + 3: -FIELD_MAX})
+    k1 = QOperator({e._replace(alpha=e.alpha + past): c for e, c in build_K(start, 1).terms.items()})
+    f2 = build_F(start, 2)
+    ops = [f2, f2, QOperator(), e2, k1]
+    outs, end = transport_bundle(ops, start, path)
+    singles = [transport(op, start, path) for op in ops]
+    assert outs == tuple(out for out, _ in singles)
+    assert all(word == end for _, word in singles)
+    assert outs[0] == outs[1] == build_F(end, 2) and outs[2] == QOperator()
+
+
+def test_one_operator_and_empty_bundles():
+    datum = build_cartan("E", 6)
+    start = good_word(datum)
+    path = _mixed_path(start, random.Random(22), 30)
+    op = build_E(start, 3)
+    out, end = transport(op, start, path)
+    assert transport_bundle([op], start, path) == ((out,), end)
+    assert transport_bundle((), start, path) == ((), end)
+    # an empty bundle still checks its moves
+    with pytest.raises(MoveError):
+        transport_bundle((), start, path + [BraidMove(len(start), "braid")])
+
+
+def test_budget_and_trace_count_the_whole_bundle():
+    datum = build_cartan("D", 5)
+    start = bad_word(datum)
+    path = _mixed_path(start, random.Random(20), 40)
+    ops = [build_E(start, 2), build_F(start, 3)]
+    single_traces: list[list] = [[] for _ in ops]
+    for op, single in zip(ops, single_traces):
+        transport(op, start, path, trace=single)
+    trace: list = []
+    transport_bundle(ops, start, path, trace=trace)
+    assert [(move, word) for move, word, _ in trace] == [(move, word) for move, word, _ in single_traces[0]]
+    counts = [sum(step) for step in zip(*([n for _, _, n in t] for t in single_traces))]
+    assert [n for _, _, n in trace] == counts
+    # a budget that each operator keeps on its own and the bundle breaks
+    budget = max(n for t in single_traces for _, _, n in t)
+    for op in ops:
+        transport(op, start, path, max_terms=budget)
+    with pytest.raises(TermBudgetError) as info:
+        transport_bundle(ops, start, path, max_terms=budget)
+    step = next(k for k, n in enumerate(counts) if n > budget)
+    assert (info.value.peak, info.value.step) == (counts[step], step)

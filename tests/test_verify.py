@@ -156,6 +156,13 @@ def test_path_independence_rejects_words_over_another_datum():
         path_independence(build_cartan("D", 4), w, w)
 
 
+def test_path_independence_rejects_a_target_over_another_datum():
+    # only the second word is over D5; the D4 source word is fine
+    d4 = build_cartan("D", 4)
+    with pytest.raises(ValueError, match=r"the word is over D_5 with .*, not over D_4 with"):
+        path_independence(d4, good_word(d4), good_word(build_cartan("D", 5)))
+
+
 @pytest.mark.parametrize(
     "family,rank,seed", [("D", 4, 5), ("E", 6, 6), ("E", 7, 7), ("E", 8, 8)],
     ids=["D4", "E6", "E7", "E8"],
@@ -195,32 +202,32 @@ def _f_right_to_left(word: ReducedWord, i: int) -> QOperator:
 
 
 def test_path_independence_fails_on_a_corrupted_f(monkeypatch):
+    # the F_label built directly on the target is wrong; the transported
+    # generators are not
     base = good_word(D4)
     (target,) = random_longest_words(D4, 1, seed=5)
     label = next(i for i in D4.labels if _f_right_to_left(target, i) != build_F(target, i))
 
-    def build_with_a_wrong_f(datum, word):
-        rep = build_rep(datum, word)
-        if word.letters != target.letters:
-            return rep
-        gens = dict(rep.gens)
-        gens[label] = gens[label]._replace(F=_f_right_to_left(word, label))
-        return Representation(rep.datum, rep.word, gens)
+    def build_a_wrong_f(word, i):
+        if word.letters == target.letters and i == label:
+            return _f_right_to_left(word, i)
+        return build_F(word, i)
 
-    monkeypatch.setattr(verify_module, "build_rep", build_with_a_wrong_f)
+    monkeypatch.setattr(verify_module, "build_F", build_a_wrong_f)
     report = path_independence(D4, base, target)
     assert report["status"] == "fail"
     assert [(w["generator"], w["kind"]) for w in report["witnesses"]] == [(f"F{label}", "vs_direct")]
 
 
 def test_path_independence_fails_on_a_corrupted_braid_move(monkeypatch):
-    # the first braid move of the first transport multiplies its whole
-    # image by q; every other move is exact
+    # the first braid move of the first bundle (E, F and K of the first
+    # label along the first path) multiplies the whole bundle by q; every
+    # other move is exact
     base = good_word(D4)
     (target,) = random_longest_words(D4, 1, seed=5)
     assert any(move.kind == "braid" for move in braid_path(base, target))
-    kernel, inner = transport_module._braid_inplace, verify_module.transport
-    state = {"transports": 0, "armed": False}
+    kernel, inner = transport_module._braid_inplace, verify_module.transport_bundle
+    state = {"bundles": 0, "armed": False}
 
     def scaled_once(terms, frame):
         kernel(terms, frame)
@@ -229,16 +236,16 @@ def test_path_independence_fails_on_a_corrupted_braid_move(monkeypatch):
             for key, coef in terms.items():
                 terms[key] = coef.shift(2)
 
-    def arm_the_first(op, word, path, *args):
-        state["transports"] += 1
-        state["armed"] = state["transports"] == 1
-        return inner(op, word, path, *args)
+    def arm_the_first(ops, word, path, *args):
+        state["bundles"] += 1
+        state["armed"] = state["bundles"] == 1
+        return inner(ops, word, path, *args)
 
     monkeypatch.setattr(transport_module, "_braid_inplace", scaled_once)
-    monkeypatch.setattr(verify_module, "transport", arm_the_first)
+    monkeypatch.setattr(verify_module, "transport_bundle", arm_the_first)
     report = path_independence(D4, base, target)
     assert report["status"] == "fail"
-    first = f"E{D4.labels[0]}"
-    kinds = {w["kind"] for w in report["witnesses"]}
-    assert {w["generator"] for w in report["witnesses"]} == {first}
-    assert kinds and kinds <= {"two_paths", "vs_direct"}
+    first = D4.labels[0]
+    assert [(w["generator"], w["kind"]) for w in report["witnesses"]] == [
+        (f"{kind}{first}", check) for kind in "EFK" for check in ("two_paths", "vs_direct")
+    ]

@@ -83,7 +83,7 @@ def build_modified(rep: Representation) -> Representation:
             (f * _k_power(k, n - 1)).scale_v(2 * (1 - n)),
             _k_power(k, 2 if n else -2),
         )
-    return Representation(rep.datum, rep.word, gens)
+    return Representation(rep.word, gens)
 
 
 def check_modified_relations(mrep: Representation) -> dict:

@@ -104,6 +104,8 @@ class VLaurent:
     VLaurent('v^2 + v^-2')
     >>> VLaurent.q_power(1) * VLaurent(-2, (1,))
     VLaurent('1')
+    >>> VLaurent.zero().shift(3)
+    VLaurent('0')
     """
 
     val: int
@@ -140,8 +142,6 @@ class VLaurent:
 
     def shift(self, k: int) -> VLaurent:
         """Multiply by v**k."""
-        if not self.coeffs:
-            return self
         return VLaurent(self.val + k, self.coeffs)
 
     def __bool__(self) -> bool:
@@ -545,6 +545,11 @@ class QOperator:
     Instances are immutable by convention: algorithms always build fresh
     term dictionaries, so the canonical order is sorted once and kept, and
     so are the decoded u/p rows the pairing kernel reads.
+
+    >>> QOperator.one() + QOperator.one()
+    <QOperator with 1 monomial>
+    >>> QOperator.one() - QOperator.one()
+    <QOperator with 0 monomials>
     """
 
     __slots__ = ("terms", "_order", "_rows")

@@ -42,9 +42,12 @@ class GeneratorTriple(NamedTuple):
 
 @dataclass(frozen=True)
 class Representation:
-    datum: CartanDatum
     word: ReducedWord
     gens: dict[int, GeneratorTriple]
+
+    @property
+    def datum(self) -> CartanDatum:
+        return self.word.datum
 
     def generator(self, kind: str, i: int) -> QOperator:
         return getattr(self.gens[i], kind)
@@ -110,7 +113,7 @@ def build_rep(datum: CartanDatum, word: ReducedWord) -> Representation:
     _check_datum(datum, word.datum, "the word")
     gens = {i: GeneratorTriple(build_E(word, i), build_F(word, i), build_K(word, i))
             for i in datum.labels}
-    return Representation(datum, word, gens)
+    return Representation(word, gens)
 
 
 # ---------------------------------------------------------------------------

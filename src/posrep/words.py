@@ -32,6 +32,7 @@ from typing import Literal, NamedTuple, Sequence
 
 from .rootdata import (
     CartanDatum,
+    _check_datum,
     positive_root_count,
     right_descents,
     weyl_from_word,
@@ -358,8 +359,7 @@ def braid_path(src: ReducedWord, dst: ReducedWord) -> list[BraidMove]:
     exists.  It aligns prefixes left to right; every intermediate word
     stays reduced because only valid moves are emitted.
     """
-    if src.datum != dst.datum:
-        raise ValueError("words live over different Cartan data")
+    _check_datum(src.datum, dst.datum, "the target word")
     letters = list(src.letters)
     moves: list[BraidMove] = []
     for t, target in enumerate(dst.letters):

@@ -4,12 +4,12 @@ definition of the package is used somewhere in it.
 Stdlib-only AST scans of ``src/posrep/*.py``:
 
 * an imported name must occur in the module as a name or as the base of an
-  attribute access, or else be re-exported by ``__init__`` from that module;
+  attribute access;
 * a module-level function or class must be referenced, as a name or as
   an attribute, and a method of such a class as an attribute (``x.name``),
   somewhere in the package outside its own definition; a local variable
   that shares a method's name does not count.  Dunder names and the few
-  named ``REFERENCES`` are exempt; exported and private names are not.
+  named ``REFERENCES`` are exempt; public and private names are not.
 
 So a helper that only the tests reach fails here: either the package uses
 it, or it is a named reference, or it goes.
@@ -19,29 +19,17 @@ strips them, so a correctness guard must be an explicit raise.
 """
 
 import ast
-import importlib
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
-from types import ModuleType
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "posrep"
 
 
-def reexports(module: str | None = None) -> set[str]:
-    """Names that ``__init__`` imports from ``module``, or from any module."""
-    tree = ast.parse((PACKAGE / "__init__.py").read_text())
-    return {
-        alias.name
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and node.level == 1
-        and module in (None, node.module)
-        for alias in node.names
-    }
-
-
-def unused_imports(source: str, exported: set[str] = frozenset()) -> list[str]:
+def unused_imports(source: str) -> list[str]:
     tree = ast.parse(source)
     imported: dict[str, int] = {}
     for node in ast.walk(tree):
@@ -51,21 +39,38 @@ def unused_imports(source: str, exported: set[str] = frozenset()) -> list[str]:
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | exported
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
 
 
-@pytest.mark.parametrize(
-    "path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"), ids=lambda p: p.name
-)
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
-    assert unused_imports(path.read_text(), reexports(path.stem)) == []
+    assert unused_imports(path.read_text()) == []
+
+
+def test_package_init_is_its_docstring_alone():
+    # each name has one import path, its own module: no re-exports, no
+    # __all__, no __version__ beside pyproject.toml's
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    assert [n.lineno for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))] == []
+    assert ast.get_docstring(tree) and len(tree.body) == 1
+
+
+def test_the_cli_does_not_load_the_closed_forms():
+    # ``posrep.crosscheck`` is a reference that only the tests compare
+    # against; importing the command line must not pay for it
+    script = "import sys; sys.path.insert(0, sys.argv[1]); import posrep.cli; print(*sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(PACKAGE.parent)], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "posrep.cli" in loaded and "posrep.crosscheck" not in loaded
 
 
 def test_scan_flags_an_unused_import():
     source = "import os\nfrom typing import Iterable, List, Tuple\nx: List = os.sep\n"
     assert unused_imports(source) == ["Iterable (line 2)", "Tuple (line 2)"]
-    assert unused_imports(source, {"Tuple"}) == ["Iterable (line 2)"]
 
 
 FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -152,32 +157,6 @@ def test_scan_flags_an_unreferenced_definition():
     assert unreferenced(sources) == [
         "a.uncalled", "a.recursive", "a.exported", "a.Box.unused", "a.Box.shadowed"
     ]
-
-
-def test_all_lists_exactly_the_imported_names():
-    import posrep
-
-    imported = [
-        alias.name
-        for node in ast.parse((PACKAGE / "__init__.py").read_text()).body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    ]
-    assert posrep.__all__ == imported
-    assert [name for name in posrep.__all__ if isinstance(getattr(posrep, name), ModuleType)] == []
-
-
-def test_each_module_name_names_its_module():
-    # a re-exported function must not shadow the module it comes from
-    import posrep
-    import posrep.transport as m
-    from posrep import repbuild
-
-    assert isinstance(m, ModuleType) and m.transport is repbuild.transport
-    for path in sorted(PACKAGE.glob("*.py")):
-        if path.stem not in ("__init__", "__main__"):
-            module = importlib.import_module(f"posrep.{path.stem}")
-            assert getattr(posrep, path.stem) is module, path.stem
 
 
 def asserts(source: str) -> list[int]:

@@ -67,7 +67,7 @@ def test_corrupted_rep_detected():
         )
         gens = dict(rep.gens)
         gens[label] = GeneratorTriple(broken, rep.gens[label].F, rep.gens[label].K)
-        report = check_relations(Representation(rep.datum, rep.word, gens))
+        report = check_relations(Representation(rep.word, gens))
         assert report == {"check": "relations", "status": "fail", "witnesses": pinned}
 
 
@@ -79,7 +79,7 @@ def _serre_broken_d4() -> Representation:
     first = rep.gens[0].E.monomials()[0].expo
     gens = dict(rep.gens)
     gens[2] = GeneratorTriple(gens[2].E + QOperator.monomial(first.power(-1)), gens[2].F, gens[2].K)
-    return Representation(rep.datum, rep.word, gens)
+    return Representation(rep.word, gens)
 
 
 SERRE_WITNESSES = {(0, 2): 55, (1, 2): 55, (2, 0): 70, (2, 1): 70, (2, 3): 14, (3, 2): 3}

@@ -20,6 +20,11 @@ then exits 0 iff its certificate passes.  ``tables --badword`` exits 1
 when the term budget aborts the blow-up run.  ``classical`` rejects K
 generators, which have no finite-difference form, with exit code 2.
 
+``construct --format json`` writes as it renders: the text goes to stdout
+in order, a bounded chunk per write, and only after the operator has been
+rebracketed and every u/p entry checked to lie within the word, so a
+command that exits 2 has written nothing to stdout.
+
 ``construct`` (under both ``--lam`` values), ``transport`` and
 ``classical`` build only the generator they print, and ``normalize-lambda``
 builds only the K_i: an F_i or K_i needs no transport.  ``verify``,
@@ -36,13 +41,23 @@ from __future__ import annotations
 
 import argparse
 import json
+import struct
 import sys
 from functools import cache
-from itertools import compress
-from operator import itemgetter, mod
+from operator import getitem
 
 from . import moddouble, repbuild, verify
-from .qtorus import QOperator, RebracketError, rebracket, term_count, unpack
+from .qtorus import (
+    SLOT_BIAS,
+    SLOT_BITS,
+    BracketTerm,
+    QExponent,
+    QOperator,
+    RebracketError,
+    field_bias,
+    rebracket,
+    term_count,
+)
 from .repbuild import _past_the_word, build_rep, classical_render, operator_text, position_names
 from .rootdata import build_cartan, langlands_b_vectors
 from .transport import TermBudgetError, format_trace, transport
@@ -66,51 +81,108 @@ from .words import (
 # it, kept so that the format stays stable
 _MONOMIAL = '{"alpha":%s,"coeff":%s,"const":0,"ell":%s,"gamma":%s}'
 _BRACKET = '{"L":{"const":0,"lambda":%s,"u":%s},"P":%s,"scalar":%s}'
+_CHUNK = 1024  # monomials or brackets per write
+_GROUP = 16  # fields per lookup in a part's text
 
 
-def operator_to_json(op: QOperator, word: ReducedWord) -> str:
-    """The JSON text of ``op``: its monomials in the canonical order and,
-    when ``rebracket`` succeeds, its weight-shift terms.
+def operator_to_json(op: QOperator, word: ReducedWord, write, head: str = "", tail: str = "") -> None:
+    """Write ``head``, the JSON text of ``op`` and ``tail`` through ``write``.
 
-    Each distinct u/p part, lambda part and coefficient is encoded once.
+    The text holds ``op``'s monomials in the canonical order and, when
+    ``rebracket`` succeeds, its weight-shift terms.  Nothing is written
+    when the call raises: the check that every u/p entry lies within the
+    word and ``rebracket`` both run first.  The text goes out in order,
+    one write per _CHUNK monomials or brackets; the u/p parts of a chunk
+    are encoded together, and each distinct lambda part and coefficient
+    once.
     """
-    part = cache(_part_encoder(word))
-    lam = cache(lambda ell: dump_json({str(s): str(c) for s, c in ell}))
-    coeff = cache(lambda c: dump_json([[c.val + k, a] for k, a in enumerate(c.coeffs) if a]))
+    n = len(word.letters)
+    exps = op.exponents()
+    # a field past the word is nonzero exactly when x + B_n leaves n fields;
+    # the brackets' parts are parts of the monomials
+    parts, bias = [x for e in exps for x in (e.alpha, e.gamma)], field_bias(n)
+    if parts and (max(parts) + bias >> SLOT_BITS * n or min(parts) + bias < 0):
+        raise _past_the_word(op, n)
     try:
-        monomials = ",".join(
-            [_MONOMIAL % (part(e.alpha), coeff(c), lam(e.ell), part(e.gamma))
-             for e, c in op.monomials()]
-        )
-    except OverflowError:
-        # unpack overflows exactly when a field past the word is nonzero; the
-        # brackets' parts lie within the monomials' positions
-        raise _past_the_word(op, len(word.letters)) from None
-    try:
-        brackets = ",".join(
-            [_BRACKET % (lam(t.l_ell), part(t.l_alpha), part(t.shift), coeff(t.scalar))
-             for t in rebracket(op)]
-        )
+        terms = rebracket(op)
     except RebracketError:
-        return '{"monomials":[%s]}' % monomials
-    return '{"brackets":[%s],"monomials":[%s]}' % (brackets, monomials)
+        terms = None
+    encode = _part_encoder(word)
+    lam = cache(lambda ell: dump_json({str(s): str(c) for s, c in ell}))
+    # keyed by (val, coeffs): a VLaurent hashes and compares in Python
+    coeff = cache(lambda val, cs: dump_json([[val + k, a] for k, a in enumerate(cs) if a]))
+
+    def monomials(chunk: tuple[QExponent, ...]) -> list[str]:
+        alphas, gammas = encode([e.alpha for e in chunk]), encode([e.gamma for e in chunk])
+        return [_MONOMIAL % (a, coeff(c.val, c.coeffs), lam(e.ell), g)
+                for e, c, a, g in zip(chunk, map(op.terms.__getitem__, chunk), alphas, gammas)]
+
+    def brackets(chunk: list[BracketTerm]) -> list[str]:
+        ls, ps = encode([t.l_alpha for t in chunk]), encode([t.shift for t in chunk])
+        return [_BRACKET % (lam(t.l_ell), l, p, coeff(t.scalar.val, t.scalar.coeffs))
+                for t, l, p in zip(chunk, ls, ps)]
+
+    if terms is None:
+        _write_list(write, exps, monomials, head + '{"monomials":[', "]}" + tail)
+    else:
+        _write_list(write, terms, brackets, head + '{"brackets":[', '],"monomials":[')
+        _write_list(write, exps, monomials, "", "]}" + tail)
+
+
+def _write_list(write, items, render, head: str, tail: str) -> None:
+    """Write ``head``, the texts of ``items`` joined by commas and ``tail``:
+    one write per _CHUNK items, and one in all when there are none."""
+    text = head
+    for start in range(0, len(items), _CHUNK):
+        if start:
+            write(text)
+            text = ","
+        text += ",".join(render(items[start : start + _CHUNK]))
+    write(text + tail)
+
+
+class _Group(dict):
+    """The text of a group of u/p fields: '"<name>":<value>' for each
+    nonzero one, keyed by the group's biased bytes and made on first use."""
+
+    __slots__ = ("names",)
+
+    def __init__(self, names: list[str]):
+        super().__init__()
+        self.names = names  # each '"<name>":'
+
+    def __missing__(self, group: bytes) -> str:
+        text = self[group] = ",".join(
+            [name + str(b - SLOT_BIAS) for name, b in zip(self.names, group) if b != SLOT_BIAS]
+        )
+        return text
 
 
 def _part_encoder(word: ReducedWord):
-    """An encoder of packed u/p parts over ``word`` as JSON objects.
+    """An encoder of lists of packed u/p parts over ``word`` as JSON objects.
 
-    Keys are position names in sorted string order ("3.10" before "3.2"),
-    so the fields are permuted into that order and the nonzero ones written.
+    Keys are position names in sorted string order ("3.10" before "3.2").
+    One call writes each x + B_n as a row of biased bytes, one per field
+    (qtorus checks SLOT_BITS == 8), copies the columns into name order,
+    and reads each row as groups of _GROUP fields; each group's text is
+    looked up in a table per group of names, filled on first use.
     """
     names = position_names(word)
     n = len(names)
     order = sorted(range(n), key=names.__getitem__)
-    by_name = itemgetter(*order) if n > 1 else tuple
-    keys = [json.dumps(names[t]) + ":%d" for t in order]
+    keys = [json.dumps(names[t]) + ":" for t in order]
+    tables = [_Group(keys[i : i + _GROUP]) for i in range(0, n, _GROUP)]
+    full, rest = divmod(n, _GROUP)
+    groups = struct.Struct(f"{_GROUP}s" * full + (f"{rest}s" if rest else ""))
+    bias = field_bias(n)
 
-    def encode(x: int) -> str:
-        fields = by_name(unpack(x, n))
-        return "{%s}" % ",".join(map(mod, compress(keys, fields), compress(fields, fields)))
+    def encode(xs: list[int]) -> list[str]:
+        rows = b"".join([(x + bias).to_bytes(n, "little") for x in xs])
+        named = bytearray(len(rows))
+        for column, t in enumerate(order):
+            named[column::n] = rows[t::n]
+        return ["{%s}" % ",".join(filter(None, map(getitem, tables, row)))
+                for row in groups.iter_unpack(named)]
 
     return encode
 
@@ -180,10 +252,10 @@ def cmd_construct(args) -> int:
         shifts, _ = moddouble.lambda_shifts(word)
         op = moddouble.apply_lambda_shifts(op, shifts)
     if args.format == "json":
-        # sorted keys, as dump_json writes them; print writes the pieces in turn
+        # sorted keys, as dump_json writes them, with the operator between
         head = dump_json({"family": datum.family, "generator": f"{kind}{label}"})
         tail = dump_json({"rank": datum.rank, "word": list(word.letters)})
-        print(f'{head[:-1]},"operator":', operator_to_json(op, word), f",{tail[1:]}", sep="")
+        operator_to_json(op, word, sys.stdout.write, f'{head[:-1]},"operator":', f",{tail[1:]}\n")
     else:
         print(operator_text(op, word))
     return 0

@@ -44,9 +44,11 @@ stays a sparse (label, value) tuple, normalized by ``sparse``.
 
 ``permute_fields`` is the one routine that rewrites fields in bulk: it
 writes each x + B_n as a row of n unsigned SLOT_BITS-bit fields and copies
-whole columns.  A transport's relabel permutes positions with it, and
-``canonical_order`` keys a u/p part by its fields reversed, position 0 in
-the top field, so that int order is dense lexicographic order.
+whole columns.  Only a transport's relabel uses it, to permute positions.
+``canonical_order`` keys a u/p part by the bytes of x + B_n, position 0
+first: with one byte per field (SLOT_BITS == 8, checked at import) byte
+order is dense lexicographic order.  ``rebracket`` decodes each pair's
+u- and p-part once, over one field count for the whole operator.
 
 The pair kernel behind ``QOperator.__mul__`` and ``q_commutator`` sums
 coefficients with the same signed-linear rule.  One call first fixes its
@@ -506,20 +508,26 @@ def pairing_matrix(xs, ys) -> list[tuple[int, ...]]:
     return list(_pairing_rows(_Rows(xs), _Rows(ys)))
 
 
+if SLOT_BITS != 8:
+    raise ImportError("canonical_order's byte keys need one byte per field: SLOT_BITS must be 8")
+
+
 def canonical_order(exponents: Iterable[QExponent]) -> tuple[QExponent, ...]:
     """Exponents sorted by (alpha, gamma, ell) as dense vectors.
 
     The order only fixes the order in which monomials and brackets are
-    listed and printed.  A u- or p-part sorts by its fields reversed
-    (``permute_fields``), so that position 0 holds the top field: every
-    field is biased, so over a common field count int order of the result
-    is dense lexicographic order.  A lambda part sorts as its dense vector
-    over the labels that occur in any of the exponents.
+    listed and printed.  A u- or p-part sorts by the bytes of x + B_n,
+    position 0 first: every field is biased and one byte wide, so over a
+    common field count byte order is dense lexicographic order.  A lambda
+    part sorts as its dense vector over the labels that occur in any of
+    the exponents.
     """
     exps = list(exponents)
     parts = dict.fromkeys(x for e in exps for x in (e.alpha, e.gamma))
     n = max(map(field_count, parts), default=1)
-    keys = dict(zip(parts, permute_fields(parts, n, [(p, n - 1 - p) for p in range(n)])))
+    bias = field_bias(n)
+    for x in parts:
+        parts[x] = (x + bias).to_bytes(n, "little")
 
     ells = dict.fromkeys(e.ell for e in exps)
     labels = sorted({k for ell in ells for k, _ in ell})
@@ -528,7 +536,7 @@ def canonical_order(exponents: Iterable[QExponent]) -> tuple[QExponent, ...]:
         ells[ell] = tuple([row.get(k, 0) for k in labels])
 
     def key(e: QExponent) -> tuple:
-        return keys[e.alpha], keys[e.gamma], ells[e.ell]
+        return parts[e.alpha], parts[e.gamma], ells[e.ell]
 
     return tuple(sorted(exps, key=key))
 
@@ -899,26 +907,32 @@ def rebracket(op: QOperator) -> list[BracketTerm]:
     monomial by its nonzero (position, value) u- and p-entries and its
     lambda part.
     """
-    remaining = dict(op.terms)
+    terms = op.terms
+    n = max((field_count(x) for e in terms for x in (e.alpha, e.gamma)), default=1)
+    paired: set[QExponent] = set()  # partners met ahead of their turn in the order
     out: list[BracketTerm] = []
     for e in op.exponents():
-        if e not in remaining:
+        if e in paired:
             continue
-        partner = QExponent(-e.alpha, e.gamma, sparse_neg(e.ell))
-        if partner == e:
+        alpha, gamma, ell = e
+        if not (alpha or ell):
             raise RebracketError(f"monomial with zero weight part: {_monomial_name(e)}")
-        c1 = remaining.pop(e)
-        c2 = remaining.pop(partner, None)
+        partner = QExponent(-alpha, gamma, sparse_neg(ell))
+        c2 = terms.get(partner)
         if c2 is None:
             raise RebracketError(f"unpaired monomial: {_monomial_name(e)}")
-        s = _dot(e.alpha, e.gamma)
-        if c1 == c2.shift(2 * (1 + s)):
-            plus, scalar = e, c1.shift(-1 - s)
-        elif c2 == c1.shift(2 * (1 - s)):
-            plus, scalar = partner, c2.shift(-1 + s)
+        paired.add(partner)
+        c1 = terms[e]
+        s = sum(map(mul, unpack(alpha, n), unpack(gamma, n)))
+        # c1 == c2 * v**(2 + 2s) makes e the plus monomial, and
+        # c2 == c1 * v**(2 - 2s) its partner
+        rise = c1.val - c2.val if c1.coeffs == c2.coeffs else None
+        if rise == 2 + 2 * s:
+            out.append(BracketTerm(c1.shift(-1 - s), alpha, ell, gamma))
+        elif rise == 2 * s - 2:
+            out.append(BracketTerm(c2.shift(s - 1), partner.alpha, partner.ell, gamma))
         else:
             raise RebracketError(f"no bracket orientation fits the pair at {_monomial_name(e)}")
-        out.append(BracketTerm(scalar, plus.alpha, plus.ell, plus.gamma))
     return out
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import posrep
-from posrep import moddouble
+from posrep import cli, moddouble
 from posrep.cli import main, operator_to_json
 from posrep.qtorus import (
     SLOT_BIAS,
@@ -34,6 +35,13 @@ def run_cli(capsys, *argv):
     return code, out
 
 
+def json_text(op: QOperator, word) -> str:
+    """The text that ``operator_to_json`` writes for ``op`` on ``word``."""
+    writes: list[str] = []
+    operator_to_json(op, word, writes.append)
+    return "".join(writes)
+
+
 def test_construct_e(capsys):
     code, out = run_cli(capsys, "construct", "A", "3", "--word", "good", "--gen", "E3")
     assert code == 0
@@ -54,7 +62,7 @@ def test_construct_json_round_trip(capsys):
     word = good_word(datum)
     op = build_rep(datum, word).gens[1].E
     # the command writes the text of the operator it builds, verbatim
-    text = operator_to_json(op, word)
+    text = json_text(op, word)
     assert json.loads(text) == payload["operator"]
     assert f'"operator":{text},' in out
     assert payload["word"] == list(word.letters)
@@ -72,7 +80,7 @@ def test_non_bracket_operator_renders_raw_monomials():
     # an unpaired monomial: rebracket raises RebracketError
     op = QOperator.monomial(exponent({0: 1}, {0: -1})) + QOperator.monomial(exponent({2: 1}))
     assert operator_text(op, word) == "E^(pi b(u2.1)) + E^(pi b(u2.2 - 2p2.2))"
-    assert json.loads(operator_to_json(op, word)) == {
+    assert json.loads(json_text(op, word)) == {
         "monomials": [
             {"alpha": {"2.1": 1}, "coeff": [[0, 1]], "const": 0, "ell": {}, "gamma": {}},
             {"alpha": {"2.2": 1}, "coeff": [[0, 1]], "const": 0, "ell": {}, "gamma": {"2.2": -1}},
@@ -84,8 +92,10 @@ def test_non_bracket_operator_renders_raw_monomials():
 def test_entry_past_the_word_raises(value):
     word = good_word(build_cartan("A", 2))
     op = QOperator.monomial(exponent({0: 1}, {3: value}))
+    writes: list[str] = []
     with pytest.raises(ValueError, match=f"u/p entry {value} at position 3 lies past the 3 positions"):
-        operator_to_json(op, word)
+        operator_to_json(op, word, writes.append, "head")
+    assert writes == []
 
 
 # The dict-then-dump rendering that the direct encoder replaced, kept as the
@@ -170,7 +180,7 @@ def bracket_operators(draw) -> QOperator:
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(monomial_operators(), bracket_operators()))
 def test_encoder_matches_dict_oracle(op):
-    assert operator_to_json(op, E6_WORD) == oracle_operator_json(op, E6_WORD)
+    assert json_text(op, E6_WORD) == oracle_operator_json(op, E6_WORD)
 
 
 def test_encoder_oracle_cases():
@@ -190,11 +200,51 @@ def test_encoder_oracle_cases():
         bracket({5: -1}, (), {}),
     ])
     for op, has_brackets in ((zero, True), (raw, False), (bracketed, True)):
-        text = operator_to_json(op, word)
+        text = json_text(op, word)
         assert text == oracle_operator_json(op, word)
         assert ("brackets" in json.loads(text)) == has_brackets
-    assert operator_to_json(zero, word) == '{"brackets":[],"monomials":[]}'
-    assert '{"3.1":2,"3.10":1,"3.2":-1}' in operator_to_json(raw, word)
+    assert json_text(zero, word) == '{"brackets":[],"monomials":[]}'
+    assert '{"3.1":2,"3.10":1,"3.2":-1}' in json_text(raw, word)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.one_of(monomial_operators(), bracket_operators()), st.integers(1, 3))
+def test_chunked_writes_join_to_the_oracle_text(op, chunk):
+    # each list goes out ``chunk`` brackets or monomials per write, at
+    # least one write per list, and the writes join to the one text
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_CHUNK", chunk)
+        writes: list[str] = []
+        operator_to_json(op, E6_WORD, writes.append, "<", ">")
+    text = oracle_operator_json(op, E6_WORD)
+    assert "".join(writes) == f"<{text}>"
+    lists = json.loads(text).values()
+    assert len(writes) == sum(max(-(-len(items) // chunk), 1) for items in lists)
+
+
+def test_construct_json_writes_nothing_before_an_entry_past_the_word(capsys, monkeypatch):
+    # the check runs before the first write, so stdout stays empty
+    past = QOperator.monomial(exponent({0: 1}, {3: 2}))
+    monkeypatch.setattr(cli, "_build_generator", lambda kind, word, label: past)
+    assert main(["construct", "A", "2", "--gen", "E1", "--format", "json"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: u/p entry 2 at position 3 lies past the 3 positions of the word\n"
+    )
+
+
+def test_construct_json_falls_back_to_the_monomials(capsys, monkeypatch):
+    # an operator that rebracket rejects is written as its monomials alone,
+    # byte for byte as the dict oracle writes it
+    word = good_word(build_cartan("A", 2))
+    raw = QOperator.monomial(exponent({0: 1}, {0: -1})) + QOperator.monomial(exponent({2: 1}))
+    with pytest.raises(RebracketError):
+        rebracket(raw)
+    monkeypatch.setattr(cli, "_build_generator", lambda kind, word, label: raw)
+    code, out = run_cli(capsys, "construct", "A", "2", "--gen", "E1", "--format", "json")
+    assert code == 0
+    text = oracle_operator_json(raw, word)
+    assert text.startswith('{"monomials":[')
+    assert out == f'{{"family":"A","generator":"E1","operator":{text},"rank":2,"word":[2,1,2]}}\n'
 
 
 def test_invalid_word_rejected(capsys):
@@ -386,7 +436,7 @@ def test_explicit_generators_print_on_the_e8_bad_word_under_a_small_budget(capsy
     op = {"F": build_F, "K": build_K}[gen[0]](word, 3)
     payload = json.loads(out)
     assert payload["word"] == list(word.letters)
-    assert payload["operator"] == json.loads(operator_to_json(op, word))
+    assert payload["operator"] == json.loads(json_text(op, word))
 
 
 @pytest.mark.parametrize(
@@ -418,14 +468,19 @@ def test_construct_k_past_the_int_digit_limit(capsys):
     assert code == 0 and out.count("E^(pi b(") == 1
 
 
-def run_module(*argv):
-    """``python -m posrep *argv`` in a fresh interpreter that imports this
-    copy of the package."""
+def module_env() -> dict[str, str]:
+    """The environment of a fresh interpreter that imports this copy of the package."""
     env = dict(os.environ)
     src = str(Path(posrep.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def run_module(*argv):
+    """``python -m posrep *argv`` in a fresh interpreter that imports this
+    copy of the package."""
     return subprocess.run([sys.executable, "-m", "posrep", *argv],
-                          capture_output=True, text=True, env=env, timeout=60)
+                          capture_output=True, text=True, env=module_env(), timeout=60)
 
 
 def test_module_entry_point():
@@ -433,3 +488,32 @@ def test_module_entry_point():
     assert (result.returncode, result.stdout) == (0, "[-u1.1 - 2L1] e(p1.1)\n")
     result = run_module("construct", "A", "0", "--gen", "E1")
     assert result.returncode == 2 and result.stderr == "error: unsupported type A_0\n"
+
+
+@pytest.mark.skipif(os.environ.get("POSREP_LONG") != "1",
+                    reason="the E7 bad word's JSON takes about 60 s and 0.3 GB; set POSREP_LONG=1")
+def test_e7_bad_word_json_streams_in_a_child():
+    # E3 on the E7 bad word as JSON (183 MB of text): the digest of the
+    # whole text, its bracket count, and the child's own peak, read with
+    # wait4 so that nothing else in this process counts
+    env = module_env()
+    env.pop("POSREP_MAX_TERMS", None)
+    argv = ["construct", "E", "7", "--word", "bad", "--gen", "E3", "--format", "json"]
+    proc = subprocess.Popen([sys.executable, "-m", "posrep", *argv], stdout=subprocess.PIPE, env=env)
+    digest, size, scalars, key, tail = hashlib.sha256(), 0, 0, b'"scalar"', b""
+    with proc.stdout:
+        while chunk := proc.stdout.read(1 << 20):
+            digest.update(chunk)
+            size += len(chunk)
+            seen = tail + chunk  # tail is one byte too short to hold a key
+            scalars += seen.count(key)
+            tail = seen[1 - len(key):]
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0
+    assert scalars == 160957
+    assert (size, digest.hexdigest()[:16]) == (182852505, "22cead2e03088a52")
+    # ru_maxrss (KiB on Linux): the child peaked at 275 MiB, its transport's
+    # peak, against 769 MiB when the text was joined before it was printed;
+    # the bound is that peak plus 10 %
+    assert usage.ru_maxrss < 305 * 1024

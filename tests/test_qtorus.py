@@ -32,7 +32,8 @@ from posrep.qtorus import (
     unpack,
 )
 from posrep.qtorus import (
-    EXP_ONE, _Rows, _check_products, _pairing_rows, _rows_of, sparse, sparse_add, sparse_neg, sparse_scale,
+    EXP_ONE, _Rows, _check_products, _dot, _monomial_name, _pairing_rows, _rows_of, canonical_order,
+    field_count, permute_fields, sparse, sparse_add, sparse_neg, sparse_scale,
 )
 from posrep.repbuild import build_rep
 from posrep.rootdata import build_cartan
@@ -710,3 +711,118 @@ def test_rebracket_errors_name_a_monomial_past_the_digit_limit():
 
 def test_term_count_zero():
     assert term_count(QOperator()) == 0
+
+
+# ---------------------------------------------------------------------------
+# The sort by permuted fields and the pairing over a copy of the term dict
+# that canonical_order and rebracket replaced, kept as oracles.
+# ---------------------------------------------------------------------------
+
+def oracle_canonical_order(exponents) -> tuple[QExponent, ...]:
+    exps = list(exponents)
+    parts = dict.fromkeys(x for e in exps for x in (e.alpha, e.gamma))
+    n = max(map(field_count, parts), default=1)
+    keys = dict(zip(parts, permute_fields(parts, n, [(p, n - 1 - p) for p in range(n)])))
+    ells = dict.fromkeys(e.ell for e in exps)
+    labels = sorted({k for ell in ells for k, _ in ell})
+    for ell in ells:
+        row = dict(ell)
+        ells[ell] = tuple([row.get(k, 0) for k in labels])
+    return tuple(sorted(exps, key=lambda e: (keys[e.alpha], keys[e.gamma], ells[e.ell])))
+
+
+def oracle_rebracket(op: QOperator) -> list[BracketTerm]:
+    remaining = dict(op.terms)
+    out = []
+    for e in oracle_canonical_order(op.terms):
+        if e not in remaining:
+            continue
+        partner = QExponent(-e.alpha, e.gamma, sparse_neg(e.ell))
+        if partner == e:
+            raise RebracketError(f"monomial with zero weight part: {_monomial_name(e)}")
+        c1 = remaining.pop(e)
+        c2 = remaining.pop(partner, None)
+        if c2 is None:
+            raise RebracketError(f"unpaired monomial: {_monomial_name(e)}")
+        s = _dot(e.alpha, e.gamma)
+        if c1 == c2.shift(2 * (1 + s)):
+            plus, scalar = e, c1.shift(-1 - s)
+        elif c2 == c1.shift(2 * (1 - s)):
+            plus, scalar = partner, c2.shift(-1 + s)
+        else:
+            raise RebracketError(f"no bracket orientation fits the pair at {_monomial_name(e)}")
+        out.append(BracketTerm(scalar, plus.alpha, plus.ell, plus.gamma))
+    return out
+
+
+def _rebracket_outcome(fn, op: QOperator):
+    """The terms ``fn`` finds, or its RebracketError message."""
+    try:
+        return fn(op)
+    except RebracketError as exc:
+        return str(exc)
+
+
+FAR = 1000  # a packed int with field 1000 set passes the int-to-str digit limit
+edge_entries = st.one_of(
+    st.integers(-2, 2), st.sampled_from([SLOT_BIAS - 1, 1 - SLOT_BIAS])
+).filter(bool)
+far_parts = st.dictionaries(st.one_of(st.integers(0, 6), st.just(FAR)), edge_entries, max_size=4)
+lambda_parts = st.dictionaries(
+    st.integers(0, 4), st.one_of(st.integers(-2, 2), st.fractions(-2, 2, max_denominator=4)).filter(bool),
+    max_size=3,
+)
+laurents = st.builds(
+    VLaurent, st.integers(-4, 4), st.lists(st.integers(-2, 2), min_size=1, max_size=3)
+).filter(bool)
+
+
+@st.composite
+def rebracket_inputs(draw) -> QOperator:
+    """Sums of brackets, some with stray monomials (unpaired or of zero
+    weight) added or one coefficient shifted (no orientation fits)."""
+    terms = draw(st.lists(st.tuples(far_parts, lambda_parts, far_parts, laurents), max_size=6))
+    op = operator_from_brackets([bracket(a, ell, p, c) for a, ell, p, c in terms if a or ell])
+    for a, g, ell, c in draw(st.lists(st.tuples(far_parts, far_parts, lambda_parts, laurents), max_size=2)):
+        op = op + QOperator({exponent(a, g, ell): c})
+    if op.terms and draw(st.booleans()):
+        e = draw(st.sampled_from(list(op.terms)))
+        op = QOperator({**op.terms, e: op.terms[e].shift(draw(st.integers(1, 3)))})
+    return op
+
+
+@settings(max_examples=200, deadline=None)
+@given(rebracket_inputs())
+def test_order_and_rebracket_match_the_oracles(op):
+    assert canonical_order(op.terms) == oracle_canonical_order(op.terms)
+    assert _rebracket_outcome(rebracket, op) == _rebracket_outcome(oracle_rebracket, op)
+
+
+def test_rebracket_oracle_cases():
+    """The cases the property test must reach, pinned: both orientations,
+    entries of +-127, Fraction and several lambda parts, field 1000, and
+    each of the three errors."""
+    top = SLOT_BIAS - 1
+    brackets = [
+        bracket({0: top, FAR: -1}, {1: Fraction(1, 3), 2: -2}, {FAR: -top}, VLaurent(-3, (1, 0, 2))),
+        bracket({1: -top}, {}, {0: 1, FAR: top}),
+        bracket({}, {3: Fraction(-1, 2)}, {2: 1}),
+    ]
+    ok = operator_from_brackets(brackets)
+    pair = mono(alpha={FAR: 1}, ell={2: Fraction(1, 2)}) + mono(
+        alpha={FAR: -1}, ell={2: Fraction(-1, 2)}, coeff=VLaurent(5, (1,))
+    )
+    cases = [
+        (ok, None),
+        (mono(gamma={FAR: -top}), "monomial with zero weight part: "),
+        (mono(alpha={0: -top}, ell={1: Fraction(1, 2), 3: 2}), "unpaired monomial: "),
+        (pair, "no bracket orientation fits the pair at "),
+    ]
+    for op, error in cases:
+        got = _rebracket_outcome(rebracket, op)
+        assert got == _rebracket_outcome(oracle_rebracket, op)
+        assert canonical_order(op.terms) == oracle_canonical_order(op.terms)
+        if error is None:
+            assert set(got) == set(brackets)
+        else:
+            assert got.startswith(error)
